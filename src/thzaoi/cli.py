@@ -131,8 +131,11 @@ def _write_csv(path: Path, columns, rows):
 def _parse_analytic_law(d: dict, path: str) -> an.StageLaw:
     sc._check_keys(d, {"discipline", "update_rate", "service_rate"}, set(), path)
     try:
-        return an.StageLaw(float(d["update_rate"]), float(d["service_rate"]),
+        return an.StageLaw(sc._number(d["update_rate"], f"{path}.update_rate"),
+                           sc._number(d["service_rate"], f"{path}.service_rate"),
                            an.Discipline(d["discipline"]))
+    except sc.ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise sc.ConfigError(f"{path}: {exc}") from exc
 
@@ -145,16 +148,18 @@ def cmd_analytic(args) -> int:
     sc._check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
     laws = [_parse_analytic_law(d, f"analytic.laws[{i}]")
             for i, d in enumerate(section.get("laws", []))]
-    ages = [float(a) for a in section.get("ages", [])]
+    ages = [sc._number(a, f"analytic.ages[{i}]") for i, a in enumerate(section.get("ages", []))]
 
     severity = section.get("severity")
     if severity is not None:
         sc._check_keys(severity, {"ruin_level_s"}, {"z_grid", "stages"}, "analytic.severity")
     ruin = args.ruin_level if args.ruin_level is not None else \
-        (float(severity["ruin_level_s"]) if severity else None)
+        (sc._number(severity["ruin_level_s"], "analytic.severity.ruin_level_s")
+         if severity else None)
     z_grid = [args.z] if args.z is not None else \
-        [float(z) for z in (severity or {}).get("z_grid", [])]
-    n_stages = int((severity or {}).get("stages", 1))
+        [sc._number(z, f"analytic.severity.z_grid[{i}]")
+         for i, z in enumerate((severity or {}).get("z_grid", []))]
+    n_stages = sc._count((severity or {}).get("stages", 1), "analytic.severity.stages")
 
     rows = []
     for law in laws:

@@ -177,13 +177,8 @@ SWEEP_COLUMNS = [
 def _apply_value(scenario: Scenario, variable: SweepVariable, value: float) -> Scenario:
     if variable is SweepVariable.NUM_USERS:
         return replace(scenario, num_users=int(value))
-    lp = scenario.link_params
-    new_lp = link.LinkParams(
-        bandwidth_hz=float(value), carrier_hz=lp.carrier_hz,
-        tx_power_w=lp.tx_power_w, absorption_per_m=lp.absorption_per_m,
-        temperature_k=lp.temperature_k, meta_surfaces=lp.meta_surfaces,
-        image_size_bits=lp.image_size_bits)
-    return replace(scenario, link_params=new_lp)
+    return replace(scenario, link_params=replace(scenario.link_params,
+                                                 bandwidth_hz=float(value)))
 
 
 def _derived_seed(*parts: int) -> int:
@@ -330,15 +325,37 @@ def _check_keys(d: dict, required: set[str], optional: set[str], path: str):
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
+def _number(value, field: str) -> float:
+    """A finite JSON number; booleans, NaN and infinities are rejected by field path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, field: str) -> int:
+    """A whole JSON number: 2 and 2.0 are accepted, 2.7 and true are not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not _number(value, field).is_integer():
+        raise ConfigError(f"{field}: expected a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_link(d: dict, path: str = "link") -> link.LinkParams:
     _check_keys(d, {"bandwidth_hz", "carrier_hz", "tx_power_w", "absorption_per_m",
                     "temperature_k", "meta_surfaces", "image_size_bits"}, set(), path)
     try:
         return link.LinkParams(
-            bandwidth_hz=float(d["bandwidth_hz"]), carrier_hz=float(d["carrier_hz"]),
-            tx_power_w=float(d["tx_power_w"]), absorption_per_m=float(d["absorption_per_m"]),
-            temperature_k=float(d["temperature_k"]), meta_surfaces=int(d["meta_surfaces"]),
-            image_size_bits=float(d["image_size_bits"]))
+            bandwidth_hz=_number(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
+            carrier_hz=_number(d["carrier_hz"], f"{path}.carrier_hz"),
+            tx_power_w=_number(d["tx_power_w"], f"{path}.tx_power_w"),
+            absorption_per_m=_number(d["absorption_per_m"], f"{path}.absorption_per_m"),
+            temperature_k=_number(d["temperature_k"], f"{path}.temperature_k"),
+            meta_surfaces=_count(d["meta_surfaces"], f"{path}.meta_surfaces"),
+            image_size_bits=_number(d["image_size_bits"], f"{path}.image_size_bits"))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -346,8 +363,13 @@ def parse_link(d: dict, path: str = "link") -> link.LinkParams:
 def parse_room(d: dict, path: str = "room") -> Room:
     _check_keys(d, {"side_length"}, {"ris_positions"}, path)
     try:
-        pos = tuple((float(x), float(y)) for x, y in d.get("ris_positions", ()))
-        return Room(side_length=float(d["side_length"]), ris_positions=pos)
+        pos = tuple((_number(x, f"{path}.ris_positions[{i}]"),
+                     _number(y, f"{path}.ris_positions[{i}]"))
+                    for i, (x, y) in enumerate(d.get("ris_positions", ())))
+        return Room(side_length=_number(d["side_length"], f"{path}.side_length"),
+                    ris_positions=pos)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -358,8 +380,11 @@ def parse_queue(d: dict, path: str = "queue") -> qs.QueueConfig:
     try:
         disc = an.Discipline(d["discipline"])
         feed = qs.ComputeFeed(d.get("compute_feed", "tandem"))
-        return qs.QueueConfig(disc, float(d["stage_service_rate"]),
-                              float(d["compute_service_rate"]), feed)
+        return qs.QueueConfig(
+            disc, _number(d["stage_service_rate"], f"{path}.stage_service_rate"),
+            _number(d["compute_service_rate"], f"{path}.compute_service_rate"), feed)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -369,10 +394,10 @@ def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
     try:
         return Scenario(
             room=parse_room(d["room"], f"{path}.room"),
-            num_users=int(d["num_users"]),
+            num_users=_count(d["num_users"], f"{path}.num_users"),
             link_params=parse_link(d["link"], f"{path}.link"),
             queue=parse_queue(d["queue"], f"{path}.queue"),
-            placement_seed=int(d["placement_seed"]))
+            placement_seed=_count(d["placement_seed"], f"{path}.placement_seed"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -384,16 +409,21 @@ def parse_sweep(d: dict, base: Scenario, path: str = "sweep") -> tuple[Sweep, di
                     "threshold_z_s", "horizon_s"},
                 {"arrival_mode"}, path)
     try:
-        sweep = Sweep(SweepVariable(d["variable"]),
-                      tuple(float(v) for v in d["values"]),
-                      int(d["replications"]), base)
+        variable = SweepVariable(d["variable"])
+        read = _count if variable is SweepVariable.NUM_USERS else _number
+        values = tuple(float(read(v, f"{path}.values[{i}]"))
+                       for i, v in enumerate(d["values"]))
+        sweep = Sweep(variable, values,
+                      _count(d["replications"], f"{path}.replications"), base)
         extras = {
-            "ruin_level": float(d["ruin_level_s"]),
-            "threshold_z": float(d["threshold_z_s"]),
-            "horizon": float(d["horizon_s"]),
+            "ruin_level": _number(d["ruin_level_s"], f"{path}.ruin_level_s"),
+            "threshold_z": _number(d["threshold_z_s"], f"{path}.threshold_z_s"),
+            "horizon": _number(d["horizon_s"], f"{path}.horizon_s"),
             "arrival_mode": ArrivalRateMode(d.get("arrival_mode", "burke")),
         }
         return sweep, extras
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -1,7 +1,8 @@
 """Oracle-and-property validation suite.
 
 Each check pits an implementation path against an independent one:
-closed forms against adaptive quadrature, quadrature against the
+closed forms against adaptive quadrature, the canonical CDF kernels
+against a 30-digit mpmath evaluation, quadrature against the
 discrete-event simulator, the published-but-inconsistent expressions
 against their flagged reproductions.  The same suite backs the
 ``validate`` CLI command and the acceptance tests; tolerances live in
@@ -24,6 +25,11 @@ from . import thz_link as tl
 
 GRID_R = (0.5, 1.0, 2.0, 5.0, 10.0, 1e4)
 GRID_MU = (1.0, 5.0)
+# THz-scale stage laws (r/mu as realized by the link budget) for the mpmath oracle
+ORACLE_MU = (1.0, 5.0)
+ORACLE_RATIOS = (1e2, 1e3, 4e3, 5e3)
+ORACLE_AGES = (1e-3, 0.1, 0.5, 1.0, 3.0, 4.0)
+ORACLE_DIGITS = 30
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,7 @@ class ValidationConfig:
     cdf_spot_tol: float = 1e-4
     published_origin_tol: float = 1e-9
     lcfs_tail_tol: float = 1e-6
+    oracle_tol: float = 1e-12
     moment_tol: float = 1e-6
     ks_tolerance: float = 0.01
     ks_deliveries: int = 100_000
@@ -73,13 +80,11 @@ def format_check_line(check: CheckResult) -> str:
 
 
 def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
-    allowed = {f.name for f in fields(ValidationConfig)}
-    sc._check_keys(d, set(), allowed, path)
-    try:
-        return replace(ValidationConfig(), **{k: type(getattr(ValidationConfig(), k))(v)
-                                              for k, v in d.items()})
-    except (TypeError, ValueError) as exc:
-        raise sc.ConfigError(f"{path}: {exc}") from exc
+    defaults = ValidationConfig()
+    sc._check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
+    read = {int: sc._count, float: sc._number}
+    return replace(defaults, **{k: read[type(getattr(defaults, k))](v, f"{path}.{k}")
+                                for k, v in d.items()})
 
 
 def _grid_laws(disc):
@@ -168,6 +173,47 @@ def check_lcfs_discrepancy(cfg: ValidationConfig, report: ValidationReport) -> C
 
     passed, details, dur = _timed(body)
     return CheckResult("lcfs_published_cdf_discrepancy", passed, details, dur)
+
+
+def _mpmath_stage_cdf(law: an.StageLaw, a: float):
+    """Canonical stage CDF at ``ORACLE_DIGITS`` digits, written with explicit
+    (r - mu) denominators instead of the package's stable kernels."""
+    import mpmath as mp   # only this oracle needs it; keeps package import time flat
+
+    with mp.workdps(ORACLE_DIGITS):
+        r, mu, a = mp.mpf(law.update_rate), mp.mpf(law.service_rate), mp.mpf(a)
+        d, s = r - mu, r + mu
+        emu, ed = mp.exp(-mu * a), mp.expm1(-d * a)
+        if law.discipline is an.Discipline.FCFS_MM12:
+            bracket = (2 * mu ** 3 * (ed + d * a) / d ** 2 + mu ** 3 * a ** 2
+                       + 4 * mu ** 2 * a + 4 * mu + (mu ** 2 * a ** 2 + 2 * mu * a + 2) * d)
+            return 1 - emu * bracket / (2 * s)
+        quad = r * r + 2 * mu * r + 3 * mu * mu
+        inner = (-mu * (r + 3 * mu) + quad * emu
+                 - (r * (r * r + r * mu + mu * mu) - d * quad * emu) * ed / d)
+        return 1 - (emu * a * mu * r * (r + 2 * mu) + mp.exp(-s * a) * a * mu * r * s
+                    + emu * inner) / (r * s)
+
+
+def check_stage_cdf_vs_mpmath(cfg: ValidationConfig) -> CheckResult:
+    def body():
+        worst_ref = worst_quad = 0.0
+        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+            for mu in ORACLE_MU:
+                for ratio in ORACLE_RATIOS:
+                    law = an.StageLaw(ratio * mu, mu, disc)
+                    for a in ORACLE_AGES:
+                        exact = _mpmath_stage_cdf(law, a)
+                        ref = an.cdf_paoi(law, a, an.CdfSource.REFERENCE).value
+                        quad = an.cdf_paoi(law, a, an.CdfSource.QUADRATURE).value
+                        worst_ref = max(worst_ref, float(abs(ref - exact)))
+                        worst_quad = max(worst_quad, float(abs(quad - exact)))
+        return worst_ref <= cfg.oracle_tol, (
+            f"max |reference - mpmath| = {worst_ref:.2e} (tol {cfg.oracle_tol:.0e}); "
+            f"max |quadrature - mpmath| = {worst_quad:.2e} (reported, not gated)")
+
+    passed, details, dur = _timed(body)
+    return CheckResult("stage_cdf_vs_mpmath", passed, details, dur)
 
 
 def check_moment_consistency(cfg: ValidationConfig) -> CheckResult:
@@ -383,6 +429,7 @@ def run_validation(cfg: ValidationConfig | None = None,
     report.checks.append(check_normalization(cfg))
     report.checks.append(check_fcfs_closed_vs_quadrature(cfg))
     report.checks.append(check_lcfs_discrepancy(cfg, report))
+    report.checks.append(check_stage_cdf_vs_mpmath(cfg))
     report.checks.append(check_moment_consistency(cfg))
     report.checks.append(check_stage_ks(cfg))
     report.checks.append(check_e2e_average(cfg))

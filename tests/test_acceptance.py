@@ -17,10 +17,13 @@ the CLI.
   8  corrected per-user average non-increasing in users and in bandwidth
   9  sweep command reruns are byte-identical
  10  full suite under 5 minutes
+ 11  canonical stage CDFs within 1e-12 of a 30-digit mpmath evaluation at
+     r/mu 1e2-5e3, both disciplines; a zero tolerance fails the check
 """
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -149,8 +152,20 @@ def test_c10_suite_runtime_budget(report):
     assert report.total_duration_s < 300.0
 
 
+def test_c11_stage_cdf_vs_mpmath(report):
+    check = _check(report, "stage_cdf_vs_mpmath")
+    _emit(11, check)
+    assert check.passed, check.details
+
+
+def test_c11_corrupted_oracle_tolerance_fails():
+    check = val.check_stage_cdf_vs_mpmath(replace(val.ValidationConfig(), oracle_tol=0.0))
+    assert not check.passed, check.details
+
+
 def test_artifacts_persisted_to_disk(report):
     out = _REPORT["out"]
     for name in ("lcfs_cdf_discrepancy", "severity_deviation"):
         path = out / f"{name}.csv"
         assert path.exists() and path.stat().st_size > 0
+

@@ -169,6 +169,28 @@ class TestCdfLcfs:
             assert inside == pytest.approx(at_mu, abs=1e-6)
 
 
+class TestCdfReference:
+    LAWS = [law(2, 1), law(0.5, 1), law(2e4, 5), law(5 * (1 + 1e-8), 5),
+            law(2, 1, LCFS), law(0.5, 1, LCFS), law(2e4, 5, LCFS), law(5 * (1 - 1e-8), 5, LCFS)]
+
+    def test_cdf_paoi_reference_is_cdf_reference(self):
+        for stage in self.LAWS:
+            ref = an.cdf_reference(stage)
+            for a in (0.0, 1e-3, 0.3, 1.0, 4.0):
+                got = an.cdf_paoi(stage, a, an.CdfSource.REFERENCE)
+                assert got.value == float(ref(a))
+                assert got.validity is an.Validity.VALID
+
+    def test_reference_is_the_default_source(self):
+        for stage in self.LAWS:
+            assert an.cdf_paoi(stage, 1.0) == an.cdf_paoi(stage, 1.0, an.CdfSource.REFERENCE)
+
+    def test_lcfs_reference_is_not_the_published_form(self):
+        stage = law(2, 1, LCFS)
+        assert an.cdf_paoi(stage, 0.0).value == pytest.approx(0.0, abs=1e-12)
+        assert an.cdf_paoi(stage, 1.0).value == pytest.approx(0.1323938838573952, abs=1e-12)
+
+
 class TestSystemCdf:
     def test_single_stage_identity(self):
         stage = law(2, 1)
@@ -235,6 +257,24 @@ class TestSeverity:
         two = an.severity_cdf_grid(self.sys1(), 1.0, zs,
                                    an.PsiMode.SURVIVAL, an.CdfSource.CLOSED_FORM)
         assert [(v.value, v.validity) for v in one] == [(v.value, v.validity) for v in two]
+
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_default_source_agrees_with_quadrature_at_thz_rates(self, disc):
+        # r/mu around 4e3, the rates the THz link budget realizes
+        stages = tuple(law(r, 5.0, disc) for r in (1.9e4, 2.0e4, 2.15e4))
+        sys_law = an.SystemLaw(stages, an.ExponentMode.HETEROGENEOUS_PRODUCT)
+        fast = an.severity_both_modes(sys_law, 1.0, 3.0)
+        quad = an.severity_both_modes(sys_law, 1.0, 3.0, an.CdfSource.QUADRATURE)
+        for mode in an.PsiMode:
+            assert fast[mode].value == pytest.approx(quad[mode].value, rel=1e-6)
+            assert fast[mode].validity is quad[mode].validity
+
+    def test_severity_cdf_is_one_reading_of_both_modes(self):
+        sys_law = an.SystemLaw((law(3, 1), law(2, 1, LCFS)))
+        pair = an.severity_both_modes(sys_law, 1.0, 2.0)
+        for mode in an.PsiMode:
+            assert an.severity_cdf(sys_law, an.SeverityQuery(1.0, 2.0, mode)) == pair[mode]
 
 
 class TestAverages:

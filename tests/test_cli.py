@@ -227,3 +227,42 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert cli.main(["sweep", "--config", str(cfg)]) == 3
         assert "scenario.link" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where,value", [
+        (("scenario", "link", "bandwidth_hz"), float("nan")),
+        (("scenario", "num_users"), 2.7),
+        (("scenario", "num_users"), True),
+        (("sweep", "replications"), 1.5),
+    ])
+    def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
+        payload = {"scenario": scenario_section(), "sweep": {
+            "variable": "num_users", "values": [2], "replications": 1,
+            "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
+        node = payload
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert ".".join(where) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("oracle_tol", float("nan")),
+                                           ("master_seed", True)])
+    def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"validate": {key: value}})
+        assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert f"validate.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda s: s["laws"][0].update(update_rate=True), "analytic.laws[0].update_rate"),
+        (lambda s: s.update(ages=[0.5, float("nan")]), "analytic.ages[1]"),
+        (lambda s: s["severity"].update(stages=1.5), "analytic.severity.stages"),
+        (lambda s: s["severity"].update(z_grid=["1"]), "analytic.severity.z_grid[0]"),
+    ])
+    def test_bad_analytic_number_is_usage_error(self, tmp_path, capsys, edit, field):
+        section = {"laws": [{"discipline": "fcfs", "update_rate": 2.0, "service_rate": 1.0}],
+                   "ages": [1.0], "severity": {"ruin_level_s": 1.0, "z_grid": [1.0]}}
+        edit(section)
+        cfg = write_config(tmp_path, {"analytic": section})
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert field in capsys.readouterr().err

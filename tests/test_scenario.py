@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ class TestSweep:
                       and r["severity_mode"] == "survival"]
             assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
 
+    def test_sweep_never_falls_back_to_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the sweep must use the reference CDF kernels")
+
+        monkeypatch.setattr(an, "_quad_pdf", no_quadrature)
+        sweep, settings = self.small_sweep(values=(2.0, 3.0))
+        rows = sc.run_sweep(sweep, settings)
+        assert len(rows) == 2 * 2 * 2 * 2
+        assert not any(r["error"] for r in rows)
+        assert all(math.isfinite(r["j_z"]) for r in rows)
+
     def test_aggregate_groups_replications(self):
         sweep, settings = self.small_sweep(values=(2.0,), reps=3)
         rows = sc.run_sweep(sweep, settings)
@@ -262,3 +274,49 @@ class TestConfigParsing:
             sc.parse_sweep({"variable": "nope", "values": [1], "replications": 1,
                             "ruin_level_s": 1.0, "threshold_z_s": 3.0,
                             "horizon_s": 10.0}, scen)
+
+    @pytest.mark.parametrize("section,key,value,field", [
+        ("link", "bandwidth_hz", math.nan, "scenario.link.bandwidth_hz"),
+        ("link", "carrier_hz", math.inf, "scenario.link.carrier_hz"),
+        ("link", "tx_power_w", True, "scenario.link.tx_power_w"),
+        ("link", "meta_surfaces", 100.5, "scenario.link.meta_surfaces"),
+        ("queue", "stage_service_rate", math.nan, "scenario.queue.stage_service_rate"),
+        ("room", "side_length", False, "scenario.room.side_length"),
+        (None, "num_users", 2.7, "scenario.num_users"),
+        (None, "num_users", True, "scenario.num_users"),
+        (None, "placement_seed", "7", "scenario.placement_seed"),
+    ])
+    def test_bad_numbers_rejected_with_field_path(self, section, key, value, field):
+        cfg = self.good()
+        (cfg[section] if section else cfg)[key] = value
+        with pytest.raises(sc.ConfigError, match=re.escape(field)):
+            sc.parse_scenario(cfg)
+
+    def test_whole_float_count_accepted(self):
+        cfg = self.good()
+        cfg["num_users"] = 4.0
+        scen = sc.parse_scenario(cfg)
+        assert scen.num_users == 4 and isinstance(scen.num_users, int)
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("values", [5, 7.5], "sweep.values[1]"),
+        ("values", [5, True], "sweep.values[1]"),
+        ("replications", True, "sweep.replications"),
+        ("replications", 1.5, "sweep.replications"),
+        ("horizon_s", math.nan, "sweep.horizon_s"),
+        ("threshold_z_s", -math.inf, "sweep.threshold_z_s"),
+    ])
+    def test_bad_sweep_numbers_rejected_with_field_path(self, key, value, field):
+        scen = sc.parse_scenario(self.good())
+        d = {"variable": "num_users", "values": [5, 10], "replications": 1,
+             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}
+        d[key] = value
+        with pytest.raises(sc.ConfigError, match=re.escape(field)):
+            sc.parse_sweep(d, scen)
+
+    def test_bandwidth_sweep_values_may_be_fractional(self):
+        scen = sc.parse_scenario(self.good())
+        sweep, _ = sc.parse_sweep(
+            {"variable": "bandwidth", "values": [1e10, 2.5e10], "replications": 1,
+             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}, scen)
+        assert sweep.values == (1e10, 2.5e10)
