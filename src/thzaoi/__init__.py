@@ -3,10 +3,10 @@
 __version__ = "0.1.0"
 
 from .aoi_analytic import (  # noqa: F401
-    AvgMode, CdfSource, ComputeQueueLaw, Discipline, ExponentMode,
-    FlaggedValue, InstabilityError, PsiMode, SeverityQuery, StageLaw,
-    SystemLaw, Validity, avg_paoi_compute, avg_paoi_e2e, avg_paoi_stage,
-    cdf_paoi, pdf_paoi, severity_cdf, severity_cdf_grid, system_cdf,
+    AvgMode, CdfSource, ComputeQueueLaw, Discipline, FlaggedValue,
+    InstabilityError, PsiMode, StageLaw, SystemLaw, Validity,
+    avg_paoi_compute, avg_paoi_e2e, avg_paoi_stage, cdf_paoi, pdf_paoi,
+    severity_both_modes, system_cdf,
 )
 from .queue_sim import (  # noqa: F401
     ComputeFeed, EmptyDataError, PaoiSamples, QueueConfig, Stage,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -46,11 +46,6 @@ class CdfSource(enum.Enum):
     CLOSED_FORM = "closed_form"      # as published; the LCFS form is flagged invalid
     QUADRATURE = "quadrature"        # adaptive quadrature of the density (oracle)
     REFERENCE = "reference"          # canonical kernels, see cdf_reference
-
-
-class ExponentMode(enum.Enum):
-    HOMOGENEOUS_POWER = "homogeneous_power"
-    HETEROGENEOUS_PRODUCT = "heterogeneous_product"
 
 
 class PsiMode(enum.Enum):
@@ -88,25 +83,13 @@ class StageLaw:
 
 @dataclass(frozen=True)
 class SystemLaw:
-    """Joint law across user stages (i.i.d. power or per-stage product)."""
+    """Joint law across user stages: the product of the per-stage laws."""
 
     stages: tuple[StageLaw, ...]
-    exponent_mode: ExponentMode = ExponentMode.HETEROGENEOUS_PRODUCT
 
     def __post_init__(self):
         if len(self.stages) < 1:
             raise ValueError("need at least one stage")
-
-
-@dataclass(frozen=True)
-class SeverityQuery:
-    ruin_level: float            # level a the age process must exceed
-    threshold_z: float           # exceedance threshold z
-    psi_mode: PsiMode = PsiMode.AS_WRITTEN_CDF
-
-    def __post_init__(self):
-        if self.ruin_level <= 0 or self.threshold_z <= 0:
-            raise ValueError("ruin level and threshold must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -151,6 +134,16 @@ def _h2(x):
     return out if out.ndim else float(out)
 
 
+def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: int,
+                           base: float = 0.0):
+    """``value`` where finite, else the exp(-r a) tail base + coef exp(-r a) / (mu - r)^power.
+
+    The kernels overflow only once (mu - r) a > 709, where exp(-mu a) < 1e-308."""
+    if (isinstance(value, float) and math.isfinite(value)) or np.all(np.isfinite(value)):
+        return value
+    return np.where(np.isfinite(value), value, base + coef * np.exp(-r * a) / (mu - r) ** power)
+
+
 def _check_age(a):
     arr = np.asarray(a, dtype=float)
     if np.any(arr < 0):
@@ -168,7 +161,8 @@ def _pdf_fcfs(r: float, mu: float, a):
     emu = np.exp(-mu * a)
     cond_empty = mu ** 2 * r * emu * a ** 2 * _h2(-delta * a)
     cond_busy = 0.5 * a ** 2 * mu ** 3 * emu
-    return cond_empty * p_empty + cond_busy * p_busy
+    return _tail_where_overflowed(cond_empty * p_empty + cond_busy * p_busy,
+                                  r, mu, a, p_empty * mu ** 2 * r, 2)
 
 
 def _pdf_lcfs(r: float, mu: float, a):
@@ -185,7 +179,8 @@ def _pdf_lcfs(r: float, mu: float, a):
     cond_busy = (mu * mu / (r * r)) * (
         es * (3.0 * mu + 2.0 * r + r * s * a)
         - emu * (3.0 * mu + 2.0 * r - r * (r + 2.0 * mu) * a))
-    return cond_empty * p_empty + cond_busy * p_busy
+    return _tail_where_overflowed(cond_empty * p_empty + cond_busy * p_busy,
+                                  r, mu, a, p_empty * q / mu, 1)
 
 
 def pdf_paoi(law: StageLaw, a):
@@ -210,7 +205,8 @@ def _cdf_fcfs_closed(r: float, mu: float, a):
     bracket = (2.0 * mu ** 3 * a ** 2 * _h2(-delta * a)
                + mu ** 3 * a ** 2 + 4.0 * mu ** 2 * a + 4.0 * mu
                + (mu ** 2 * a ** 2 + 2.0 * mu * a + 2.0) * delta)
-    return 1.0 - emu * bracket / (2.0 * (r + mu))
+    return _tail_where_overflowed(1.0 - emu * bracket / (2.0 * (r + mu)),
+                                  r, mu, a, -mu ** 3 / (r + mu), 2, 1.0)
 
 
 def _cdf_lcfs_integrated(r: float, mu: float, a):
@@ -228,24 +224,24 @@ def _cdf_lcfs_integrated(r: float, mu: float, a):
              + (r * r + 2.0 * mu * r + 3.0 * mu * mu) * emu
              + (q2 - r2 * emu) * a * _phi1(-delta * a))
     term_c = emu * inner
-    return 1.0 - (term_a + term_b + term_c) / (r * s)
+    return _tail_where_overflowed(1.0 - (term_a + term_b + term_c) / (r * s),
+                                  r, mu, a, -q2 / (r * s), 1, 1.0)
 
 
 def _cdf_lcfs_published(r: float, mu: float, a):
     # the closed form exactly as printed; violates CDF axioms at a = 0
-    mu_ = mu
-    delta = r - mu_
-    if abs(delta) < SINGULAR_EPS * mu_:
-        return _cdf_lcfs_published_series(mu_, a, delta)
-    es = np.exp(-(r + mu_) * a)
+    delta = r - mu
+    if abs(delta) < SINGULAR_EPS * mu:
+        return _cdf_lcfs_published_series(mu, a, delta)
+    es = np.exp(-(r + mu) * a)
     er = np.exp(-r * a)
-    emu = np.exp(-mu_ * a)
-    t1 = es / (r * (r + mu_) * delta) * (
-        r ** 3 - 3.0 * mu_ ** 3 + r * mu_ * (r + mu_) * (1.0 + delta))
-    t2 = er / ((r + mu_) * delta) * (r * r + r * mu_ + mu_ * mu_)
-    t3 = emu / (r * (r + mu_) * delta) * (
-        3.0 * mu_ ** 3 + r * delta ** 2
-        + r * mu_ * a * (r * r + r * mu_ - 2.0 * mu_ * mu_))
+    emu = np.exp(-mu * a)
+    t1 = es / (r * (r + mu) * delta) * (
+        r ** 3 - 3.0 * mu ** 3 + r * mu * (r + mu) * (1.0 + delta))
+    t2 = er / ((r + mu) * delta) * (r * r + r * mu + mu * mu)
+    t3 = emu / (r * (r + mu) * delta) * (
+        3.0 * mu ** 3 + r * delta ** 2
+        + r * mu * a * (r * r + r * mu - 2.0 * mu * mu))
     return 1.0 - t1 + t2 - t3
 
 
@@ -344,20 +340,14 @@ def cdf_reference(law: StageLaw) -> Callable[[np.ndarray], np.ndarray]:
 # system-level CDF and severity
 
 def system_cdf(sys_law: SystemLaw, a, source: CdfSource = CdfSource.REFERENCE) -> FlaggedValue:
-    """Joint CDF of the worst stage: first stage to the power U, or the
-    per-stage product when stages are heterogeneous."""
-    if sys_law.exponent_mode is ExponentMode.HOMOGENEOUS_POWER:
-        base = cdf_paoi(sys_law.stages[0], a, source)
-        val = base.value ** len(sys_law.stages)
-        worst = base.validity
-    else:
-        val = 1.0
-        worst = Validity.VALID
-        for stage in sys_law.stages:
-            part = cdf_paoi(stage, a, source)
-            val *= part.value
-            if part.validity is not Validity.VALID:
-                worst = part.validity
+    """Joint CDF of the worst stage: the product of the per-stage CDFs."""
+    val = 1.0
+    worst = Validity.VALID
+    for stage in sys_law.stages:
+        part = cdf_paoi(stage, a, source)
+        val *= part.value
+        if part.validity is not Validity.VALID:
+            worst = part.validity
     if worst is Validity.VALID:
         worst = _flag_probability(val)
     return FlaggedValue(val, worst)
@@ -393,28 +383,6 @@ def severity_both_modes(sys_law: SystemLaw, ruin_level: float, threshold_z: floa
                 if part.validity is not Validity.VALID:
                     flag = part.validity
         out[mode] = FlaggedValue(val, flag)
-    return out
-
-
-def severity_cdf(sys_law: SystemLaw, query: SeverityQuery,
-                 source: CdfSource = CdfSource.REFERENCE) -> FlaggedValue:
-    """J(z) with validity flag for one query; see ``severity_both_modes``."""
-    return severity_both_modes(sys_law, query.ruin_level, query.threshold_z,
-                               source)[query.psi_mode]
-
-
-def severity_cdf_grid(sys_law: SystemLaw, ruin_level: float, z_grid: Sequence[float],
-                      psi_mode: PsiMode = PsiMode.AS_WRITTEN_CDF,
-                      source: CdfSource = CdfSource.REFERENCE) -> list[FlaggedValue]:
-    """Evaluate J over a z grid; non-monotone steps are flagged INVALID."""
-    out = [severity_cdf(sys_law, SeverityQuery(ruin_level, z, psi_mode), source)
-           for z in z_grid]
-    for i in range(1, len(out)):
-        prev, cur = out[i - 1], out[i]
-        if (math.isfinite(prev.value) and math.isfinite(cur.value)
-                and cur.value < prev.value - 1e-12
-                and cur.validity is Validity.VALID):
-            out[i] = FlaggedValue(cur.value, Validity.INVALID)
     return out
 
 

@@ -24,7 +24,6 @@ from . import scenario as sc
 from . import svg_chart
 from . import validation as val
 
-_TOP_KEYS_REQ: set[str] = set()
 _TOP_KEYS_OPT = {"scenario", "sweep", "analytic", "validate", "master_seed"}
 
 ANALYTIC_COLUMNS = ["discipline", "r", "mu", "a_or_z", "quantity", "mode",
@@ -37,23 +36,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Peak-age analytics, tandem-queue simulation, and sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, severity=True):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
+        if severity:
+            p.add_argument("--z", type=float, default=None, help="severity threshold override")
+            p.add_argument("--ruin-level", type=float, default=None,
+                           help="severity ruin level override")
 
     p_an = sub.add_parser("analytic", help="evaluate densities, CDFs, severity, averages")
     common(p_an)
-    p_an.add_argument("--z", type=float, default=None, help="severity threshold override")
-    p_an.add_argument("--ruin-level", type=float, default=None,
-                      help="severity ruin level override")
     p_an.set_defaults(func=cmd_analytic)
 
     p_sw = sub.add_parser("sweep", help="run a user-count or bandwidth sweep")
     common(p_sw)
-    p_sw.add_argument("--z", type=float, default=None, help="severity threshold override")
-    p_sw.add_argument("--ruin-level", type=float, default=None,
-                      help="severity ruin level override")
     p_sw.add_argument("--psi-mode", choices=[m.value for m in an.PsiMode], default=None,
                       help="emit only this severity interpretation")
     p_sw.add_argument("--avg-mode", choices=[m.value for m in an.AvgMode], default=None,
@@ -67,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the full oracle validation suite")
-    common(p_val)
+    common(p_val, severity=False)
     p_val.set_defaults(func=cmd_validate)
     return parser
 
@@ -86,7 +83,7 @@ def main(argv=None) -> int:
 
 def _load(args) -> dict:
     cfg = sc.load_json(args.config)
-    sc._check_keys(cfg, _TOP_KEYS_REQ, _TOP_KEYS_OPT, "config")
+    sc.check_keys(cfg, set(), _TOP_KEYS_OPT, "config")
     return cfg
 
 
@@ -120,24 +117,15 @@ def _write_manifest(args, out: Path, seed: int, outputs: list[str]):
         json.dump(manifest, fh, indent=2)
 
 
-def _write_csv(path: Path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        val.write_rows_csv(fh, columns, rows)
-
-
 # ---------------------------------------------------------------------------
 # analytic command
 
 def _parse_analytic_law(d: dict, path: str) -> an.StageLaw:
-    sc._check_keys(d, {"discipline", "update_rate", "service_rate"}, set(), path)
-    try:
-        return an.StageLaw(sc._number(d["update_rate"], f"{path}.update_rate"),
-                           sc._number(d["service_rate"], f"{path}.service_rate"),
+    sc.check_keys(d, {"discipline", "update_rate", "service_rate"}, set(), path)
+    with sc.config_errors(path):
+        return an.StageLaw(sc.number(d["update_rate"], f"{path}.update_rate"),
+                           sc.number(d["service_rate"], f"{path}.service_rate"),
                            an.Discipline(d["discipline"]))
-    except sc.ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise sc.ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_analytic(args) -> int:
@@ -145,21 +133,21 @@ def cmd_analytic(args) -> int:
     if "analytic" not in cfg:
         raise sc.ConfigError("config: analytic section required")
     section = cfg["analytic"]
-    sc._check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
+    sc.check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
     laws = [_parse_analytic_law(d, f"analytic.laws[{i}]")
             for i, d in enumerate(section.get("laws", []))]
-    ages = [sc._number(a, f"analytic.ages[{i}]") for i, a in enumerate(section.get("ages", []))]
+    ages = [sc.number(a, f"analytic.ages[{i}]") for i, a in enumerate(section.get("ages", []))]
 
     severity = section.get("severity")
     if severity is not None:
-        sc._check_keys(severity, {"ruin_level_s"}, {"z_grid", "stages"}, "analytic.severity")
+        sc.check_keys(severity, {"ruin_level_s"}, {"z_grid", "stages"}, "analytic.severity")
     ruin = args.ruin_level if args.ruin_level is not None else \
-        (sc._number(severity["ruin_level_s"], "analytic.severity.ruin_level_s")
+        (sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s")
          if severity else None)
     z_grid = [args.z] if args.z is not None else \
-        [sc._number(z, f"analytic.severity.z_grid[{i}]")
+        [sc.number(z, f"analytic.severity.z_grid[{i}]")
          for i, z in enumerate((severity or {}).get("z_grid", []))]
-    n_stages = sc._count((severity or {}).get("stages", 1), "analytic.severity.stages")
+    n_stages = sc.count((severity or {}).get("stages", 1), "analytic.severity.stages")
 
     rows = []
     for law in laws:
@@ -177,7 +165,7 @@ def cmd_analytic(args) -> int:
         rows.append({**base, "a_or_z": "", "quantity": "avg_stage", "mode": "",
                      "value": an.avg_paoi_stage(law), "validity_flag": "valid"})
         if ruin is not None and z_grid:
-            sys_law = an.SystemLaw((law,) * n_stages, an.ExponentMode.HOMOGENEOUS_POWER)
+            sys_law = an.SystemLaw((law,) * n_stages)
             for z in z_grid:
                 pair = an.severity_both_modes(sys_law, ruin, z)
                 for mode, got in pair.items():
@@ -187,7 +175,7 @@ def cmd_analytic(args) -> int:
 
     out = _out_dir(args)
     seed = _master_seed(args, cfg)
-    _write_csv(out / "analytic.csv", ANALYTIC_COLUMNS, rows)
+    val.write_csv(out / "analytic.csv", ANALYTIC_COLUMNS, rows)
     _write_manifest(args, out, seed, ["analytic.csv"])
     print(f"wrote {out / 'analytic.csv'} ({len(rows)} rows)")
     return 0
@@ -230,9 +218,9 @@ def cmd_sweep(args) -> int:
         rows = [r for r in rows if r.get("severity_mode", args.psi_mode) == args.psi_mode]
     agg = sc.aggregate_sweep(rows)
 
-    _write_csv(out / "sweep.csv", sc.SWEEP_COLUMNS, rows)
+    val.write_csv(out / "sweep.csv", sc.SWEEP_COLUMNS, rows)
     agg_columns = list(agg[0].keys()) if agg else ["sweep_var"]
-    _write_csv(out / "sweep_aggregate.csv", agg_columns, agg)
+    val.write_csv(out / "sweep_aggregate.csv", agg_columns, agg)
     outputs = ["sweep.csv", "sweep_aggregate.csv"]
     if args.svg:
         outputs.append(_render_sweep_svg(out, agg, sweep))

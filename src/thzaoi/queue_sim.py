@@ -189,33 +189,26 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
                 serving_gen = None
                 completion = math.inf
         else:
-            # full: arrivals before the next completion only drop (FCFS) or
-            # displace the waiter (LCFS); draw them in bulk
-            if completion > horizon:
-                if t_arr <= horizon:
-                    n_extra = arr_rng.poisson(rate * (horizon - t_arr))
-                    k = 1 + int(n_extra)
-                    counters.arrivals += k
-                    if lcfs:
-                        counters.preemptions += k
-                    else:
-                        counters.drops += k
-                break
-            if t_arr < completion:
-                window = completion - t_arr
+            # full: arrivals before the next completion (or the horizon) only
+            # drop (FCFS) or displace the waiter (LCFS); draw them in bulk
+            past = completion > horizon
+            if (t_arr <= horizon) if past else (t_arr < completion):
+                window = (horizon if past else completion) - t_arr
                 n_extra = int(arr_rng.poisson(rate * window))
                 k = 1 + n_extra
                 counters.arrivals += k
                 if lcfs:
                     counters.preemptions += k
-                    if n_extra:
-                        last = t_arr + window * arr_rng.random() ** (1.0 / n_extra)
-                    else:
-                        last = t_arr
-                    waiting_gen = last
                 else:
                     counters.drops += k
+                if past:
+                    break
+                if lcfs:
+                    waiting_gen = (t_arr + window * arr_rng.random() ** (1.0 / n_extra)
+                                   if n_extra else t_arr)
                 t_arr = completion + arr_rng.exponential(scale_arr)
+            if past:
+                break
             deliver(completion, serving_gen)
             serving_gen = waiting_gen
             waiting_gen = None
@@ -227,10 +220,7 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
 
 def _series_from_triples(triples, warmup: float) -> StageSeries:
     kept = [(t, p, s) for (t, p, s) in triples if t >= warmup]
-    if not kept:
-        z = np.empty(0)
-        return StageSeries(z.copy(), z.copy(), z.copy())
-    arr = np.asarray(kept, dtype=float)
+    arr = np.asarray(kept, dtype=float).reshape(-1, 3)
     return StageSeries(arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
 
 
@@ -362,11 +352,6 @@ def ks_distance(empirical: EmpiricalCdf, analytic) -> float:
     d_plus = np.max(i / empirical.n - g)
     d_minus = np.max(g - (i - 1) / empirical.n)
     return float(max(d_plus, d_minus))
-
-
-def sawtooth_trace(samples: PaoiSamples, user: int, stage: Stage) -> StageSeries:
-    """Delivery-time parameterization of the piecewise-linear age process."""
-    return samples.series(user, stage)
 
 
 def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:

@@ -13,6 +13,7 @@ replication sees identical users across sweep values.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
@@ -200,8 +201,9 @@ def _sim_severity(samples: qs.PaoiSamples, ruin_level: float, z: float):
 def run_sweep(sweep: Sweep, settings: SweepSettings, sample_sink=None) -> list[dict]:
     """One row per (value, replication, discipline, avg mode, severity mode).
 
-    Cell failures (e.g. an unstable compute queue in corrected mode) are
-    recorded in the row's ``error`` column; the sweep never aborts.
+    Cell failures (too few simulated samples, an unstable compute queue in
+    corrected mode) are recorded in the row's ``error`` column; any other
+    exception propagates.
     ``sample_sink(value, replication, discipline, samples)`` receives each
     cell's raw simulator output, e.g. for CSV export.
     """
@@ -228,7 +230,7 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
     try:
         lam_c = compute_arrival_rate(rates, mu_u, settings.arrival_mode)
         stages = tuple(an.StageLaw(float(r), mu_u, disc) for r in rates)
-        sys_law = an.SystemLaw(stages, an.ExponentMode.HETEROGENEOUS_PRODUCT)
+        sys_law = an.SystemLaw(stages)
 
         config = qs.QueueConfig(disc, mu_u, mu_c, scen.queue.compute_feed)
         sim_seed = _derived_seed(settings.master_seed, vi, rep, di)
@@ -242,7 +244,7 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
         drops = sum(c.drops for c in samples.stage_counters.values())
         preempts = sum(c.preemptions for c in samples.stage_counters.values())
         burke_gap = mu_u * len(rates) - samples.compute_arrival_rate
-    except (ValueError, ArithmeticError) as exc:
+    except qs.EmptyDataError as exc:
         row = dict(base_row)
         row["error"] = str(exc)
         return [row]
@@ -256,7 +258,7 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
             comp = an.ComputeQueueLaw(lam_c, mu_c, avg_mode)
             avg_val = an.avg_paoi_e2e(sys_law, comp)
             avg_err = ""
-        except (an.InstabilityError, ValueError) as exc:
+        except an.InstabilityError as exc:
             avg_val = math.nan
             avg_err = str(exc)
         for psi_mode in (an.PsiMode.AS_WRITTEN_CDF, an.PsiMode.SURVIVAL):
@@ -314,7 +316,7 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 # JSON configuration
 
-def _check_keys(d: dict, required: set[str], optional: set[str], path: str):
+def check_keys(d: dict, required: set[str], optional: set[str], path: str):
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
     unknown = set(d) - required - optional
@@ -325,7 +327,18 @@ def _check_keys(d: dict, required: set[str], optional: set[str], path: str):
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _number(value, field: str) -> float:
+@contextlib.contextmanager
+def config_errors(path: str):
+    """Report a TypeError or ValueError raised inside as a ConfigError at ``path``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def number(value, field: str) -> float:
     """A finite JSON number; booleans, NaN and infinities are rejected by field path."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not math.isfinite(value):
@@ -333,99 +346,86 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
-def _count(value, field: str) -> int:
+def count(value, field: str) -> int:
     """A whole JSON number: 2 and 2.0 are accepted, 2.7 and true are not."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if not _number(value, field).is_integer():
+    if not number(value, field).is_integer():
         raise ConfigError(f"{field}: expected a whole number, got {value!r}")
     return int(value)
 
 
+def user_count(value, field: str) -> int:
+    """A user count: a whole number of at least one."""
+    if count(value, field) < 1:
+        raise ConfigError(f"{field}: expected at least one user, got {value!r}")
+    return int(value)
+
+
 def parse_link(d: dict, path: str = "link") -> link.LinkParams:
-    _check_keys(d, {"bandwidth_hz", "carrier_hz", "tx_power_w", "absorption_per_m",
-                    "temperature_k", "meta_surfaces", "image_size_bits"}, set(), path)
-    try:
+    check_keys(d, {"bandwidth_hz", "carrier_hz", "tx_power_w", "absorption_per_m",
+                   "temperature_k", "meta_surfaces", "image_size_bits"}, set(), path)
+    with config_errors(path):
         return link.LinkParams(
-            bandwidth_hz=_number(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
-            carrier_hz=_number(d["carrier_hz"], f"{path}.carrier_hz"),
-            tx_power_w=_number(d["tx_power_w"], f"{path}.tx_power_w"),
-            absorption_per_m=_number(d["absorption_per_m"], f"{path}.absorption_per_m"),
-            temperature_k=_number(d["temperature_k"], f"{path}.temperature_k"),
-            meta_surfaces=_count(d["meta_surfaces"], f"{path}.meta_surfaces"),
-            image_size_bits=_number(d["image_size_bits"], f"{path}.image_size_bits"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            bandwidth_hz=number(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
+            carrier_hz=number(d["carrier_hz"], f"{path}.carrier_hz"),
+            tx_power_w=number(d["tx_power_w"], f"{path}.tx_power_w"),
+            absorption_per_m=number(d["absorption_per_m"], f"{path}.absorption_per_m"),
+            temperature_k=number(d["temperature_k"], f"{path}.temperature_k"),
+            meta_surfaces=count(d["meta_surfaces"], f"{path}.meta_surfaces"),
+            image_size_bits=number(d["image_size_bits"], f"{path}.image_size_bits"))
 
 
 def parse_room(d: dict, path: str = "room") -> Room:
-    _check_keys(d, {"side_length"}, {"ris_positions"}, path)
-    try:
-        pos = tuple((_number(x, f"{path}.ris_positions[{i}]"),
-                     _number(y, f"{path}.ris_positions[{i}]"))
+    check_keys(d, {"side_length"}, {"ris_positions"}, path)
+    with config_errors(path):
+        pos = tuple((number(x, f"{path}.ris_positions[{i}]"),
+                     number(y, f"{path}.ris_positions[{i}]"))
                     for i, (x, y) in enumerate(d.get("ris_positions", ())))
-        return Room(side_length=_number(d["side_length"], f"{path}.side_length"),
+        return Room(side_length=number(d["side_length"], f"{path}.side_length"),
                     ris_positions=pos)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_queue(d: dict, path: str = "queue") -> qs.QueueConfig:
-    _check_keys(d, {"discipline", "stage_service_rate", "compute_service_rate"},
-                {"compute_feed"}, path)
-    try:
+    check_keys(d, {"discipline", "stage_service_rate", "compute_service_rate"},
+               {"compute_feed"}, path)
+    with config_errors(path):
         disc = an.Discipline(d["discipline"])
         feed = qs.ComputeFeed(d.get("compute_feed", "tandem"))
         return qs.QueueConfig(
-            disc, _number(d["stage_service_rate"], f"{path}.stage_service_rate"),
-            _number(d["compute_service_rate"], f"{path}.compute_service_rate"), feed)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            disc, number(d["stage_service_rate"], f"{path}.stage_service_rate"),
+            number(d["compute_service_rate"], f"{path}.compute_service_rate"), feed)
 
 
 def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
-    _check_keys(d, {"link", "room", "queue", "num_users", "placement_seed"}, set(), path)
-    try:
+    check_keys(d, {"link", "room", "queue", "num_users", "placement_seed"}, set(), path)
+    with config_errors(path):
         return Scenario(
             room=parse_room(d["room"], f"{path}.room"),
-            num_users=_count(d["num_users"], f"{path}.num_users"),
+            num_users=user_count(d["num_users"], f"{path}.num_users"),
             link_params=parse_link(d["link"], f"{path}.link"),
             queue=parse_queue(d["queue"], f"{path}.queue"),
-            placement_seed=_count(d["placement_seed"], f"{path}.placement_seed"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            placement_seed=count(d["placement_seed"], f"{path}.placement_seed"))
 
 
 def parse_sweep(d: dict, base: Scenario, path: str = "sweep") -> tuple[Sweep, dict]:
-    _check_keys(d, {"variable", "values", "replications", "ruin_level_s",
-                    "threshold_z_s", "horizon_s"},
-                {"arrival_mode"}, path)
-    try:
+    check_keys(d, {"variable", "values", "replications", "ruin_level_s",
+                   "threshold_z_s", "horizon_s"},
+               {"arrival_mode"}, path)
+    with config_errors(path):
         variable = SweepVariable(d["variable"])
-        read = _count if variable is SweepVariable.NUM_USERS else _number
+        read = user_count if variable is SweepVariable.NUM_USERS else number
         values = tuple(float(read(v, f"{path}.values[{i}]"))
                        for i, v in enumerate(d["values"]))
         sweep = Sweep(variable, values,
-                      _count(d["replications"], f"{path}.replications"), base)
+                      count(d["replications"], f"{path}.replications"), base)
         extras = {
-            "ruin_level": _number(d["ruin_level_s"], f"{path}.ruin_level_s"),
-            "threshold_z": _number(d["threshold_z_s"], f"{path}.threshold_z_s"),
-            "horizon": _number(d["horizon_s"], f"{path}.horizon_s"),
+            "ruin_level": number(d["ruin_level_s"], f"{path}.ruin_level_s"),
+            "threshold_z": number(d["threshold_z_s"], f"{path}.threshold_z_s"),
+            "horizon": number(d["horizon_s"], f"{path}.horizon_s"),
             "arrival_mode": ArrivalRateMode(d.get("arrival_mode", "burke")),
         }
         return sweep, extras
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_json(path) -> dict:

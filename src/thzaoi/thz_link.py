@@ -8,10 +8,8 @@ and rate-per-image division.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .constants import BOLTZMANN, SPEED_OF_LIGHT
 
@@ -76,70 +74,40 @@ def channel_gain(distance_m: float, params: LinkParams) -> float:
     return spreading * math.exp(-2.0 * params.absorption_per_m * distance_m)
 
 
-def ris_array_gain(n: int, aligned: bool = True,
-                   phase_offsets: Sequence[float] | None = None) -> float:
-    """Coherent array gain of n meta-surfaces.
-
-    With perfect phase alignment the gain is n^2.  Otherwise
-    ``phase_offsets`` gives the per-element residual phase error and the
-    gain is |sum exp(j * offset)|^2.
-    """
+def ris_array_gain(n: int) -> float:
+    """Coherent array gain n^2 of n phase-aligned meta-surfaces."""
     if n < 1:
         raise ValueError("meta-surface count must be >= 1")
-    if aligned:
-        return float(n) ** 2
-    if phase_offsets is None:
-        raise ValueError("phase_offsets required when not aligned")
-    if len(phase_offsets) != n:
-        raise ValueError("need one phase offset per meta-surface")
-    total = sum(cmath.exp(1j * off) for off in phase_offsets)
-    return abs(total) ** 2
+    return float(n) ** 2
 
 
-def thermal_noise_w(params: LinkParams, conventional: bool = False) -> float:
-    """Noise floor N0.
-
-    Default is the (W lambda^2 / 4 pi) kB T0 form used by the link model;
-    ``conventional=True`` substitutes the standard kB T0 W thermal noise.
-    """
-    if conventional:
-        return BOLTZMANN * params.temperature_k * params.bandwidth_hz
+def thermal_noise_w(params: LinkParams) -> float:
+    """Noise floor N0 in the (W lambda^2 / 4 pi) kB T0 form used by the link model."""
     lam = params.wavelength_m
     return params.bandwidth_hz * lam ** 2 / (4.0 * math.pi) \
         * BOLTZMANN * params.temperature_k
 
 
-def noise_plus_interference(geom: LinkGeometry, params: LinkParams,
-                            include_serving: bool = True,
-                            conventional_noise: bool = False) -> float:
+def noise_plus_interference(geom: LinkGeometry, params: LinkParams) -> float:
     """Noise floor plus absorption-scattered power from every surface.
 
     The sum runs over all listed surfaces, serving one included, matching
-    the link model's unrestricted sum; ``include_serving=False`` drops the
-    serving surface for sensitivity analysis.
+    the link model's unrestricted sum.
     """
-    n0 = thermal_noise_w(params, conventional=conventional_noise)
+    n0 = thermal_noise_w(params)
     a0 = SPEED_OF_LIGHT ** 2 / (16.0 * math.pi ** 2 * params.carrier_hz ** 2)
     k = params.absorption_per_m
     total = n0
-    skipped_serving = False
     for d in geom.ris_distances_m:
-        if not include_serving and not skipped_serving and d == geom.serving_distance_m:
-            skipped_serving = True
-            continue
         total += params.tx_power_w * a0 / d ** 2 * (1.0 - math.exp(-k * d))
     return total
 
 
-def rate_bps(geom: LinkGeometry, params: LinkParams,
-             include_serving: bool = True,
-             conventional_noise: bool = False) -> float:
+def rate_bps(geom: LinkGeometry, params: LinkParams) -> float:
     """Uplink Shannon rate W log2(1 + p h N^2 / noise)."""
     h = channel_gain(geom.serving_distance_m, params)
-    gain = ris_array_gain(params.meta_surfaces, aligned=True)
-    noise = noise_plus_interference(geom, params,
-                                    include_serving=include_serving,
-                                    conventional_noise=conventional_noise)
+    gain = ris_array_gain(params.meta_surfaces)
+    noise = noise_plus_interference(geom, params)
     snr = params.tx_power_w * h * gain / noise
     return params.bandwidth_hz * math.log2(1.0 + snr)
 

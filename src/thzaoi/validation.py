@@ -11,6 +11,7 @@ against their flagged reproductions.  The same suite backs the
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import time
@@ -81,8 +82,8 @@ def format_check_line(check: CheckResult) -> str:
 
 def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
     defaults = ValidationConfig()
-    sc._check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
-    read = {int: sc._count, float: sc._number}
+    sc.check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
+    read = {int: sc.count, float: sc.number}
     return replace(defaults, **{k: read[type(getattr(defaults, k))](v, f"{path}.{k}")
                                 for k, v in d.items()})
 
@@ -98,81 +99,82 @@ def _grid_laws(disc):
     return laws
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, details = fn()
-    return bool(passed), details, time.perf_counter() - start
+def _timed_check(name: str):
+    """Make ``fn(cfg, ...) -> (passed, details)`` return a timed ``CheckResult``."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def timed(*args) -> CheckResult:
+            start = time.perf_counter()
+            passed, details = fn(*args)
+            return CheckResult(name, bool(passed), details, time.perf_counter() - start)
+        return timed
+    return decorate
+
+
+def _cumulative_quad(law: an.StageLaw, grid) -> np.ndarray:
+    """Quadrature CDF at every grid point: running sum of per-interval integrals."""
+    cum = [0.0]
+    for lo, hi in zip(grid, grid[1:]):
+        cum.append(cum[-1] + an._quad_pdf(law, lo, hi))
+    return np.asarray(cum)
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
-def check_normalization(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        worst = 0.0
-        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            for law in _grid_laws(disc):
-                mass = an._quad_pdf(law, 0.0, an.support_bound(law))
-                worst = max(worst, abs(mass - 1.0))
-        return worst <= cfg.normalization_tol, f"max |mass - 1| = {worst:.3e}"
-
-    passed, details, dur = _timed(body)
-    if dur >= cfg.normalization_max_seconds:
-        passed = False
-        details += f"; exceeded {cfg.normalization_max_seconds}s budget"
-    return CheckResult("density_normalization", passed, details, dur)
+@_timed_check("density_normalization")
+def check_normalization(cfg: ValidationConfig):
+    start = time.perf_counter()
+    worst = 0.0
+    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+        for law in _grid_laws(disc):
+            mass = an._quad_pdf(law, 0.0, an.support_bound(law))
+            worst = max(worst, abs(mass - 1.0))
+    details = f"max |mass - 1| = {worst:.3e}"
+    if time.perf_counter() - start >= cfg.normalization_max_seconds:
+        return False, details + f"; exceeded {cfg.normalization_max_seconds}s budget"
+    return worst <= cfg.normalization_tol, details
 
 
-def check_fcfs_closed_vs_quadrature(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        worst = 0.0
-        for law in _grid_laws(an.Discipline.FCFS_MM12):
-            grid = np.linspace(0.0, 20.0 / law.service_rate, 200)
-            cum = 0.0
-            for lo, hi in zip(grid, grid[1:]):
-                cum += an._quad_pdf(law, lo, hi)
-                closed = an.cdf_paoi(law, hi, an.CdfSource.CLOSED_FORM).value
-                worst = max(worst, abs(closed - cum))
-        spot = an.cdf_paoi(an.StageLaw(2, 1), 1.0, an.CdfSource.CLOSED_FORM).value
-        spot_err = abs(spot - 0.096502876187763686)
-        ok = worst <= cfg.closed_vs_quad_tol and spot_err <= cfg.cdf_spot_tol
-        return ok, f"max |closed - quad| = {worst:.3e}, spot err = {spot_err:.3e}"
-
-    passed, details, dur = _timed(body)
-    return CheckResult("fcfs_closed_vs_quadrature", passed, details, dur)
+@_timed_check("fcfs_closed_vs_quadrature")
+def check_fcfs_closed_vs_quadrature(cfg: ValidationConfig):
+    worst = 0.0
+    for law in _grid_laws(an.Discipline.FCFS_MM12):
+        grid = np.linspace(0.0, 20.0 / law.service_rate, 200)
+        for hi, cum in zip(grid[1:], _cumulative_quad(law, grid)[1:]):
+            closed = an.cdf_paoi(law, hi, an.CdfSource.CLOSED_FORM).value
+            worst = max(worst, abs(closed - cum))
+    spot = an.cdf_paoi(an.StageLaw(2, 1), 1.0, an.CdfSource.CLOSED_FORM).value
+    spot_err = abs(spot - 0.096502876187763686)
+    ok = worst <= cfg.closed_vs_quad_tol and spot_err <= cfg.cdf_spot_tol
+    return ok, f"max |closed - quad| = {worst:.3e}, spot err = {spot_err:.3e}"
 
 
-def check_lcfs_discrepancy(cfg: ValidationConfig, report: ValidationReport) -> CheckResult:
-    def body():
-        law = an.StageLaw(2.0, 1.0, an.Discipline.LCFS_MM12_STAR)
-        origin = an.cdf_paoi(law, 0.0, an.CdfSource.CLOSED_FORM)
-        origin_ok = (abs(origin.value + 1.0 / 3.0) <= cfg.published_origin_tol
-                     and origin.validity is an.Validity.INVALID)
+@_timed_check("lcfs_published_cdf_discrepancy")
+def check_lcfs_discrepancy(cfg: ValidationConfig, report: ValidationReport):
+    law = an.StageLaw(2.0, 1.0, an.Discipline.LCFS_MM12_STAR)
+    origin = an.cdf_paoi(law, 0.0, an.CdfSource.CLOSED_FORM)
+    origin_ok = (abs(origin.value + 1.0 / 3.0) <= cfg.published_origin_tol
+                 and origin.validity is an.Validity.INVALID)
 
-        grid = np.linspace(0.0, 20.0, 200)
-        cum = [0.0]
-        for lo, hi in zip(grid, grid[1:]):
-            cum.append(cum[-1] + an._quad_pdf(law, lo, hi))
-        cum_arr = np.asarray(cum)
-        monotone = bool(np.all(np.diff(cum_arr) >= -1e-9))
-        tail_ok = 1.0 - cum_arr[-1] < cfg.lcfs_tail_tol
-        zero_ok = cum_arr[0] == 0.0
+    grid = np.linspace(0.0, 20.0, 200)
+    cum_arr = _cumulative_quad(law, grid)
+    monotone = bool(np.all(np.diff(cum_arr) >= -1e-9))
+    tail_ok = 1.0 - cum_arr[-1] < cfg.lcfs_tail_tol
+    zero_ok = cum_arr[0] == 0.0
 
-        rows = []
-        for a, quad_val in zip(grid, cum_arr):
-            closed = an.cdf_paoi(law, float(a), an.CdfSource.CLOSED_FORM)
-            rows.append({"a": float(a), "closed_form": closed.value,
-                         "closed_validity": closed.validity.value,
-                         "quadrature": float(quad_val),
-                         "difference": closed.value - float(quad_val)})
-        report.artifacts["lcfs_cdf_discrepancy"] = rows
-        ok = origin_ok and monotone and tail_ok and zero_ok
-        return ok, (f"origin = {origin.value:.10f} ({origin.validity.value}), "
-                    f"quad CDF monotone = {monotone}, tail = {1.0 - cum_arr[-1]:.2e}, "
-                    f"{len(rows)} discrepancy rows persisted")
-
-    passed, details, dur = _timed(body)
-    return CheckResult("lcfs_published_cdf_discrepancy", passed, details, dur)
+    rows = []
+    for a, quad_val in zip(grid, cum_arr):
+        closed = an.cdf_paoi(law, float(a), an.CdfSource.CLOSED_FORM)
+        rows.append({"a": float(a), "closed_form": closed.value,
+                     "closed_validity": closed.validity.value,
+                     "quadrature": float(quad_val),
+                     "difference": closed.value - float(quad_val)})
+    report.artifacts["lcfs_cdf_discrepancy"] = rows
+    ok = origin_ok and monotone and tail_ok and zero_ok
+    return ok, (f"origin = {origin.value:.10f} ({origin.validity.value}), "
+                f"quad CDF monotone = {monotone}, tail = {1.0 - cum_arr[-1]:.2e}, "
+                f"{len(rows)} discrepancy rows persisted")
 
 
 def _mpmath_stage_cdf(law: an.StageLaw, a: float):
@@ -195,71 +197,62 @@ def _mpmath_stage_cdf(law: an.StageLaw, a: float):
                     + emu * inner) / (r * s)
 
 
-def check_stage_cdf_vs_mpmath(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        worst_ref = worst_quad = 0.0
-        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            for mu in ORACLE_MU:
-                for ratio in ORACLE_RATIOS:
-                    law = an.StageLaw(ratio * mu, mu, disc)
-                    for a in ORACLE_AGES:
-                        exact = _mpmath_stage_cdf(law, a)
-                        ref = an.cdf_paoi(law, a, an.CdfSource.REFERENCE).value
-                        quad = an.cdf_paoi(law, a, an.CdfSource.QUADRATURE).value
-                        worst_ref = max(worst_ref, float(abs(ref - exact)))
-                        worst_quad = max(worst_quad, float(abs(quad - exact)))
-        return worst_ref <= cfg.oracle_tol, (
-            f"max |reference - mpmath| = {worst_ref:.2e} (tol {cfg.oracle_tol:.0e}); "
-            f"max |quadrature - mpmath| = {worst_quad:.2e} (reported, not gated)")
-
-    passed, details, dur = _timed(body)
-    return CheckResult("stage_cdf_vs_mpmath", passed, details, dur)
+@_timed_check("stage_cdf_vs_mpmath")
+def check_stage_cdf_vs_mpmath(cfg: ValidationConfig):
+    worst_ref = worst_quad = 0.0
+    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+        for mu in ORACLE_MU:
+            for ratio in ORACLE_RATIOS:
+                law = an.StageLaw(ratio * mu, mu, disc)
+                for a in ORACLE_AGES:
+                    exact = _mpmath_stage_cdf(law, a)
+                    ref = an.cdf_paoi(law, a, an.CdfSource.REFERENCE).value
+                    quad = an.cdf_paoi(law, a, an.CdfSource.QUADRATURE).value
+                    worst_ref = max(worst_ref, float(abs(ref - exact)))
+                    worst_quad = max(worst_quad, float(abs(quad - exact)))
+    return worst_ref <= cfg.oracle_tol, (
+        f"max |reference - mpmath| = {worst_ref:.2e} (tol {cfg.oracle_tol:.0e}); "
+        f"max |quadrature - mpmath| = {worst_quad:.2e} (reported, not gated)")
 
 
-def check_moment_consistency(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        worst = 0.0
-        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            for law in _grid_laws(disc):
-                upper = an.support_bound(law)
-                from scipy import integrate
-                pts = [p for p in an._quad_breakpoints(law, upper)]
-                moment, _ = integrate.quad(
-                    lambda t: t * an.pdf_paoi(law, t), 0.0, upper,
-                    points=pts or None, limit=400, epsabs=1e-10, epsrel=1e-10)
-                worst = max(worst, abs(moment - an.avg_paoi_stage(law)))
-        spot_f = abs(an.avg_paoi_stage(an.StageLaw(2, 1)) - 17.0 / 6.0)
-        spot_l = abs(an.avg_paoi_stage(
-            an.StageLaw(2, 1, an.Discipline.LCFS_MM12_STAR)) - 43.0 / 18.0)
-        ok = worst <= cfg.moment_tol and spot_f < 1e-12 and spot_l < 1e-12
-        return ok, f"max |closed mean - moment| = {worst:.3e}"
-
-    passed, details, dur = _timed(body)
-    return CheckResult("stage_mean_moment_consistency", passed, details, dur)
+@_timed_check("stage_mean_moment_consistency")
+def check_moment_consistency(cfg: ValidationConfig):
+    worst = 0.0
+    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+        for law in _grid_laws(disc):
+            upper = an.support_bound(law)
+            from scipy import integrate
+            pts = [p for p in an._quad_breakpoints(law, upper)]
+            moment, _ = integrate.quad(
+                lambda t: t * an.pdf_paoi(law, t), 0.0, upper,
+                points=pts or None, limit=400, epsabs=1e-10, epsrel=1e-10)
+            worst = max(worst, abs(moment - an.avg_paoi_stage(law)))
+    spot_f = abs(an.avg_paoi_stage(an.StageLaw(2, 1)) - 17.0 / 6.0)
+    spot_l = abs(an.avg_paoi_stage(
+        an.StageLaw(2, 1, an.Discipline.LCFS_MM12_STAR)) - 43.0 / 18.0)
+    ok = worst <= cfg.moment_tol and spot_f < 1e-12 and spot_l < 1e-12
+    return ok, f"max |closed mean - moment| = {worst:.3e}"
 
 
-def check_stage_ks(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        lines = []
-        ok = True
-        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            for rate in (0.5, 2.0, 10.0):
-                case_start = time.perf_counter()
-                law = an.StageLaw(rate, 1.0, disc)
-                horizon = 1.05 * cfg.ks_deliveries / an.stage_throughput(rate, 1.0)
-                out = qs.run(qs.QueueConfig(disc, 1.0, 50.0), [rate], horizon,
-                             cfg.master_seed + int(10 * rate))
-                ecdf = qs.empirical_cdf(out, 0, qs.Stage.STAGE1)
-                d = qs.ks_distance(ecdf, an.cdf_reference(law))
-                case_s = time.perf_counter() - case_start
-                good = d <= cfg.ks_tolerance and ecdf.n >= cfg.ks_deliveries \
-                    and case_s < cfg.ks_max_seconds
-                ok = ok and good
-                lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={ecdf.n} ({case_s:.1f}s)")
-        return ok, "; ".join(lines)
-
-    passed, details, dur = _timed(body)
-    return CheckResult("simulator_vs_analytic_ks", passed, details, dur)
+@_timed_check("simulator_vs_analytic_ks")
+def check_stage_ks(cfg: ValidationConfig):
+    lines = []
+    ok = True
+    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+        for rate in (0.5, 2.0, 10.0):
+            case_start = time.perf_counter()
+            law = an.StageLaw(rate, 1.0, disc)
+            horizon = 1.05 * cfg.ks_deliveries / an.stage_throughput(rate, 1.0)
+            out = qs.run(qs.QueueConfig(disc, 1.0, 50.0), [rate], horizon,
+                         cfg.master_seed + int(10 * rate))
+            ecdf = qs.empirical_cdf(out, 0, qs.Stage.STAGE1)
+            d = qs.ks_distance(ecdf, an.cdf_reference(law))
+            case_s = time.perf_counter() - case_start
+            good = d <= cfg.ks_tolerance and ecdf.n >= cfg.ks_deliveries \
+                and case_s < cfg.ks_max_seconds
+            ok = ok and good
+            lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={ecdf.n} ({case_s:.1f}s)")
+    return ok, "; ".join(lines)
 
 
 def _reference_scenario(mu_c: float, meta_surfaces: int = 100,
@@ -273,76 +266,70 @@ def _reference_scenario(mu_c: float, meta_surfaces: int = 100,
                        queue=queue, placement_seed=placement_seed)
 
 
-def check_e2e_average(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        scen = _reference_scenario(mu_c=100.0)
-        rates = sc.realize_rates(scen)
-        lam_c = sc.compute_arrival_rate(rates, 5.0, sc.ArrivalRateMode.BURKE)
-        lines = []
-        ok = True
-        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            stages = tuple(an.StageLaw(float(r), 5.0, disc) for r in rates)
-            sys_law = an.SystemLaw(stages)
-            analytic = an.avg_paoi_e2e(
-                sys_law, an.ComputeQueueLaw(lam_c, 100.0, an.AvgMode.CORRECTED))
-            config = qs.QueueConfig(disc, 5.0, 100.0, qs.ComputeFeed.TANDEM)
-            out = qs.run(config, rates, cfg.e2e_horizon, cfg.master_seed + 5)
-            est = qs.e2e_average_estimate(out)
-            rel = abs(est.mean - analytic) / analytic
-            gap = lam_c - out.compute_arrival_rate
-            good = rel <= cfg.e2e_rel_tol and est.halfwidth <= cfg.e2e_rel_tol * analytic
-            ok = ok and good
-            lines.append(f"{disc.value}: sim={est.mean:.4f}+-{est.halfwidth:.4f} "
-                         f"analytic={analytic:.4f} rel={rel:.4%} burke_gap={gap:+.3f}/s")
-        anomaly = an.avg_paoi_compute(an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.AS_WRITTEN))
-        exact = (abs(anomaly.value - 1515000.0233333333) < 1e-4
-                 and anomaly.validity is an.Validity.INVALID)
-        ok = ok and exact
-        lines.append(f"uncorrected compute value = {anomaly.value!r} "
-                     f"({anomaly.validity.value})")
-        return ok, "; ".join(lines)
-
-    passed, details, dur = _timed(body)
-    return CheckResult("e2e_average_vs_simulator", passed, details, dur)
+@_timed_check("e2e_average_vs_simulator")
+def check_e2e_average(cfg: ValidationConfig):
+    scen = _reference_scenario(mu_c=100.0)
+    rates = sc.realize_rates(scen)
+    lam_c = sc.compute_arrival_rate(rates, 5.0, sc.ArrivalRateMode.BURKE)
+    lines = []
+    ok = True
+    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+        stages = tuple(an.StageLaw(float(r), 5.0, disc) for r in rates)
+        sys_law = an.SystemLaw(stages)
+        analytic = an.avg_paoi_e2e(
+            sys_law, an.ComputeQueueLaw(lam_c, 100.0, an.AvgMode.CORRECTED))
+        config = qs.QueueConfig(disc, 5.0, 100.0, qs.ComputeFeed.TANDEM)
+        out = qs.run(config, rates, cfg.e2e_horizon, cfg.master_seed + 5)
+        est = qs.e2e_average_estimate(out)
+        rel = abs(est.mean - analytic) / analytic
+        gap = lam_c - out.compute_arrival_rate
+        good = rel <= cfg.e2e_rel_tol and est.halfwidth <= cfg.e2e_rel_tol * analytic
+        ok = ok and good
+        lines.append(f"{disc.value}: sim={est.mean:.4f}+-{est.halfwidth:.4f} "
+                     f"analytic={analytic:.4f} rel={rel:.4%} burke_gap={gap:+.3f}/s")
+    anomaly = an.avg_paoi_compute(an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.AS_WRITTEN))
+    exact = (abs(anomaly.value - 1515000.0233333333) < 1e-4
+             and anomaly.validity is an.Validity.INVALID)
+    ok = ok and exact
+    lines.append(f"uncorrected compute value = {anomaly.value!r} "
+                 f"({anomaly.validity.value})")
+    return ok, "; ".join(lines)
 
 
-def check_severity(cfg: ValidationConfig, report: ValidationReport) -> CheckResult:
-    def body():
-        law = an.StageLaw(2.0, 1.0, an.Discipline.FCFS_MM12)
-        sys_law = an.SystemLaw((law,), an.ExponentMode.HOMOGENEOUS_POWER)
-        pair = an.severity_both_modes(sys_law, 1.0, 1.0, an.CdfSource.CLOSED_FORM)
-        written = pair[an.PsiMode.AS_WRITTEN_CDF]
-        survival = pair[an.PsiMode.SURVIVAL]
-        point_ok = (abs(written.value + 3.048824854331173) <= cfg.severity_tol
-                    and abs(survival.value - 3.048824854331173) <= cfg.severity_tol
-                    and written.validity is an.Validity.INVALID
-                    and survival.validity is an.Validity.INVALID)
+@_timed_check("severity_modes_and_excursions")
+def check_severity(cfg: ValidationConfig, report: ValidationReport):
+    law = an.StageLaw(2.0, 1.0, an.Discipline.FCFS_MM12)
+    sys_law = an.SystemLaw((law,))
+    pair = an.severity_both_modes(sys_law, 1.0, 1.0, an.CdfSource.CLOSED_FORM)
+    written = pair[an.PsiMode.AS_WRITTEN_CDF]
+    survival = pair[an.PsiMode.SURVIVAL]
+    point_ok = (abs(written.value + 3.048824854331173) <= cfg.severity_tol
+                and abs(survival.value - 3.048824854331173) <= cfg.severity_tol
+                and written.validity is an.Validity.INVALID
+                and survival.validity is an.Validity.INVALID)
 
-        out = qs.run(qs.QueueConfig(an.Discipline.FCFS_MM12, 1.0, 50.0),
-                     [2.0], cfg.severity_horizon, cfg.master_seed + 7)
-        stats = qs.excursion_severity(out.stage1[0], 1.0)
-        z_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-        rows = []
-        for z in z_grid:
-            emp = float(np.mean(stats.exceedances <= z)) if not stats.is_empty else math.nan
-            zp = an.severity_both_modes(sys_law, 1.0, z, an.CdfSource.CLOSED_FORM)
-            w, s = zp[an.PsiMode.AS_WRITTEN_CDF], zp[an.PsiMode.SURVIVAL]
-            rows.append({
-                "z": z, "empirical_below_z": emp, "excursions": int(len(stats.exceedances)),
-                "j_as_written": w.value, "j_as_written_validity": w.validity.value,
-                "deviation_as_written": w.value - emp,
-                "j_survival": s.value, "j_survival_validity": s.validity.value,
-                "deviation_survival": s.value - emp,
-            })
-        report.artifacts["severity_deviation"] = rows
-        des_ok = (not stats.is_empty) and len(rows) == len(z_grid)
-        return point_ok and des_ok, (
-            f"worked point: {written.value:.4f}/{survival.value:.4f} "
-            f"(both {written.validity.value}); {len(stats.exceedances)} excursions, "
-            f"{len(rows)} deviation rows persisted")
-
-    passed, details, dur = _timed(body)
-    return CheckResult("severity_modes_and_excursions", passed, details, dur)
+    out = qs.run(qs.QueueConfig(an.Discipline.FCFS_MM12, 1.0, 50.0),
+                 [2.0], cfg.severity_horizon, cfg.master_seed + 7)
+    stats = qs.excursion_severity(out.stage1[0], 1.0)
+    z_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    rows = []
+    for z in z_grid:
+        emp = float(np.mean(stats.exceedances <= z)) if not stats.is_empty else math.nan
+        zp = an.severity_both_modes(sys_law, 1.0, z, an.CdfSource.CLOSED_FORM)
+        w, s = zp[an.PsiMode.AS_WRITTEN_CDF], zp[an.PsiMode.SURVIVAL]
+        rows.append({
+            "z": z, "empirical_below_z": emp, "excursions": int(len(stats.exceedances)),
+            "j_as_written": w.value, "j_as_written_validity": w.validity.value,
+            "deviation_as_written": w.value - emp,
+            "j_survival": s.value, "j_survival_validity": s.validity.value,
+            "deviation_survival": s.value - emp,
+        })
+    report.artifacts["severity_deviation"] = rows
+    des_ok = (not stats.is_empty) and len(rows) == len(z_grid)
+    return point_ok and des_ok, (
+        f"worked point: {written.value:.4f}/{survival.value:.4f} "
+        f"(both {written.validity.value}); {len(stats.exceedances)} excursions, "
+        f"{len(rows)} deviation rows persisted")
 
 
 def _trend_series(rows, disc) -> list[float]:
@@ -355,52 +342,51 @@ def _trend_series(rows, disc) -> list[float]:
     return [float(np.mean(per_value[v])) for v in sorted(per_value)]
 
 
-def check_trends(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        users_base = _reference_scenario(mu_c=1000.0, num_users=5)
-        users_sweep = sc.Sweep(sc.SweepVariable.NUM_USERS,
-                               (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                               cfg.trend_replications, users_base)
-        settings = sc.SweepSettings(1.0, 3.0, cfg.trend_horizon, cfg.master_seed + 11)
-        user_rows = sc.run_sweep(users_sweep, settings)
+@_timed_check("figure_trends_corrected_average")
+def check_trends(cfg: ValidationConfig):
+    users_base = _reference_scenario(mu_c=1000.0, num_users=5)
+    users_sweep = sc.Sweep(sc.SweepVariable.NUM_USERS,
+                           (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                           cfg.trend_replications, users_base)
+    settings = sc.SweepSettings(1.0, 3.0, cfg.trend_horizon, cfg.master_seed + 11)
+    user_rows = sc.run_sweep(users_sweep, settings)
 
-        bw_base = _reference_scenario(mu_c=100.0, meta_surfaces=1,
-                                      image_bits=2e10, num_users=15)
-        bw_sweep = sc.Sweep(sc.SweepVariable.BANDWIDTH, (1e10, 2e10, 4e10),
-                            cfg.trend_replications, bw_base)
-        bw_rows = sc.run_sweep(bw_sweep, settings)
+    bw_base = _reference_scenario(mu_c=100.0, meta_surfaces=1,
+                                  image_bits=2e10, num_users=15)
+    bw_sweep = sc.Sweep(sc.SweepVariable.BANDWIDTH, (1e10, 2e10, 4e10),
+                        cfg.trend_replications, bw_base)
+    bw_rows = sc.run_sweep(bw_sweep, settings)
 
-        ok = True
-        lines = []
-        for label, rows in (("users", user_rows), ("bandwidth", bw_rows)):
-            for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-                series = _trend_series(rows, disc)
-                mono = all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
-                ok = ok and mono and len(series) >= 3
-                lines.append(f"{label}/{disc.value}: "
-                             + ("non-increasing" if mono else f"VIOLATION {series}"))
-        return ok, "; ".join(lines)
-
-    passed, details, dur = _timed(body)
-    return CheckResult("figure_trends_corrected_average", passed, details, dur)
+    ok = True
+    lines = []
+    for label, rows in (("users", user_rows), ("bandwidth", bw_rows)):
+        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+            series = _trend_series(rows, disc)
+            mono = all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
+            ok = ok and mono and len(series) >= 3
+            lines.append(f"{label}/{disc.value}: "
+                         + ("non-increasing" if mono else f"VIOLATION {series}"))
+    return ok, "; ".join(lines)
 
 
-def check_sweep_determinism(cfg: ValidationConfig) -> CheckResult:
-    def body():
-        base = _reference_scenario(mu_c=1000.0, num_users=3)
-        sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, base)
-        settings = sc.SweepSettings(1.0, 3.0, 30.0, cfg.master_seed + 13)
-        blobs = []
-        for _ in range(2):
-            rows = sc.run_sweep(sweep, settings)
-            buf = io.StringIO()
-            write_rows_csv(buf, sc.SWEEP_COLUMNS, rows)
-            blobs.append(buf.getvalue().encode())
-        same = blobs[0] == blobs[1]
-        return same, f"two sweep exports byte-identical = {same} ({len(blobs[0])} bytes)"
+@_timed_check("sweep_determinism")
+def check_sweep_determinism(cfg: ValidationConfig):
+    base = _reference_scenario(mu_c=1000.0, num_users=3)
+    sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, base)
+    settings = sc.SweepSettings(1.0, 3.0, 30.0, cfg.master_seed + 13)
+    blobs = []
+    for _ in range(2):
+        rows = sc.run_sweep(sweep, settings)
+        buf = io.StringIO()
+        write_rows_csv(buf, sc.SWEEP_COLUMNS, rows)
+        blobs.append(buf.getvalue().encode())
+    same = blobs[0] == blobs[1]
+    return same, f"two sweep exports byte-identical = {same} ({len(blobs[0])} bytes)"
 
-    passed, details, dur = _timed(body)
-    return CheckResult("sweep_determinism", passed, details, dur)
+
+def write_csv(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        write_rows_csv(fh, columns, rows)
 
 
 def write_rows_csv(fh, columns, rows):
@@ -455,5 +441,4 @@ def persist_artifacts(report: ValidationReport, out_dir):
     for name, rows in report.artifacts.items():
         if not rows:
             continue
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            write_rows_csv(fh, list(rows[0].keys()), rows)
+        write_csv(out / f"{name}.csv", list(rows[0].keys()), rows)

@@ -7,11 +7,13 @@ consistency) are checked against independent quadrature of the density.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
 from thzaoi import aoi_analytic as an
+from thzaoi import validation as val
 
 FCFS = an.Discipline.FCFS_MM12
 LCFS = an.Discipline.LCFS_MM12_STAR
@@ -191,24 +193,57 @@ class TestCdfReference:
         assert an.cdf_paoi(stage, 1.0).value == pytest.approx(0.1323938838573952, abs=1e-12)
 
 
+class TestKernelOverflow:
+    # (mu - r) a above about 709 overflows exp((mu - r) a) in the stable kernels
+    POINTS = [(1.0, 5.0, 200.0), (0.01, 1.0, 1000.0)]
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    @pytest.mark.parametrize("r,mu,a", POINTS)
+    def test_cdf_matches_mpmath(self, disc, r, mu, a):
+        stage = law(r, mu, disc)
+        got = an.cdf_paoi(stage, a)
+        assert got.validity is an.Validity.VALID
+        assert abs(got.value - float(val._mpmath_stage_cdf(stage, a))) < 1e-15
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    @pytest.mark.parametrize("r,mu,a", POINTS)
+    def test_density_finite_and_positive(self, disc, r, mu, a):
+        pdf = an.pdf_paoi(law(r, mu, disc), a)
+        assert math.isfinite(pdf) and pdf > 0.0
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_density_is_the_slope_of_the_mpmath_cdf(self, disc):
+        stage, a, h = law(0.01, 1.0, disc), 1000.0, 1e-3
+        with mp.workdps(val.ORACLE_DIGITS):
+            slope = (val._mpmath_stage_cdf(stage, a + h)
+                     - val._mpmath_stage_cdf(stage, a - h)) / mp.mpf(2 * h)
+        assert an.pdf_paoi(stage, a) == pytest.approx(float(slope), rel=1e-8)
+
+    def test_support_bound_of_a_slow_source(self):
+        stage = law(0.03, 1.0)
+        bound = an.support_bound(stage)
+        assert 1.0 - an.cdf_paoi(stage, bound).value < an.TAIL_MASS
+
+
 class TestSystemCdf:
     def test_single_stage_identity(self):
         stage = law(2, 1)
-        sys_law = an.SystemLaw((stage,), an.ExponentMode.HOMOGENEOUS_POWER)
+        sys_law = an.SystemLaw((stage,))
         direct = an.cdf_paoi(stage, 1.0, an.CdfSource.CLOSED_FORM).value
         assert an.system_cdf(sys_law, 1.0, an.CdfSource.CLOSED_FORM).value \
             == pytest.approx(direct, rel=1e-12)
 
     def test_homogeneous_power_squares(self):
+        # identical stages: the product over stages is the power of one stage
         stage = law(2, 1)
-        sys_law = an.SystemLaw((stage, stage), an.ExponentMode.HOMOGENEOUS_POWER)
+        sys_law = an.SystemLaw((stage, stage))
         base = an.cdf_paoi(stage, 1.5, an.CdfSource.CLOSED_FORM).value
         assert an.system_cdf(sys_law, 1.5, an.CdfSource.CLOSED_FORM).value \
             == pytest.approx(base ** 2, rel=1e-12)
 
     def test_heterogeneous_product(self):
         s1, s2 = law(2, 1), law(3, 1)
-        sys_law = an.SystemLaw((s1, s2), an.ExponentMode.HETEROGENEOUS_PRODUCT)
+        sys_law = an.SystemLaw((s1, s2))
         expect = an.cdf_paoi(s1, 1.5, an.CdfSource.CLOSED_FORM).value \
             * an.cdf_paoi(s2, 1.5, an.CdfSource.CLOSED_FORM).value
         assert an.system_cdf(sys_law, 1.5, an.CdfSource.CLOSED_FORM).value \
@@ -216,65 +251,53 @@ class TestSystemCdf:
 
     def test_invalid_stage_flag_propagates(self):
         stage = law(2, 1, LCFS)
-        sys_law = an.SystemLaw((stage,), an.ExponentMode.HOMOGENEOUS_POWER)
+        sys_law = an.SystemLaw((stage,))
         got = an.system_cdf(sys_law, 0.0, an.CdfSource.CLOSED_FORM)
         assert got.validity is an.Validity.INVALID
 
 
 class TestSeverity:
-    def sys1(self):
-        return an.SystemLaw((law(2, 1),), an.ExponentMode.HOMOGENEOUS_POWER)
+    def severity(self, ruin_level, z, mode):
+        sys_law = an.SystemLaw((law(2, 1),))
+        return an.severity_both_modes(sys_law, ruin_level, z, an.CdfSource.CLOSED_FORM)[mode]
 
     def test_worked_point_as_written(self):
-        q = an.SeverityQuery(1.0, 1.0, an.PsiMode.AS_WRITTEN_CDF)
-        got = an.severity_cdf(self.sys1(), q, an.CdfSource.CLOSED_FORM)
+        got = self.severity(1.0, 1.0, an.PsiMode.AS_WRITTEN_CDF)
         assert got.value == pytest.approx(-3.048824854331173, rel=1e-10)
         assert got.validity is an.Validity.INVALID
 
     def test_worked_point_survival(self):
-        q = an.SeverityQuery(1.0, 1.0, an.PsiMode.SURVIVAL)
-        got = an.severity_cdf(self.sys1(), q, an.CdfSource.CLOSED_FORM)
+        got = self.severity(1.0, 1.0, an.PsiMode.SURVIVAL)
         assert got.value == pytest.approx(3.048824854331173, rel=1e-10)
         assert got.validity is an.Validity.INVALID
 
     def test_small_z_limit_with_raw_cdf(self):
         # numerator -> 0 while the denominator stays near Psi(a)
-        q = an.SeverityQuery(1.0, 1e-7, an.PsiMode.AS_WRITTEN_CDF)
-        got = an.severity_cdf(self.sys1(), q, an.CdfSource.CLOSED_FORM)
+        got = self.severity(1.0, 1e-7, an.PsiMode.AS_WRITTEN_CDF)
         assert abs(got.value) < 1e-4
 
     def test_zero_psi_not_computable(self):
         # far in the tail the survival function underflows to an exact zero
-        q = an.SeverityQuery(80.0, 1.0, an.PsiMode.SURVIVAL)
-        got = an.severity_cdf(self.sys1(), q, an.CdfSource.CLOSED_FORM)
+        got = self.severity(80.0, 1.0, an.PsiMode.SURVIVAL)
         assert got.validity is an.Validity.NOT_COMPUTABLE
         assert math.isnan(got.value)
 
     def test_grid_flags_deterministic(self):
         zs = [0.25, 0.5, 1.0, 2.0, 4.0]
-        one = an.severity_cdf_grid(self.sys1(), 1.0, zs,
-                                   an.PsiMode.SURVIVAL, an.CdfSource.CLOSED_FORM)
-        two = an.severity_cdf_grid(self.sys1(), 1.0, zs,
-                                   an.PsiMode.SURVIVAL, an.CdfSource.CLOSED_FORM)
+        one = [self.severity(1.0, z, an.PsiMode.SURVIVAL) for z in zs]
+        two = [self.severity(1.0, z, an.PsiMode.SURVIVAL) for z in zs]
         assert [(v.value, v.validity) for v in one] == [(v.value, v.validity) for v in two]
-
 
     @pytest.mark.parametrize("disc", [FCFS, LCFS])
     def test_default_source_agrees_with_quadrature_at_thz_rates(self, disc):
         # r/mu around 4e3, the rates the THz link budget realizes
         stages = tuple(law(r, 5.0, disc) for r in (1.9e4, 2.0e4, 2.15e4))
-        sys_law = an.SystemLaw(stages, an.ExponentMode.HETEROGENEOUS_PRODUCT)
+        sys_law = an.SystemLaw(stages)
         fast = an.severity_both_modes(sys_law, 1.0, 3.0)
         quad = an.severity_both_modes(sys_law, 1.0, 3.0, an.CdfSource.QUADRATURE)
         for mode in an.PsiMode:
             assert fast[mode].value == pytest.approx(quad[mode].value, rel=1e-6)
             assert fast[mode].validity is quad[mode].validity
-
-    def test_severity_cdf_is_one_reading_of_both_modes(self):
-        sys_law = an.SystemLaw((law(3, 1), law(2, 1, LCFS)))
-        pair = an.severity_both_modes(sys_law, 1.0, 2.0)
-        for mode in an.PsiMode:
-            assert an.severity_cdf(sys_law, an.SeverityQuery(1.0, 2.0, mode)) == pair[mode]
 
 
 class TestAverages:
@@ -315,7 +338,7 @@ class TestAverages:
 
     def test_e2e_sum_of_equal_stages(self):
         stage = law(2, 1)
-        sys_law = an.SystemLaw((stage,) * 4, an.ExponentMode.HOMOGENEOUS_POWER)
+        sys_law = an.SystemLaw((stage,) * 4)
         comp = an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.CORRECTED)
         expect = an.avg_paoi_compute(comp).value + 4 * an.avg_paoi_stage(stage)
         assert an.avg_paoi_e2e(sys_law, comp) == pytest.approx(expect, rel=1e-14)

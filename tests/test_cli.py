@@ -233,6 +233,7 @@ class TestExitCodes:
         (("scenario", "num_users"), 2.7),
         (("scenario", "num_users"), True),
         (("sweep", "replications"), 1.5),
+        (("scenario", "num_users"), 0),
     ])
     def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
         payload = {"scenario": scenario_section(), "sweep": {
@@ -245,6 +246,13 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert ".".join(where) in capsys.readouterr().err
+
+    def test_zero_users_in_the_sweep_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": scenario_section(), "sweep": {
+            "variable": "num_users", "values": [0, 2], "replications": 1,
+            "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}})
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "sweep.values[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("oracle_tol", float("nan")),
                                            ("master_seed", True)])

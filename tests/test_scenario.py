@@ -218,6 +218,15 @@ class TestSweep:
         assert not any(r["error"] for r in rows)
         assert all(math.isfinite(r["j_z"]) for r in rows)
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("a bug, not a failed cell")
+
+        monkeypatch.setattr(qs, "run", broken)
+        sweep, settings = self.small_sweep()
+        with pytest.raises(ZeroDivisionError):
+            sc.run_sweep(sweep, settings)
+
     def test_aggregate_groups_replications(self):
         sweep, settings = self.small_sweep(values=(2.0,), reps=3)
         rows = sc.run_sweep(sweep, settings)
@@ -284,6 +293,7 @@ class TestConfigParsing:
         ("room", "side_length", False, "scenario.room.side_length"),
         (None, "num_users", 2.7, "scenario.num_users"),
         (None, "num_users", True, "scenario.num_users"),
+        (None, "num_users", 0, "scenario.num_users"),
         (None, "placement_seed", "7", "scenario.placement_seed"),
     ])
     def test_bad_numbers_rejected_with_field_path(self, section, key, value, field):
