@@ -88,9 +88,15 @@ def _load(args) -> dict:
 
 
 def _master_seed(args, cfg: dict) -> int:
+    """``--seed`` if given, else ``config.master_seed``; seeds are non-negative."""
     if args.seed is not None:
-        return int(args.seed)
-    return int(cfg.get("master_seed", 0))
+        seed, field = args.seed, "--seed"
+    else:
+        field = "config.master_seed"
+        seed = sc.count(cfg.get("master_seed", 0), field)
+    if seed < 0:
+        raise sc.ConfigError(f"{field}: expected a non-negative seed, got {seed!r}")
+    return seed
 
 
 def _out_dir(args) -> Path:
@@ -148,6 +154,10 @@ def cmd_analytic(args) -> int:
         [sc.number(z, f"analytic.severity.z_grid[{i}]")
          for i, z in enumerate((severity or {}).get("z_grid", []))]
     n_stages = sc.count((severity or {}).get("stages", 1), "analytic.severity.stages")
+    if n_stages < 1:
+        raise sc.ConfigError(
+            f"analytic.severity.stages: expected at least one stage, got {n_stages!r}")
+    seed = _master_seed(args, cfg)
 
     rows = []
     for law in laws:
@@ -174,7 +184,6 @@ def cmd_analytic(args) -> int:
                                  "validity_flag": got.validity.value})
 
     out = _out_dir(args)
-    seed = _master_seed(args, cfg)
     val.write_csv(out / "analytic.csv", ANALYTIC_COLUMNS, rows)
     _write_manifest(args, out, seed, ["analytic.csv"])
     print(f"wrote {out / 'analytic.csv'} ({len(rows)} rows)")
@@ -267,6 +276,7 @@ def _render_sweep_svg(out: Path, agg, sweep) -> str:
 def cmd_validate(args) -> int:
     cfg = _load(args)
     vcfg = val.parse_validation_config(cfg.get("validate", {}))
+    seed = _master_seed(args, cfg)
     out = _out_dir(args)
     report = val.run_validation(vcfg, out_dir=out)
     for check in report.checks:
@@ -279,7 +289,6 @@ def cmd_validate(args) -> int:
     }
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2)
-    seed = _master_seed(args, cfg)
     _write_manifest(args, out, seed,
                     ["report.json"] + [f"{k}.csv" for k in report.artifacts])
     print(f"suite {'PASSED' if report.passed else 'FAILED'} "

@@ -17,14 +17,20 @@ produce.
 
 Randomness: one independent substream per user for its arrival process,
 one per service station, all derived from the master seed, so adding users
-never perturbs existing streams.  The first WARMUP_FRACTION of the horizon
-is discarded from all recorded statistics (counters cover the full run).
+never perturbs existing streams.  Service times are drawn from their own
+substreams in blocks, which gives the same numbers as single draws; each
+user's arrival stream is drawn one value at a time, because its exponential,
+Poisson and uniform draws interleave in event order.  Sample paths are thus
+those of the event-by-event loops in ``tests/sim_reference.py``, bit for
+bit.  The first WARMUP_FRACTION of the horizon is discarded from all
+recorded statistics (counters cover the full run).
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -137,55 +143,53 @@ def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # stage simulation
 
+def _draws(rng: np.random.Generator, scale: float):
+    """Exponential draws fetched in blocks: the same numbers as scalar calls."""
+    while True:
+        yield from rng.exponential(scale, 1024).tolist()
+
+
 def _simulate_stage(rate: float, mu: float, horizon: float,
                     arr_rng: np.random.Generator, svc_rng: np.random.Generator,
                     discipline: Discipline):
     """One user's stage queue over [0, horizon].
 
-    Returns (departure times, departure generation times, counters,
-    sample triples).  Departures are in generation order for both
-    disciplines, so every departure refreshes the stage observer.
+    Returns (departure times, departure generation times, counters).
+    Departures are in generation order for both disciplines, so every
+    departure refreshes the stage observer.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
     scale_arr = 1.0 / rate
-    scale_svc = 1.0 / mu
-    counters = UserCounters()
+    next_svc = _draws(svc_rng, 1.0 / mu).__next__
+    # scale * standard_exponential() is exponential(scale) bit for bit, and cheaper
+    std_exp = arr_rng.standard_exponential
     dep_times: list[float] = []
     dep_gens: list[float] = []
-    samples: list[tuple[float, float, float]] = []
-    prev_gen = None
+    arrivals = lost = 0
 
-    t_arr = arr_rng.exponential(scale_arr)
+    t_arr = scale_arr * std_exp()
     serving_gen = None
     waiting_gen = None
     completion = math.inf
-
-    def deliver(t_dep, gen):
-        nonlocal prev_gen
-        counters.deliveries += 1
-        dep_times.append(t_dep)
-        dep_gens.append(gen)
-        if prev_gen is not None:
-            samples.append((t_dep, t_dep - prev_gen, t_dep - gen))
-        prev_gen = gen
 
     while True:
         if serving_gen is None:
             if t_arr > horizon:
                 break
-            counters.arrivals += 1
+            arrivals += 1
             serving_gen = t_arr
-            completion = t_arr + svc_rng.exponential(scale_svc)
-            t_arr += arr_rng.exponential(scale_arr)
+            completion = t_arr + next_svc()
+            t_arr += scale_arr * std_exp()
         elif waiting_gen is None:
-            if min(t_arr, completion) > horizon:
+            if t_arr > horizon and completion > horizon:
                 break
             if t_arr <= completion:
-                counters.arrivals += 1
+                arrivals += 1
                 waiting_gen = t_arr
-                t_arr += arr_rng.exponential(scale_arr)
+                t_arr += scale_arr * std_exp()
             else:
-                deliver(completion, serving_gen)
+                dep_times.append(completion)
+                dep_gens.append(serving_gen)
                 serving_gen = None
                 completion = math.inf
         else:
@@ -195,33 +199,35 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
             if (t_arr <= horizon) if past else (t_arr < completion):
                 window = (horizon if past else completion) - t_arr
                 n_extra = int(arr_rng.poisson(rate * window))
-                k = 1 + n_extra
-                counters.arrivals += k
-                if lcfs:
-                    counters.preemptions += k
-                else:
-                    counters.drops += k
+                arrivals += 1 + n_extra
+                lost += 1 + n_extra
                 if past:
                     break
                 if lcfs:
                     waiting_gen = (t_arr + window * arr_rng.random() ** (1.0 / n_extra)
                                    if n_extra else t_arr)
-                t_arr = completion + arr_rng.exponential(scale_arr)
+                t_arr = completion + scale_arr * std_exp()
             if past:
                 break
-            deliver(completion, serving_gen)
+            dep_times.append(completion)
+            dep_gens.append(serving_gen)
             serving_gen = waiting_gen
             waiting_gen = None
-            completion = completion + svc_rng.exponential(scale_svc)
+            completion = completion + next_svc()
 
-    counters.in_system = int(serving_gen is not None) + int(waiting_gen is not None)
-    return dep_times, dep_gens, counters, samples
+    counters = UserCounters(
+        arrivals=arrivals, deliveries=len(dep_times),
+        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0,
+        in_system=int(serving_gen is not None) + int(waiting_gen is not None))
+    return np.asarray(dep_times, dtype=float), np.asarray(dep_gens, dtype=float), counters
 
 
-def _series_from_triples(triples, warmup: float) -> StageSeries:
-    kept = [(t, p, s) for (t, p, s) in triples if t >= warmup]
-    arr = np.asarray(kept, dtype=float).reshape(-1, 3)
-    return StageSeries(arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy())
+def _freshness_series(times: np.ndarray, arrived: np.ndarray, warmup: float) -> StageSeries:
+    """Ages at deliveries ``times`` that each refresh the observer to ``arrived``;
+    the first delivery only sets the age, and those before ``warmup`` are dropped."""
+    t = times[1:]
+    kept = t >= warmup
+    return StageSeries(t[kept], (t - arrived[:-1])[kept], (t - arrived[1:])[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +252,13 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     for u, rate in enumerate(rates):
         arr_rng = _rng(seed, _ARRIVAL_TAG, u)
         svc_rng = _rng(seed, _STAGE_SVC_TAG, u)
-        dep_t, dep_g, counters, triples = _simulate_stage(
+        dep_t, dep_g, out.stage_counters[u] = _simulate_stage(
             rate, mu_u, horizon, arr_rng, svc_rng, config.discipline)
-        out.stage_counters[u] = counters
-        out.stage1[u] = _series_from_triples(triples, warmup)
-        dep_streams.append((np.asarray(dep_t), np.asarray(dep_g)))
+        out.stage1[u] = _freshness_series(dep_t, dep_g, warmup)
+        dep_streams.append((dep_t, dep_g))
 
     if config.compute_feed is ComputeFeed.TANDEM:
-        times = np.concatenate([d[0] for d in dep_streams]) if dep_streams else np.empty(0)
+        times = np.concatenate([d[0] for d in dep_streams])
         gens = np.concatenate([d[1] for d in dep_streams])
         users = np.concatenate([np.full(len(d[0]), u) for u, d in enumerate(dep_streams)])
         order = np.argsort(times, kind="stable")
@@ -268,7 +273,7 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
             times = np.concatenate([times, times[-1] + np.cumsum(more)])
         times = times[times <= horizon]
         gens = times.copy()
-        users = np.full(len(times), -1)
+        users = None
 
     _simulate_compute(out, times, gens, users, config, horizon, warmup, seed)
     window = horizon - warmup
@@ -279,43 +284,33 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 
 def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
                       horizon: float, warmup: float, seed: int):
-    svc_rng = _rng(seed, _COMPUTE_SVC_TAG, 0)
-    mu_c = config.compute_service_rate
+    """FCFS compute queue fed at ``times``; ``users`` is None for an
+    independent feed, which has no per-user end-to-end series."""
     n = len(times)
+    service = _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / config.compute_service_rate, n)
+    # Lindley recursion in event order (a cumsum form reorders the additions
+    # and changes last bits); completions never decrease, so the jobs
+    # delivered within the horizon are a prefix
+    done: list[float] = []
+    last = 0.0
+    for a, s in zip(times.tolist(), service.tolist()):
+        last = (a if a > last else last) + s
+        if last > horizon:
+            break
+        done.append(last)
+    k = len(done)
+    d = np.asarray(done, dtype=float)
+
     out.compute_arrivals = n
-
-    agg: list[tuple[float, float, float]] = []
-    per_user: dict[int, list[tuple[float, float, float]]] = {
-        u: [] for u in range(len(out.rates))}
-    freshest: dict[int, float] = {}
-
-    last_completion = 0.0
-    prev_arrival: float | None = None
-    delivered = 0
-    for i in range(n):
-        a_i = times[i]
-        start = a_i if a_i > last_completion else last_completion
-        d_i = start + svc_rng.exponential(1.0 / mu_c)
-        last_completion = d_i
-        if d_i > horizon:
-            continue
-        delivered += 1
-        if prev_arrival is not None:
-            agg.append((d_i, d_i - prev_arrival, d_i - a_i))
-        prev_arrival = a_i
-        u = int(users[i])
-        if u >= 0:
-            g_i = gens[i]
-            if u in freshest:
-                per_user[u].append((d_i, d_i - freshest[u], d_i - g_i))
-            freshest[u] = g_i
-
-    out.compute_delivered = delivered
-    out.compute_in_system = n - delivered
-    out.compute_agg = _series_from_triples(agg, warmup)
-    if config.compute_feed is ComputeFeed.TANDEM:
-        for u in range(len(out.rates)):
-            out.e2e[u] = _series_from_triples(per_user[u], warmup)
+    out.compute_delivered = k
+    out.compute_in_system = n - k
+    out.compute_agg = _freshness_series(d, times[:k], warmup)
+    if users is not None:
+        # each user's deliveries in time order: a stable sort on the user index
+        order = np.argsort(users[:k], kind="stable")
+        counts = np.bincount(users[:k], minlength=len(out.rates))
+        for u, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+            out.e2e[u] = _freshness_series(d[idx], gens[idx], warmup)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +360,21 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     """
     if ruin_level <= 0:
         raise ValueError("ruin level must be strictly positive")
-    exceedances: list[float] = []
-    in_exc = False
-    cur_max = -math.inf
-    for i in range(1, len(trace)):
-        peak = trace.peaks[i]
-        if peak > ruin_level:
-            cur_max = peak if not in_exc else max(cur_max, peak)
-            in_exc = True
-        if in_exc and trace.post_ages[i] < ruin_level:
-            exceedances.append(cur_max - ruin_level)
-            in_exc = False
-    return ExcursionStats(ruin_level, np.asarray(exceedances, dtype=float))
+    # segments end at each later delivery whose post-age is below the level; a
+    # segment whose highest peak is above it is one completed excursion, and
+    # the tail after the last close is censored
+    closes = np.flatnonzero(trace.post_ages[1:] < ruin_level) + 1
+    if closes.size == 0:
+        return ExcursionStats(ruin_level, np.empty(0))
+    starts = np.concatenate(([1], closes[:-1] + 1))
+    highest = np.maximum.reduceat(trace.peaks[:closes[-1] + 1], starts)
+    return ExcursionStats(ruin_level, highest[highest > ruin_level] - ruin_level)
+
+
+@functools.lru_cache(maxsize=None)
+def student_t_975(dof: int) -> float:
+    """Student-t 0.975 quantile (a 95% two-sided interval) for ``dof`` degrees of freedom."""
+    return float(sps.t.ppf(0.975, dof))
 
 
 def estimate_avg(values: Sequence[float], batches: int = 20) -> AvgEstimate:
@@ -389,7 +387,7 @@ def estimate_avg(values: Sequence[float], batches: int = 20) -> AvgEstimate:
     usable = (n // b) * b
     means = arr[:usable].reshape(b, -1).mean(axis=1)
     spread = float(np.std(means, ddof=1))
-    hw = float(sps.t.ppf(0.975, b - 1) * spread / math.sqrt(b))
+    hw = student_t_975(b - 1) * spread / math.sqrt(b)
     return AvgEstimate(float(arr.mean()), hw, n)
 
 

@@ -283,8 +283,6 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
 
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
     """Replication means and 95% half-widths per (value, discipline, modes)."""
-    from scipy import stats as sps
-
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row.get("error"):
@@ -304,7 +302,7 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
             vals = np.asarray([r[m] for r in members], dtype=float)
             agg[f"{m}_mean"] = float(np.nanmean(vals)) if vals.size else math.nan
             if vals.size > 1 and np.all(np.isfinite(vals)):
-                hw = float(sps.t.ppf(0.975, vals.size - 1)
+                hw = float(qs.student_t_975(vals.size - 1)
                            * np.std(vals, ddof=1) / math.sqrt(vals.size))
             else:
                 hw = 0.0
@@ -353,6 +351,13 @@ def count(value, field: str) -> int:
     if not number(value, field).is_integer():
         raise ConfigError(f"{field}: expected a whole number, got {value!r}")
     return int(value)
+
+
+def positive(value, field: str) -> float:
+    """A finite JSON number above zero."""
+    if number(value, field) <= 0:
+        raise ConfigError(f"{field}: expected a number above zero, got {value!r}")
+    return float(value)
 
 
 def user_count(value, field: str) -> int:
@@ -414,7 +419,7 @@ def parse_sweep(d: dict, base: Scenario, path: str = "sweep") -> tuple[Sweep, di
                {"arrival_mode"}, path)
     with config_errors(path):
         variable = SweepVariable(d["variable"])
-        read = user_count if variable is SweepVariable.NUM_USERS else number
+        read = user_count if variable is SweepVariable.NUM_USERS else positive
         values = tuple(float(read(v, f"{path}.values[{i}]"))
                        for i, v in enumerate(d["values"]))
         sweep = Sweep(variable, values,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from unittest import mock
 
 import pytest
 
@@ -254,6 +255,33 @@ class TestExitCodes:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "sweep.values[0]" in capsys.readouterr().err
 
+    def test_nonpositive_bandwidth_in_the_sweep_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": scenario_section(), "sweep": {
+            "variable": "bandwidth", "values": [-1e10, 1e10], "replications": 1,
+            "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}})
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "sweep.values[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analytic", "sweep", "validate"])
+    @pytest.mark.parametrize("seed,flag,field", [
+        ("abc", None, "config.master_seed"),
+        (2.7, None, "config.master_seed"),
+        (-1, None, "config.master_seed"),
+        (0, "-1", "--seed"),
+    ])
+    def test_bad_master_seed_is_usage_error(self, tmp_path, capsys, command, seed, flag, field):
+        payload = {"master_seed": seed,
+                   "analytic": {"laws": [], "severity": {"ruin_level_s": 1.0}},
+                   "scenario": scenario_section(),
+                   "sweep": {"variable": "num_users", "values": [2], "replications": 1,
+                             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
+        argv = [command, "--config", str(write_config(tmp_path, payload)),
+                "--out", str(tmp_path / "out")] + (["--seed", flag] if flag else [])
+        # a bad seed must stop `validate` before the suite runs
+        with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
+            assert cli.main(argv) == 3
+        assert field in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("oracle_tol", float("nan")),
                                            ("master_seed", True)])
     def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
@@ -266,6 +294,8 @@ class TestExitCodes:
         (lambda s: s.update(ages=[0.5, float("nan")]), "analytic.ages[1]"),
         (lambda s: s["severity"].update(stages=1.5), "analytic.severity.stages"),
         (lambda s: s["severity"].update(z_grid=["1"]), "analytic.severity.z_grid[0]"),
+        pytest.param(lambda s: s["severity"].update(stages=0), "analytic.severity.stages",
+                     id="zero-stages"),
     ])
     def test_bad_analytic_number_is_usage_error(self, tmp_path, capsys, edit, field):
         section = {"laws": [{"discipline": "fcfs", "update_rate": 2.0, "service_rate": 1.0}],

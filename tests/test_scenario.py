@@ -324,6 +324,14 @@ class TestConfigParsing:
         with pytest.raises(sc.ConfigError, match=re.escape(field)):
             sc.parse_sweep(d, scen)
 
+    @pytest.mark.parametrize("values,field", [([-1e10, 1e10], "sweep.values[0]"),
+                                              ([1e10, 0.0], "sweep.values[1]")])
+    def test_bandwidth_sweep_values_must_be_positive(self, values, field):
+        scen = sc.parse_scenario(self.good())
+        with pytest.raises(sc.ConfigError, match=re.escape(field)):
+            sc.parse_sweep({"variable": "bandwidth", "values": values, "replications": 1,
+                            "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}, scen)
+
     def test_bandwidth_sweep_values_may_be_fractional(self):
         scen = sc.parse_scenario(self.good())
         sweep, _ = sc.parse_sweep(

@@ -1,0 +1,122 @@
+"""The array simulator reproduces the scalar reference loops exactly.
+
+``sim_reference`` holds the event-by-event loops the array code replaced.
+Both consume the same random substreams in the same order, so every sample
+array, counter and exceedance must be equal bit for bit, not within a
+tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import sim_reference as ref
+from thzaoi import aoi_analytic as an
+from thzaoi import queue_sim as qs
+
+FCFS = an.Discipline.FCFS_MM12
+LCFS = an.Discipline.LCFS_MM12_STAR
+FIELDS = ("times", "peaks", "post_ages")
+
+
+def assert_series_equal(got: qs.StageSeries, want: qs.StageSeries):
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+def assert_runs_equal(got: qs.PaoiSamples, want: qs.PaoiSamples):
+    for table in ("stage1", "e2e"):
+        a, b = getattr(got, table), getattr(want, table)
+        assert sorted(a) == sorted(b), table
+        for u in b:
+            assert_series_equal(a[u], b[u])
+    assert_series_equal(got.compute_agg, want.compute_agg)
+    assert got.stage_counters == want.stage_counters
+    for name in ("compute_arrivals", "compute_delivered", "compute_in_system",
+                 "compute_arrival_rate"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def both(config, rates, horizon, seed):
+    return (qs.run(config, rates, horizon, seed), ref.run(config, rates, horizon, seed))
+
+
+@pytest.mark.parametrize("feed", list(qs.ComputeFeed))
+@pytest.mark.parametrize("r_over_mu", [1e-3, 0.5, 2.0, 10.0, 4e3])
+@pytest.mark.parametrize("disc", [FCFS, LCFS])
+def test_sample_paths_match_the_reference(disc, r_over_mu, feed):
+    mu = 2.0
+    # the last user is too slow to deliver anything within the horizon
+    rates = [r_over_mu * mu, 0.7 * r_over_mu * mu, 1e-9]
+    got, want = both(qs.QueueConfig(disc, mu, 40.0, feed), rates, 400.0, 5)
+    assert want.stage_counters[2].deliveries == 0
+    assert_runs_equal(got, want)
+    for u in range(len(rates)):
+        for level in (0.5, 1.0, 2.0):
+            a = qs.excursion_severity(got.stage1[u], level).exceedances
+            b = ref.excursion_severity(want.stage1[u], level).exceedances
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("disc", [FCFS, LCFS])
+def test_overloaded_compute_queue_matches(disc):
+    # six stages deliver about 5.5/s into a compute queue that serves 2.5/s
+    got, want = both(qs.QueueConfig(disc, 1.0, 2.5), [3.0] * 6, 600.0, 8)
+    assert want.compute_in_system > 100
+    assert_runs_equal(got, want)
+
+
+def test_long_horizon_matches():
+    # long runs are where a reordered Lindley sum would drift in the last bits
+    got, want = both(qs.QueueConfig(FCFS, 1.0, 3.0), [2.0, 0.4], 40_000.0, 12)
+    assert want.compute_delivered > 30_000
+    assert_runs_equal(got, want)
+
+
+def test_delivery_at_the_warmup_instant_is_kept():
+    warmup = 2.0
+    times = np.array([0.5, 1.5, 2.0, 3.5, 4.0])
+    gens = np.array([0.1, 1.0, 1.25, 3.0, 3.75])
+    triples = [(t, t - g0, t - g1) for t, g0, g1 in zip(times[1:], gens[:-1], gens[1:])]
+    got = qs._freshness_series(times, gens, warmup)
+    assert_series_equal(got, ref._series_from_triples(triples, warmup))
+    assert got.times[0] == warmup
+
+
+def series(peaks, post_ages):
+    peaks = np.asarray(peaks, dtype=float)
+    return qs.StageSeries(np.arange(peaks.size, dtype=float), peaks,
+                          np.asarray(post_ages, dtype=float))
+
+
+@pytest.mark.parametrize("peaks,post_ages,expected", [
+    ([], [], []),                                         # empty trace
+    ([5.0], [0.1], []),                                   # the first delivery only sets the age
+    ([9.0, 0.5], [0.2, 0.1], []),
+    ([0.5, 3.0, 0.5], [0.2, 0.5, 0.2], [2.0]),            # opens and closes at one delivery
+    ([0.5, 3.0, 4.0], [0.2, 2.0, 3.0], []),               # censored tail
+    ([0.5, 3.0, 0.5, 5.0, 6.0], [0.2, 0.5, 0.2, 2.0, 3.0], [2.0]),
+    ([0.5, 1.0, 0.5], [0.2, 0.5, 0.2], []),               # peak equal to the level
+    ([0.5, 3.0, 2.5, 0.8], [0.2, 1.0, 0.5, 0.3], [2.0]),  # post-age equal to the level
+    ([0.5, 0.6, 3.0, 0.7], [0.1, 0.2, 0.3, 0.1], [2.0]),  # a close with no excursion open
+    ([0.5, 2.0, 4.0, 3.0, 1.5, 0.2], [0.1, 1.5, 2.0, 0.5, 0.3, 0.1], [3.0, 0.5]),
+])
+def test_excursion_edge_cases(peaks, post_ages, expected):
+    trace = series(peaks, post_ages)
+    got = qs.excursion_severity(trace, 1.0).exceedances
+    want = ref.excursion_severity(trace, 1.0).exceedances
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert got.tolist() == expected
+
+
+def test_excursions_on_coarse_grids_match():
+    # values on a grid of halves hit the level exactly, often
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n = int(rng.integers(0, 40))
+        trace = series(rng.integers(0, 6, n) / 2.0, rng.integers(0, 6, n) / 2.0)
+        for level in (0.5, 1.0, 1.5, 2.5):
+            got = qs.excursion_severity(trace, level).exceedances
+            assert np.array_equal(got, ref.excursion_severity(trace, level).exceedances)
