@@ -7,10 +7,11 @@ Poisson update stream of rate r and served at rate mu:
 * ``LCFS_MM12_STAR`` -- the waiting slot is replaced by each new arrival,
   the packet in service is never preempted.
 
-Every closed form carries (r - mu) denominators; evaluation is done
-through the stable kernels ``_phi1`` and ``_h2`` so the removable
-singularity at r = mu never amplifies rounding error.  Values inside the
-guard band |r - mu| < SINGULAR_EPS * mu are routed through series limits.
+Every closed form carries (r - mu) denominators.  The densities, the FCFS
+CDF and the integrated LCFS CDF are evaluated through the stable kernels
+``_phi1`` and ``_h2``, so they stay exact through r = mu.  Only the
+published LCFS CDF is routed through a series limit inside the guard band
+|r - mu| < SINGULAR_EPS * mu.
 
 The LCFS closed-form CDF is reproduced exactly as published even though
 it is not a valid CDF (it evaluates to mu (2 - mu - r) / (mu + r) at
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-SINGULAR_EPS = 1e-6          # |r - mu| < SINGULAR_EPS * mu routes to series limits
+SINGULAR_EPS = 1e-6          # |r - mu| < SINGULAR_EPS * mu: published LCFS CDF series
 QUAD_ABS_TOL = 1e-9
 TAIL_MASS = 1e-12
 _RANGE_TOL = 1e-8            # slack when range-checking probabilities

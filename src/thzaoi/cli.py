@@ -14,7 +14,6 @@ import datetime
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -90,13 +89,20 @@ def _load(args) -> dict:
 def _master_seed(args, cfg: dict) -> int:
     """``--seed`` if given, else ``config.master_seed``; seeds are non-negative."""
     if args.seed is not None:
-        seed, field = args.seed, "--seed"
-    else:
-        field = "config.master_seed"
-        seed = sc.count(cfg.get("master_seed", 0), field)
-    if seed < 0:
-        raise sc.ConfigError(f"{field}: expected a non-negative seed, got {seed!r}")
-    return seed
+        return sc.count(args.seed, "--seed", least=0)
+    return sc.count(cfg.get("master_seed", 0), "config.master_seed", least=0)
+
+
+def _override(cfg: dict, keys: tuple[str, ...], value):
+    """Write a given flag into the config at ``keys``, to be read and checked as that key."""
+    if value is None:
+        return
+    node = cfg
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            return   # the section's parser rejects it by path
+    node[keys[-1]] = value
 
 
 def _out_dir(args) -> Path:
@@ -114,8 +120,7 @@ def _write_manifest(args, out: Path, seed: int, outputs: list[str]):
         "master_seed": seed,
         "out_dir": str(out.resolve()),
         "tool_version": __version__,
-        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
-        .replace(microsecond=0).isoformat(),
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "argv": sys.argv[1:],
         "outputs": outputs,
     }
@@ -129,8 +134,8 @@ def _write_manifest(args, out: Path, seed: int, outputs: list[str]):
 def _parse_analytic_law(d: dict, path: str) -> an.StageLaw:
     sc.check_keys(d, {"discipline", "update_rate", "service_rate"}, set(), path)
     with sc.config_errors(path):
-        return an.StageLaw(sc.number(d["update_rate"], f"{path}.update_rate"),
-                           sc.number(d["service_rate"], f"{path}.service_rate"),
+        return an.StageLaw(sc.positive(d["update_rate"], f"{path}.update_rate"),
+                           sc.positive(d["service_rate"], f"{path}.service_rate"),
                            an.Discipline(d["discipline"]))
 
 
@@ -138,25 +143,23 @@ def cmd_analytic(args) -> int:
     cfg = _load(args)
     if "analytic" not in cfg:
         raise sc.ConfigError("config: analytic section required")
+    _override(cfg, ("analytic", "severity", "ruin_level_s"), args.ruin_level)
+    _override(cfg, ("analytic", "severity", "z_grid"), None if args.z is None else [args.z])
     section = cfg["analytic"]
     sc.check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
     laws = [_parse_analytic_law(d, f"analytic.laws[{i}]")
             for i, d in enumerate(section.get("laws", []))]
-    ages = [sc.number(a, f"analytic.ages[{i}]") for i, a in enumerate(section.get("ages", []))]
+    ages = [sc.number(a, f"analytic.ages[{i}]", least=0)
+            for i, a in enumerate(section.get("ages", []))]
 
     severity = section.get("severity")
+    ruin, z_grid, n_stages = None, [], 1
     if severity is not None:
         sc.check_keys(severity, {"ruin_level_s"}, {"z_grid", "stages"}, "analytic.severity")
-    ruin = args.ruin_level if args.ruin_level is not None else \
-        (sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s")
-         if severity else None)
-    z_grid = [args.z] if args.z is not None else \
-        [sc.number(z, f"analytic.severity.z_grid[{i}]")
-         for i, z in enumerate((severity or {}).get("z_grid", []))]
-    n_stages = sc.count((severity or {}).get("stages", 1), "analytic.severity.stages")
-    if n_stages < 1:
-        raise sc.ConfigError(
-            f"analytic.severity.stages: expected at least one stage, got {n_stages!r}")
+        ruin = sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s", least=0)
+        z_grid = [sc.number(z, f"analytic.severity.z_grid[{i}]", least=0)
+                  for i, z in enumerate(severity.get("z_grid", []))]
+        n_stages = sc.count(severity.get("stages", 1), "analytic.severity.stages", least=1)
     seed = _master_seed(args, cfg)
 
     rows = []
@@ -174,14 +177,13 @@ def cmd_analytic(args) -> int:
                              "validity_flag": got.validity.value})
         rows.append({**base, "a_or_z": "", "quantity": "avg_stage", "mode": "",
                      "value": an.avg_paoi_stage(law), "validity_flag": "valid"})
-        if ruin is not None and z_grid:
-            sys_law = an.SystemLaw((law,) * n_stages)
-            for z in z_grid:
-                pair = an.severity_both_modes(sys_law, ruin, z)
-                for mode, got in pair.items():
-                    rows.append({**base, "a_or_z": z, "quantity": "severity",
-                                 "mode": mode.value, "value": got.value,
-                                 "validity_flag": got.validity.value})
+        sys_law = an.SystemLaw((law,) * n_stages)
+        for z in z_grid:
+            pair = an.severity_both_modes(sys_law, ruin, z)
+            for mode, got in pair.items():
+                rows.append({**base, "a_or_z": z, "quantity": "severity",
+                             "mode": mode.value, "value": got.value,
+                             "validity_flag": got.validity.value})
 
     out = _out_dir(args)
     val.write_csv(out / "analytic.csv", ANALYTIC_COLUMNS, rows)
@@ -198,26 +200,12 @@ def cmd_sweep(args) -> int:
     for key in ("scenario", "sweep"):
         if key not in cfg:
             raise sc.ConfigError(f"config: {key} section required")
-    base = sc.parse_scenario(cfg["scenario"])
-    sweep, extras = sc.parse_sweep(cfg["sweep"], base)
-
-    if args.feed is not None:
-        queue = replace(base.queue, compute_feed=qs.ComputeFeed(args.feed))
-        base = replace(base, queue=queue)
-        sweep = replace(sweep, base=base)
-    if args.replications is not None:
-        sweep = replace(sweep, replications=int(args.replications))
-    if args.ruin_level is not None:
-        extras["ruin_level"] = float(args.ruin_level)
-    if args.z is not None:
-        extras["threshold_z"] = float(args.z)
-
+    _override(cfg, ("scenario", "queue", "compute_feed"), args.feed)
+    _override(cfg, ("sweep", "replications"), args.replications)
+    _override(cfg, ("sweep", "ruin_level_s"), args.ruin_level)
+    _override(cfg, ("sweep", "threshold_z_s"), args.z)
     seed = _master_seed(args, cfg)
-    settings = sc.SweepSettings(ruin_level=extras["ruin_level"],
-                                threshold_z=extras["threshold_z"],
-                                horizon=extras["horizon"],
-                                master_seed=seed,
-                                arrival_mode=extras["arrival_mode"])
+    sweep, settings = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]), seed)
     out = _out_dir(args)
     sink = _sample_sink(out, settings) if args.export_samples else None
     rows = sc.run_sweep(sweep, settings, sample_sink=sink)
@@ -275,8 +263,9 @@ def _render_sweep_svg(out: Path, agg, sweep) -> str:
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
+    _master_seed(args, cfg)   # a bad --seed is reported as the flag, not the key
+    _override(cfg, ("validate", "master_seed"), args.seed)
     vcfg = val.parse_validation_config(cfg.get("validate", {}))
-    seed = _master_seed(args, cfg)
     out = _out_dir(args)
     report = val.run_validation(vcfg, out_dir=out)
     for check in report.checks:
@@ -289,7 +278,7 @@ def cmd_validate(args) -> int:
     }
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2)
-    _write_manifest(args, out, seed,
+    _write_manifest(args, out, vcfg.master_seed,
                     ["report.json"] + [f"{k}.csv" for k in report.artifacts])
     print(f"suite {'PASSED' if report.passed else 'FAILED'} "
           f"in {report.total_duration_s:.1f}s; report at {out / 'report.json'}")

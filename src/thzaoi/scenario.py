@@ -201,9 +201,9 @@ def _sim_severity(samples: qs.PaoiSamples, ruin_level: float, z: float):
 def run_sweep(sweep: Sweep, settings: SweepSettings, sample_sink=None) -> list[dict]:
     """One row per (value, replication, discipline, avg mode, severity mode).
 
-    Cell failures (too few simulated samples, an unstable compute queue in
-    corrected mode) are recorded in the row's ``error`` column; any other
-    exception propagates.
+    Cell failures (a user with a zero update rate, too few simulated
+    samples, an unstable compute queue in corrected mode) are recorded in
+    the row's ``error`` column; any other exception propagates.
     ``sample_sink(value, replication, discipline, samples)`` receives each
     cell's raw simulator output, e.g. for CSV export.
     """
@@ -228,6 +228,8 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
         "discipline": disc.value, "error": "",
     }
     try:
+        if np.any(rates <= 0):   # the link budget's SNR underflowed to a zero Shannon rate
+            raise qs.EmptyDataError("a user's link gives a zero update rate and no samples")
         lam_c = compute_arrival_rate(rates, mu_u, settings.arrival_mode)
         stages = tuple(an.StageLaw(float(r), mu_u, disc) for r in rates)
         sys_law = an.SystemLaw(stages)
@@ -293,7 +295,7 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
     out = []
     metrics = ["avg_analytic", "avg_sim", "avg_analytic_per_user",
                "avg_sim_per_user", "j_z", "ks_stage", "sim_severity_below_z"]
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2], k[3], k[4])):
+    for key in sorted(groups):
         members = groups[key]
         agg = {"sweep_var": key[0], "value": key[1], "discipline": key[2],
                "avg_analytic_mode": key[3], "severity_mode": key[4],
@@ -336,35 +338,32 @@ def config_errors(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def number(value, field: str) -> float:
-    """A finite JSON number; booleans, NaN and infinities are rejected by field path."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+def number(value, field: str, least: float | None = None) -> float:
+    """A finite JSON number, at least ``least`` if given; booleans and strings are not numbers."""
+    x = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):   # an integer beyond float range
+            x = float(value)
+    if not math.isfinite(x):
         raise ConfigError(f"{field}: expected a finite number, got {value!r}")
-    return float(value)
+    if least is not None and x < least:
+        raise ConfigError(f"{field}: expected a number of at least {least:g}, got {value!r}")
+    return x
 
 
-def count(value, field: str) -> int:
-    """A whole JSON number: 2 and 2.0 are accepted, 2.7 and true are not."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not number(value, field).is_integer():
+def count(value, field: str, least: int | None = None) -> int:
+    """A whole JSON number, at least ``least`` if given; 2 and 2.0 pass, 2.7 and true do not."""
+    if not number(value, field, least).is_integer():
         raise ConfigError(f"{field}: expected a whole number, got {value!r}")
     return int(value)
 
 
 def positive(value, field: str) -> float:
     """A finite JSON number above zero."""
-    if number(value, field) <= 0:
+    x = number(value, field)
+    if x <= 0:
         raise ConfigError(f"{field}: expected a number above zero, got {value!r}")
-    return float(value)
-
-
-def user_count(value, field: str) -> int:
-    """A user count: a whole number of at least one."""
-    if count(value, field) < 1:
-        raise ConfigError(f"{field}: expected at least one user, got {value!r}")
-    return int(value)
+    return x
 
 
 def parse_link(d: dict, path: str = "link") -> link.LinkParams:
@@ -372,13 +371,13 @@ def parse_link(d: dict, path: str = "link") -> link.LinkParams:
                    "temperature_k", "meta_surfaces", "image_size_bits"}, set(), path)
     with config_errors(path):
         return link.LinkParams(
-            bandwidth_hz=number(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
-            carrier_hz=number(d["carrier_hz"], f"{path}.carrier_hz"),
-            tx_power_w=number(d["tx_power_w"], f"{path}.tx_power_w"),
-            absorption_per_m=number(d["absorption_per_m"], f"{path}.absorption_per_m"),
-            temperature_k=number(d["temperature_k"], f"{path}.temperature_k"),
-            meta_surfaces=count(d["meta_surfaces"], f"{path}.meta_surfaces"),
-            image_size_bits=number(d["image_size_bits"], f"{path}.image_size_bits"))
+            bandwidth_hz=positive(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
+            carrier_hz=positive(d["carrier_hz"], f"{path}.carrier_hz"),
+            tx_power_w=positive(d["tx_power_w"], f"{path}.tx_power_w"),
+            absorption_per_m=positive(d["absorption_per_m"], f"{path}.absorption_per_m"),
+            temperature_k=positive(d["temperature_k"], f"{path}.temperature_k"),
+            meta_surfaces=count(d["meta_surfaces"], f"{path}.meta_surfaces", least=1),
+            image_size_bits=positive(d["image_size_bits"], f"{path}.image_size_bits"))
 
 
 def parse_room(d: dict, path: str = "room") -> Room:
@@ -387,7 +386,7 @@ def parse_room(d: dict, path: str = "room") -> Room:
         pos = tuple((number(x, f"{path}.ris_positions[{i}]"),
                      number(y, f"{path}.ris_positions[{i}]"))
                     for i, (x, y) in enumerate(d.get("ris_positions", ())))
-        return Room(side_length=number(d["side_length"], f"{path}.side_length"),
+        return Room(side_length=positive(d["side_length"], f"{path}.side_length"),
                     ris_positions=pos)
 
 
@@ -398,8 +397,8 @@ def parse_queue(d: dict, path: str = "queue") -> qs.QueueConfig:
         disc = an.Discipline(d["discipline"])
         feed = qs.ComputeFeed(d.get("compute_feed", "tandem"))
         return qs.QueueConfig(
-            disc, number(d["stage_service_rate"], f"{path}.stage_service_rate"),
-            number(d["compute_service_rate"], f"{path}.compute_service_rate"), feed)
+            disc, positive(d["stage_service_rate"], f"{path}.stage_service_rate"),
+            positive(d["compute_service_rate"], f"{path}.compute_service_rate"), feed)
 
 
 def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
@@ -407,30 +406,31 @@ def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
     with config_errors(path):
         return Scenario(
             room=parse_room(d["room"], f"{path}.room"),
-            num_users=user_count(d["num_users"], f"{path}.num_users"),
+            num_users=count(d["num_users"], f"{path}.num_users", least=1),
             link_params=parse_link(d["link"], f"{path}.link"),
             queue=parse_queue(d["queue"], f"{path}.queue"),
-            placement_seed=count(d["placement_seed"], f"{path}.placement_seed"))
+            placement_seed=count(d["placement_seed"], f"{path}.placement_seed", least=0))
 
 
-def parse_sweep(d: dict, base: Scenario, path: str = "sweep") -> tuple[Sweep, dict]:
+def parse_sweep(d: dict, base: Scenario, master_seed: int = 0,
+                path: str = "sweep") -> tuple[Sweep, SweepSettings]:
     check_keys(d, {"variable", "values", "replications", "ruin_level_s",
                    "threshold_z_s", "horizon_s"},
                {"arrival_mode"}, path)
     with config_errors(path):
         variable = SweepVariable(d["variable"])
-        read = user_count if variable is SweepVariable.NUM_USERS else positive
-        values = tuple(float(read(v, f"{path}.values[{i}]"))
-                       for i, v in enumerate(d["values"]))
+        read = (lambda v, field: count(v, field, least=1)) \
+            if variable is SweepVariable.NUM_USERS else positive
+        values = tuple(float(read(v, f"{path}.values[{i}]")) for i, v in enumerate(d["values"]))
         sweep = Sweep(variable, values,
-                      count(d["replications"], f"{path}.replications"), base)
-        extras = {
-            "ruin_level": number(d["ruin_level_s"], f"{path}.ruin_level_s"),
-            "threshold_z": number(d["threshold_z_s"], f"{path}.threshold_z_s"),
-            "horizon": number(d["horizon_s"], f"{path}.horizon_s"),
-            "arrival_mode": ArrivalRateMode(d.get("arrival_mode", "burke")),
-        }
-        return sweep, extras
+                      count(d["replications"], f"{path}.replications", least=1), base)
+        settings = SweepSettings(
+            ruin_level=positive(d["ruin_level_s"], f"{path}.ruin_level_s"),
+            threshold_z=positive(d["threshold_z_s"], f"{path}.threshold_z_s"),
+            horizon=positive(d["horizon_s"], f"{path}.horizon_s"),
+            master_seed=master_seed,
+            arrival_mode=ArrivalRateMode(d.get("arrival_mode", "burke")))
+        return sweep, settings
 
 
 def load_json(path) -> dict:
@@ -439,5 +439,5 @@ def load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # malformed JSON, or an integer over the digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy import integrate
 
 from . import aoi_analytic as an
 from . import queue_sim as qs
@@ -81,11 +82,18 @@ def format_check_line(check: CheckResult) -> str:
 
 
 def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
+    """Counts >= 1 (seed >= 0), horizons > 0, tolerances and budgets >= 0 (0 fails a check)."""
     defaults = ValidationConfig()
     sc.check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
-    read = {int: sc.count, float: sc.number}
-    return replace(defaults, **{k: read[type(getattr(defaults, k))](v, f"{path}.{k}")
-                                for k, v in d.items()})
+
+    def read(key, value, field):
+        if key.endswith("_horizon"):
+            return sc.positive(value, field)
+        if isinstance(getattr(defaults, key), int):
+            return sc.count(value, field, least=0 if key == "master_seed" else 1)
+        return sc.number(value, field, least=0)
+
+    return replace(defaults, **{k: read(k, v, f"{path}.{k}") for k, v in d.items()})
 
 
 def _grid_laws(disc):
@@ -221,8 +229,7 @@ def check_moment_consistency(cfg: ValidationConfig):
     for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
         for law in _grid_laws(disc):
             upper = an.support_bound(law)
-            from scipy import integrate
-            pts = [p for p in an._quad_breakpoints(law, upper)]
+            pts = an._quad_breakpoints(law, upper)
             moment, _ = integrate.quad(
                 lambda t: t * an.pdf_paoi(law, t), 0.0, upper,
                 points=pts or None, limit=400, epsabs=1e-10, epsrel=1e-10)
@@ -364,8 +371,9 @@ def check_trends(cfg: ValidationConfig):
             series = _trend_series(rows, disc)
             mono = all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
             ok = ok and mono and len(series) >= 3
-            lines.append(f"{label}/{disc.value}: "
-                         + ("non-increasing" if mono else f"VIOLATION {series}"))
+            verdict = (f"{len(series)} values, need at least 3" if len(series) < 3
+                       else "non-increasing" if mono else f"VIOLATION {series}")
+            lines.append(f"{label}/{disc.value}: {verdict}")
     return ok, "; ".join(lines)
 
 

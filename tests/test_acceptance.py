@@ -112,6 +112,14 @@ def test_c08_figure_trends(report):
     assert check.passed, check.details
 
 
+def test_c08_short_trend_series_fails_with_its_length():
+    # a 5 s horizon leaves a cell without samples, so one series is too short
+    short = replace(val.ValidationConfig(), trend_horizon=5.0, trend_replications=1)
+    check = val.check_trends(short)
+    assert not check.passed
+    assert "2 values, need at least 3" in check.details, check.details
+
+
 def test_c09_sweep_cli_byte_identical(tmp_path):
     payload = {
         "scenario": {

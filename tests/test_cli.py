@@ -176,6 +176,17 @@ class TestValidateCommand:
         assert len(read_csv(tmp_path / "out" / "lcfs_cdf_discrepancy.csv")) > 0
         assert len(read_csv(tmp_path / "out" / "severity_deviation.csv")) > 0
 
+    @pytest.mark.parametrize("flags,seed", [(["--seed", "7"], 7), ([], 3)])
+    def test_suite_runs_with_the_recorded_seed(self, tmp_path, flags, seed):
+        cfg = write_config(tmp_path, {"validate": {"master_seed": 3}, "master_seed": 5})
+        with mock.patch.object(cli.val, "run_validation",
+                               return_value=cli.val.ValidationReport()) as suite:
+            assert cli.main(["validate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")] + flags) == 0
+        assert suite.call_args.args[0].master_seed == seed
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["master_seed"] == seed
+
     def test_corrupted_tolerance_fails_with_report(self, tmp_path):
         corrupted = dict(self.REDUCED)
         corrupted["ks_tolerance"] = 0.0
@@ -200,9 +211,9 @@ class TestShippedConfigs:
         from thzaoi import scenario as sc
         cfg = sc.load_json(self.CONFIG_DIR / "bandwidth_sweep.json")
         base = sc.parse_scenario(cfg["scenario"])
-        sweep, extras = sc.parse_sweep(cfg["sweep"], base)
+        sweep, settings = sc.parse_sweep(cfg["sweep"], base)
         assert sweep.variable is sc.SweepVariable.BANDWIDTH
-        assert extras["arrival_mode"] is sc.ArrivalRateMode.THROUGHPUT
+        assert settings.arrival_mode is sc.ArrivalRateMode.THROUGHPUT
 
     def test_reference_sweep_config_loads(self):
         from thzaoi import scenario as sc
@@ -220,6 +231,11 @@ class TestExitCodes:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert cli.main(["sweep", "--config", str(tmp_path / "absent.json")]) == 3
 
+    def test_integer_over_the_digit_limit_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"master_seed": ' + "9" * 5000 + "}")
+        assert cli.main(["validate", "--config", str(cfg)]) == 3
+
     def test_bad_nested_key_reports_path(self, tmp_path, capsys):
         payload = {"scenario": scenario_section(), "sweep": {
             "variable": "num_users", "values": [2], "replications": 1,
@@ -235,6 +251,11 @@ class TestExitCodes:
         (("scenario", "num_users"), True),
         (("sweep", "replications"), 1.5),
         (("scenario", "num_users"), 0),
+        (("sweep", "ruin_level_s"), 0),
+        (("sweep", "threshold_z_s"), -1),
+        (("sweep", "horizon_s"), 0),
+        (("scenario", "placement_seed"), -1),
+        pytest.param(("scenario", "link", "carrier_hz"), 10 ** 400, id="400-digit-int"),
     ])
     def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
         payload = {"scenario": scenario_section(), "sweep": {
@@ -283,11 +304,41 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("oracle_tol", float("nan")),
-                                           ("master_seed", True)])
+                                           ("master_seed", True), ("ks_deliveries", 0),
+                                           ("trend_replications", 0), ("e2e_horizon", 0.0),
+                                           ("severity_horizon", -1.0), ("trend_horizon", 0.0)])
     def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {"validate": {key: value}})
-        assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        # a bad bound must stop `validate` before the suite runs
+        with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
+            assert cli.main(["validate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 3
         assert f"validate.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value,field", [
+        ("sweep", "--replications", "0", "sweep.replications"),
+        ("sweep", "--z", "-1", "sweep.threshold_z_s"),
+        ("sweep", "--ruin-level", "0", "sweep.ruin_level_s"),
+        ("sweep", "--z", "nan", "sweep.threshold_z_s"),
+        ("analytic", "--z", "-1", "analytic.severity.z_grid[0]"),
+        ("analytic", "--z", "nan", "analytic.severity.z_grid[0]"),
+    ])
+    def test_bad_flag_is_usage_error_naming_its_key(self, tmp_path, capsys, command, flag,
+                                                     value, field):
+        payload = {"analytic": {"laws": [], "severity": {"ruin_level_s": 1.0}},
+                   "scenario": scenario_section(),
+                   "sweep": {"variable": "num_users", "values": [2], "replications": 1,
+                             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
+        argv = [command, "--config", str(write_config(tmp_path, payload)),
+                "--out", str(tmp_path / "out"), f"{flag}={value}"]
+        assert cli.main(argv) == 3
+        assert field in capsys.readouterr().err
+
+    def test_analytic_z_without_ruin_level_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"analytic": {"laws": [], "ages": [1.0]}})
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--z", "1.0"]) == 3
+        assert "analytic.severity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,field", [
         (lambda s: s["laws"][0].update(update_rate=True), "analytic.laws[0].update_rate"),
@@ -296,6 +347,9 @@ class TestExitCodes:
         (lambda s: s["severity"].update(z_grid=["1"]), "analytic.severity.z_grid[0]"),
         pytest.param(lambda s: s["severity"].update(stages=0), "analytic.severity.stages",
                      id="zero-stages"),
+        pytest.param(lambda s: s.update(ages=[-1.0]), "analytic.ages[0]", id="negative-age"),
+        pytest.param(lambda s: s["severity"].update(ruin_level_s=-1.0),
+                     "analytic.severity.ruin_level_s", id="negative-ruin-level"),
     ])
     def test_bad_analytic_number_is_usage_error(self, tmp_path, capsys, edit, field):
         section = {"laws": [{"discipline": "fcfs", "update_rate": 2.0, "service_rate": 1.0}],

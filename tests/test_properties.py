@@ -1,17 +1,25 @@
-"""Property tests: stage kernels and simulator bookkeeping over wide rate ranges.
+"""Property tests: stage kernels and simulator bookkeeping over wide rate ranges,
+and the config boundary over malformed numbers.
 
 r/mu is drawn log-uniformly over [1e-3, 1e5], from lightly loaded stages to
 the saturated ones the THz link budget produces.  Examples are derandomized
 so every run draws the same cases.
 """
 
+import copy
+import io
+import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzaoi import aoi_analytic as an
+from thzaoi import cli
 from thzaoi import queue_sim as qs
 
 
@@ -65,3 +73,54 @@ def test_simulator_accounts_for_every_packet(ratios, disc, horizon, seed):
     for c in out.stage_counters.values():
         assert c.arrivals == c.deliveries + c.drops + c.preemptions + c.in_system
     assert out.compute_arrivals == out.compute_delivered + out.compute_in_system
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def tiny_user_sweep():
+    cfg = json.loads((CONFIG_DIR / "reference_sweep.json").read_text())
+    cfg["sweep"].update(values=[2], replications=1, horizon_s=5)
+    return cfg
+
+
+CONFIGS = {"analytic": json.loads((CONFIG_DIR / "analytic_grid.json").read_text()),
+           "sweep": tiny_user_sweep()}
+
+
+def numeric_leaves(node, keys=()):
+    """Key paths of every JSON number (list elements included) under ``node``."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from numeric_leaves(child, keys + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
+
+
+def field_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+LEAVES = [(command, keys) for command, cfg in CONFIGS.items() for keys in numeric_leaves(cfg)]
+MALFORMED = [math.nan, math.inf, -math.inf, True, "1", -1, 0, 2.5, 10 ** 400]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(st.sampled_from(LEAVES), st.sampled_from(MALFORMED))
+def test_malformed_config_number_is_rejected_by_field_path(leaf, value):
+    command, keys = leaf
+    cfg = copy.deepcopy(CONFIGS[command])
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            rc = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert rc in (0, 3)
+    if rc == 3:
+        assert field_path(keys) in err.getvalue()

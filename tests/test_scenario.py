@@ -227,6 +227,12 @@ class TestSweep:
         with pytest.raises(ZeroDivisionError):
             sc.run_sweep(sweep, settings)
 
+    def test_zero_update_rate_is_an_error_row(self):
+        # an absorption this high underflows every user's SNR to a zero Shannon rate
+        sweep, settings = self.small_sweep(values=(2.0,), absorption_per_m=2.5)
+        rows = sc.run_sweep(sweep, settings)
+        assert len(rows) == 2 and all("zero update rate" in r["error"] for r in rows)
+
     def test_aggregate_groups_replications(self):
         sweep, settings = self.small_sweep(values=(2.0,), reps=3)
         rows = sc.run_sweep(sweep, settings)
@@ -270,12 +276,12 @@ class TestConfigParsing:
 
     def test_sweep_section(self):
         scen = sc.parse_scenario(self.good())
-        sweep, extras = sc.parse_sweep(
+        sweep, settings = sc.parse_sweep(
             {"variable": "num_users", "values": [5, 10], "replications": 2,
              "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 100.0},
             scen)
         assert sweep.values == (5.0, 10.0)
-        assert extras["arrival_mode"] is sc.ArrivalRateMode.BURKE
+        assert settings.arrival_mode is sc.ArrivalRateMode.BURKE
 
     def test_bad_sweep_variable(self):
         scen = sc.parse_scenario(self.good())
@@ -295,6 +301,9 @@ class TestConfigParsing:
         (None, "num_users", True, "scenario.num_users"),
         (None, "num_users", 0, "scenario.num_users"),
         (None, "placement_seed", "7", "scenario.placement_seed"),
+        ("link", "meta_surfaces", 0, "scenario.link.meta_surfaces"),
+        ("link", "tx_power_w", 0.0, "scenario.link.tx_power_w"),
+        ("queue", "compute_service_rate", -1.0, "scenario.queue.compute_service_rate"),
     ])
     def test_bad_numbers_rejected_with_field_path(self, section, key, value, field):
         cfg = self.good()
@@ -315,6 +324,7 @@ class TestConfigParsing:
         ("replications", 1.5, "sweep.replications"),
         ("horizon_s", math.nan, "sweep.horizon_s"),
         ("threshold_z_s", -math.inf, "sweep.threshold_z_s"),
+        ("replications", 0, "sweep.replications"),
     ])
     def test_bad_sweep_numbers_rejected_with_field_path(self, key, value, field):
         scen = sc.parse_scenario(self.good())
@@ -331,6 +341,14 @@ class TestConfigParsing:
         with pytest.raises(sc.ConfigError, match=re.escape(field)):
             sc.parse_sweep({"variable": "bandwidth", "values": values, "replications": 1,
                             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}, scen)
+
+    def test_settings_carry_the_master_seed(self):
+        _, settings = sc.parse_sweep(
+            {"variable": "num_users", "values": [5], "replications": 1,
+             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0},
+            sc.parse_scenario(self.good()), master_seed=17)
+        assert (settings.ruin_level, settings.threshold_z, settings.horizon,
+                settings.master_seed) == (1.0, 3.0, 10.0, 17)
 
     def test_bandwidth_sweep_values_may_be_fractional(self):
         scen = sc.parse_scenario(self.good())
