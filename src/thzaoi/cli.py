@@ -159,7 +159,8 @@ def cmd_analytic(args) -> int:
         ruin = sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s", least=0)
         z_grid = [sc.number(z, f"analytic.severity.z_grid[{i}]", least=0)
                   for i, z in enumerate(severity.get("z_grid", []))]
-        n_stages = sc.count(severity.get("stages", 1), "analytic.severity.stages", least=1)
+        n_stages = sc.count(severity.get("stages", 1), "analytic.severity.stages",
+                            least=1, most=sc.MOST)
     seed = _master_seed(args, cfg)
 
     rows = []

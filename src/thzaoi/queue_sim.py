@@ -6,24 +6,27 @@ have no feedback from the compute queue, so each user's stage is simulated
 independently and the merged departure stream then drives the compute
 queue; event ties are broken by (time, merge sequence) order.
 
-Stage dynamics use a state-race construction that is exact in
-distribution: while the stage is full, the individual arrivals that can
-only be dropped (FCFS) or can only displace the waiter (LCFS) are drawn in
-bulk -- a Poisson count for the bookkeeping and, for LCFS, the position of
-the last arrival in the window, which is the only one that survives.  This
-keeps the event count O(service rate x horizon) even when update rates are
-four orders of magnitude above the service rate, as THz link budgets
-produce.
+Each stage is simulated as a sequence of i.i.d. service cycles, which is
+exact in distribution: with capacity 2, every service starts with the
+waiting slot empty, so a cycle needs only the service time S ~ Exp(mu),
+the time E ~ Exp(r) to the next arrival and, when E < S, the count
+N ~ Poisson(r (S - E)) of later arrivals in the service, which can only be
+dropped (FCFS) or displace the waiter (LCFS; the last of them survives, at
+a U^(1/N) quantile of the window).  The next service starts S after this
+one if E < S and E after it otherwise, so the start times are one
+cumulative sum over the cycles, and the cost is a few array operations
+per service whatever the update rate -- four orders of magnitude above
+the service rate for THz link budgets.
 
-Randomness: one independent substream per user for its arrival process,
-one per service station, all derived from the master seed, so adding users
-never perturbs existing streams.  Service times are drawn from their own
-substreams in blocks, which gives the same numbers as single draws; each
-user's arrival stream is drawn one value at a time, because its exponential,
-Poisson and uniform draws interleave in event order.  Sample paths are thus
-those of the event-by-event loops in ``tests/sim_reference.py``, bit for
-bit.  The first WARMUP_FRACTION of the horizon is discarded from all
-recorded statistics (counters cover the full run).
+Randomness: one independent substream per user for its stage cycles, drawn
+in blocks, one for the compute queue's service times and one for the
+independent feed, all derived from the master seed, so adding users never
+perturbs existing streams.  The stage paths match the event loops in
+``tests/sim_reference.py`` in distribution, not draw for draw; the compute
+queue, the freshness series and the excursions match them bit for bit when
+both are fed the same departure streams.  The first WARMUP_FRACTION of
+the horizon is discarded from all recorded statistics (counters cover the
+full run).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ WARMUP_FRACTION = 0.01
 
 # spawn-key tags for substream derivation
 _ARRIVAL_TAG = 0
-_STAGE_SVC_TAG = 1
 _COMPUTE_SVC_TAG = 2
 _FEED_TAG = 3
 
@@ -143,83 +145,49 @@ def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # stage simulation
 
-def _draws(rng: np.random.Generator, scale: float):
-    """Exponential draws fetched in blocks: the same numbers as scalar calls."""
-    while True:
-        yield from rng.exponential(scale, 1024).tolist()
-
-
 def _simulate_stage(rate: float, mu: float, horizon: float,
-                    arr_rng: np.random.Generator, svc_rng: np.random.Generator,
-                    discipline: Discipline):
-    """One user's stage queue over [0, horizon].
+                    rng: np.random.Generator, discipline: Discipline):
+    """One user's stage queue over [0, horizon], one service cycle at a time.
 
     Returns (departure times, departure generation times, counters).
     Departures are in generation order for both disciplines, so every
     departure refreshes the stage observer.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
-    scale_arr = 1.0 / rate
-    next_svc = _draws(svc_rng, 1.0 / mu).__next__
-    # scale * standard_exponential() is exponential(scale) bit for bit, and cheaper
-    std_exp = arr_rng.standard_exponential
-    dep_times: list[float] = []
-    dep_gens: list[float] = []
-    arrivals = lost = 0
+    # the throughput is below min(rate, mu), so one block of cycles usually
+    # spans the horizon; at least one is drawn, and more while it falls short
+    block = int(1.1 * min(rate, mu) * horizon) + 64
+    starts, cycles = [np.array([rng.exponential(1.0 / rate)])], []
+    while not cycles or starts[-1][-1] <= horizon:
+        s = rng.exponential(1.0 / mu, block)
+        e = rng.exponential(1.0 / rate, block)
+        n = rng.poisson(rate * np.maximum(s - e, 0.0))
+        # LCFS keeps the latest of the n arrivals behind the waiter: (s - e) U^(1/n) past it
+        u = rng.random(block) ** (1.0 / np.maximum(n, 1)) if lcfs else np.zeros(block)
+        cycles.append((s, e, n, np.where(n > 0, u, 0.0)))
+        # a sequential sum, so a departure start + s is the next start bit for bit
+        starts.append(np.cumsum(np.concatenate((starts[-1][-1:], np.where(e < s, s, e))))[1:])
+    start = np.concatenate(starts)
+    k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
+    start = start[:k]
+    s, e, n, u = (np.concatenate(c)[:k] for c in zip(*cycles))
+    done = start + s
+    queued = e < s              # the next arrival comes during this service and waits
+    arrived = start + e
+    gens = start.copy()         # a service begun empty carries its own arrival
+    carried = np.flatnonzero(queued[:-1])
+    gens[carried + 1] = (arrived + (s - e) * u)[carried]
 
-    t_arr = scale_arr * std_exp()
-    serving_gen = None
-    waiting_gen = None
-    completion = math.inf
-
-    while True:
-        if serving_gen is None:
-            if t_arr > horizon:
-                break
-            arrivals += 1
-            serving_gen = t_arr
-            completion = t_arr + next_svc()
-            t_arr += scale_arr * std_exp()
-        elif waiting_gen is None:
-            if t_arr > horizon and completion > horizon:
-                break
-            if t_arr <= completion:
-                arrivals += 1
-                waiting_gen = t_arr
-                t_arr += scale_arr * std_exp()
-            else:
-                dep_times.append(completion)
-                dep_gens.append(serving_gen)
-                serving_gen = None
-                completion = math.inf
-        else:
-            # full: arrivals before the next completion (or the horizon) only
-            # drop (FCFS) or displace the waiter (LCFS); draw them in bulk
-            past = completion > horizon
-            if (t_arr <= horizon) if past else (t_arr < completion):
-                window = (horizon if past else completion) - t_arr
-                n_extra = int(arr_rng.poisson(rate * window))
-                arrivals += 1 + n_extra
-                lost += 1 + n_extra
-                if past:
-                    break
-                if lcfs:
-                    waiting_gen = (t_arr + window * arr_rng.random() ** (1.0 / n_extra)
-                                   if n_extra else t_arr)
-                t_arr = completion + scale_arr * std_exp()
-            if past:
-                break
-            dep_times.append(completion)
-            dep_gens.append(serving_gen)
-            serving_gen = waiting_gen
-            waiting_gen = None
-            completion = completion + next_svc()
-
+    d = k - int(k > 0 and done[-1] > horizon)   # only the last service can straddle it
+    waiting = int(d < k and queued[-1] and arrived[-1] <= horizon)
+    # behind the straddling service's waiter, arrivals count up to the horizon only
+    lost = int(n[:d].sum()) + (int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0)
+    # services begun empty, plus the waiters that came by the horizon
+    arrivals = k - carried.size + int(np.count_nonzero(queued & (arrived <= horizon)))
     counters = UserCounters(
-        arrivals=arrivals, deliveries=len(dep_times),
-        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0,
-        in_system=int(serving_gen is not None) + int(waiting_gen is not None))
-    return np.asarray(dep_times, dtype=float), np.asarray(dep_gens, dtype=float), counters
+        arrivals=arrivals + lost, deliveries=d,
+        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
+    return done[:d], gens[:d], counters
 
 
 def _freshness_series(times: np.ndarray, arrived: np.ndarray, warmup: float) -> StageSeries:
@@ -250,10 +218,8 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     mu_u = config.stage_service_rate
     dep_streams = []
     for u, rate in enumerate(rates):
-        arr_rng = _rng(seed, _ARRIVAL_TAG, u)
-        svc_rng = _rng(seed, _STAGE_SVC_TAG, u)
         dep_t, dep_g, out.stage_counters[u] = _simulate_stage(
-            rate, mu_u, horizon, arr_rng, svc_rng, config.discipline)
+            rate, mu_u, horizon, _rng(seed, _ARRIVAL_TAG, u), config.discipline)
         out.stage1[u] = _freshness_series(dep_t, dep_g, warmup)
         dep_streams.append((dep_t, dep_g))
 

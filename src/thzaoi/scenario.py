@@ -28,6 +28,10 @@ from . import thz_link as link
 
 _PLACEMENT_TAG = 7
 
+# the most users, stages, replications or validate samples a config may ask
+# for: sizes past it are typos that end in a memory error, not in a result
+MOST = 1_000_000
+
 
 class ConfigError(ValueError):
     """Configuration file problem; message carries the offending field path."""
@@ -241,8 +245,9 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
             sample_sink(value, rep, disc, samples)
         sim_avg = qs.e2e_average_estimate(samples)
         sev_below, n_exc = _sim_severity(samples, settings.ruin_level, settings.threshold_z)
-        ks = qs.ks_distance(qs.empirical_cdf(samples, 0, qs.Stage.STAGE1),
-                            an.cdf_reference(stages[0])) if len(samples.stage1[0]) else math.nan
+        # every user has samples here: the estimate above needs two peaks from each
+        ks = max(qs.ks_distance(qs.empirical_cdf(samples, u, qs.Stage.STAGE1),
+                                an.cdf_reference(law)) for u, law in enumerate(stages))
         drops = sum(c.drops for c in samples.stage_counters.values())
         preempts = sum(c.preemptions for c in samples.stage_counters.values())
         burke_gap = mu_u * len(rates) - samples.compute_arrival_rate
@@ -351,10 +356,14 @@ def number(value, field: str, least: float | None = None) -> float:
     return x
 
 
-def count(value, field: str, least: int | None = None) -> int:
-    """A whole JSON number, at least ``least`` if given; 2 and 2.0 pass, 2.7 and true do not."""
-    if not number(value, field, least).is_integer():
+def count(value, field: str, least: int | None = None, most: int | None = None) -> int:
+    """A whole JSON number within [``least``, ``most``] where given; 2 and 2.0 pass,
+    2.7 and true do not."""
+    x = number(value, field, least)
+    if not x.is_integer():
         raise ConfigError(f"{field}: expected a whole number, got {value!r}")
+    if most is not None and x > most:
+        raise ConfigError(f"{field}: expected a whole number of at most {most:,}, got {value!r}")
     return int(value)
 
 
@@ -406,7 +415,7 @@ def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
     with config_errors(path):
         return Scenario(
             room=parse_room(d["room"], f"{path}.room"),
-            num_users=count(d["num_users"], f"{path}.num_users", least=1),
+            num_users=count(d["num_users"], f"{path}.num_users", least=1, most=MOST),
             link_params=parse_link(d["link"], f"{path}.link"),
             queue=parse_queue(d["queue"], f"{path}.queue"),
             placement_seed=count(d["placement_seed"], f"{path}.placement_seed", least=0))
@@ -419,11 +428,12 @@ def parse_sweep(d: dict, base: Scenario, master_seed: int = 0,
                {"arrival_mode"}, path)
     with config_errors(path):
         variable = SweepVariable(d["variable"])
-        read = (lambda v, field: count(v, field, least=1)) \
+        read = (lambda v, field: count(v, field, least=1, most=MOST)) \
             if variable is SweepVariable.NUM_USERS else positive
         values = tuple(float(read(v, f"{path}.values[{i}]")) for i, v in enumerate(d["values"]))
         sweep = Sweep(variable, values,
-                      count(d["replications"], f"{path}.replications", least=1), base)
+                      count(d["replications"], f"{path}.replications", least=1, most=MOST),
+                      base)
         settings = SweepSettings(
             ruin_level=positive(d["ruin_level_s"], f"{path}.ruin_level_s"),
             threshold_z=positive(d["threshold_z_s"], f"{path}.threshold_z_s"),

@@ -82,7 +82,8 @@ def format_check_line(check: CheckResult) -> str:
 
 
 def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
-    """Counts >= 1 (seed >= 0), horizons > 0, tolerances and budgets >= 0 (0 fails a check)."""
+    """Counts in [1, sc.MOST] (seed >= 0), horizons > 0, tolerances and budgets >= 0
+    (0 fails a check)."""
     defaults = ValidationConfig()
     sc.check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
 
@@ -90,7 +91,9 @@ def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig
         if key.endswith("_horizon"):
             return sc.positive(value, field)
         if isinstance(getattr(defaults, key), int):
-            return sc.count(value, field, least=0 if key == "master_seed" else 1)
+            if key == "master_seed":
+                return sc.count(value, field, least=0)
+            return sc.count(value, field, least=1, most=sc.MOST)
         return sc.number(value, field, least=0)
 
     return replace(defaults, **{k: read(k, v, f"{path}.{k}") for k, v in d.items()})

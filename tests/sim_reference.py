@@ -1,9 +1,13 @@
 """Scalar event-loop simulator kept as the reference for ``thzaoi.queue_sim``.
 
 These are the loop implementations that ``queue_sim`` replaced with array
-code.  They consume the same random substreams in the same order, so the
-array simulator must reproduce their sample paths exactly, array for array
-and counter for counter (see ``test_sim_equivalence.py``).
+code.  The stage loop draws its arrivals and its service times from two
+substreams per user, event by event, where ``queue_sim`` draws i.i.d.
+service cycles from one, so the stage sample paths agree in distribution
+only.  The compute-queue loop, the freshness triples and the excursion
+loop are deterministic given the departure streams, and must be reproduced
+exactly, array for array and counter for counter, when both simulators are
+fed the same streams (see ``test_sim_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -14,9 +18,12 @@ import numpy as np
 
 from thzaoi.aoi_analytic import Discipline
 from thzaoi.queue_sim import (
-    _ARRIVAL_TAG, _COMPUTE_SVC_TAG, _FEED_TAG, _STAGE_SVC_TAG, WARMUP_FRACTION,
+    _ARRIVAL_TAG, _COMPUTE_SVC_TAG, _FEED_TAG, WARMUP_FRACTION,
     ComputeFeed, ExcursionStats, PaoiSamples, QueueConfig, StageSeries, UserCounters, _rng,
 )
+
+# the stage loop draws service times from their own substream per user
+_STAGE_SVC_TAG = 1
 
 
 def _simulate_stage(rate: float, mu: float, horizon: float,

@@ -112,10 +112,17 @@ def test_c08_figure_trends(report):
     assert check.passed, check.details
 
 
-def test_c08_short_trend_series_fails_with_its_length():
-    # a 5 s horizon leaves a cell without samples, so one series is too short
-    short = replace(val.ValidationConfig(), trend_horizon=5.0, trend_replications=1)
-    check = val.check_trends(short)
+def test_c08_short_trend_series_fails_with_its_length(monkeypatch):
+    # error rows for each sweep's first value leave the bandwidth series,
+    # which has three values, one short
+    run_sweep = val.sc.run_sweep
+
+    def first_value_fails(sweep, settings):
+        return [dict(row, error="no samples") if row["value"] == sweep.values[0] else row
+                for row in run_sweep(sweep, settings)]
+
+    monkeypatch.setattr(val.sc, "run_sweep", first_value_fails)
+    check = val.check_trends(replace(val.ValidationConfig(), trend_replications=1))
     assert not check.passed
     assert "2 values, need at least 3" in check.details, check.details
 

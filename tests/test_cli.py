@@ -159,7 +159,7 @@ class TestSweepCommand:
 
 
 class TestValidateCommand:
-    REDUCED = {"ks_deliveries": 30000, "severity_horizon": 20000.0,
+    REDUCED = {"severity_horizon": 20000.0,
                "e2e_horizon": 300.0, "trend_horizon": 25.0,
                "trend_replications": 1}
 
@@ -256,6 +256,9 @@ class TestExitCodes:
         (("sweep", "horizon_s"), 0),
         (("scenario", "placement_seed"), -1),
         pytest.param(("scenario", "link", "carrier_hz"), 10 ** 400, id="400-digit-int"),
+        pytest.param(("scenario", "num_users"), 1e18, id="huge-num-users"),
+        pytest.param(("sweep", "values"), [2, 1e18], id="huge-user-count-value"),
+        pytest.param(("sweep", "replications"), 1e18, id="huge-replications"),
     ])
     def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
         payload = {"scenario": scenario_section(), "sweep": {
@@ -306,7 +309,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("oracle_tol", float("nan")),
                                            ("master_seed", True), ("ks_deliveries", 0),
                                            ("trend_replications", 0), ("e2e_horizon", 0.0),
-                                           ("severity_horizon", -1.0), ("trend_horizon", 0.0)])
+                                           ("severity_horizon", -1.0), ("trend_horizon", 0.0),
+                                           pytest.param("ks_deliveries", 1e18,
+                                                        id="huge-ks_deliveries"),
+                                           pytest.param("trend_replications", 1e18,
+                                                        id="huge-trend_replications")])
     def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {"validate": {key: value}})
         # a bad bound must stop `validate` before the suite runs
@@ -350,6 +357,8 @@ class TestExitCodes:
         pytest.param(lambda s: s.update(ages=[-1.0]), "analytic.ages[0]", id="negative-age"),
         pytest.param(lambda s: s["severity"].update(ruin_level_s=-1.0),
                      "analytic.severity.ruin_level_s", id="negative-ruin-level"),
+        pytest.param(lambda s: s["severity"].update(stages=1e12), "analytic.severity.stages",
+                     id="huge-stages"),
     ])
     def test_bad_analytic_number_is_usage_error(self, tmp_path, capsys, edit, field):
         section = {"laws": [{"discipline": "fcfs", "update_rate": 2.0, "service_rate": 1.0}],

@@ -72,7 +72,14 @@ def test_simulator_accounts_for_every_packet(ratios, disc, horizon, seed):
     out = qs.run(qs.QueueConfig(disc, 1.0, 10.0), ratios, horizon, seed)
     for c in out.stage_counters.values():
         assert c.arrivals == c.deliveries + c.drops + c.preemptions + c.in_system
+        assert 0 <= c.in_system <= 2
     assert out.compute_arrivals == out.compute_delivered + out.compute_in_system
+    again = qs.run(qs.QueueConfig(disc, 1.0, 10.0), ratios, horizon, seed)
+    assert again.stage_counters == out.stage_counters
+    for u in out.stage1:
+        for a, b in ((again.stage1[u], out.stage1[u]), (again.e2e[u], out.e2e[u])):
+            assert all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+                       for f in ("times", "peaks", "post_ages"))
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

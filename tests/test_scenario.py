@@ -227,6 +227,27 @@ class TestSweep:
         with pytest.raises(ZeroDivisionError):
             sc.run_sweep(sweep, settings)
 
+    def test_ks_stage_is_the_largest_over_users(self, monkeypatch):
+        real_run = qs.run
+        runs = []
+
+        def skew_user_1(*args):
+            out = real_run(*args)
+            out.stage1[1].peaks = out.stage1[1].peaks + 0.2
+            runs.append(out)
+            return out
+
+        monkeypatch.setattr(qs, "run", skew_user_1)
+        sweep, settings = self.small_sweep(values=(2.0,))
+        rows = sc.run_sweep(sweep, settings)
+        for out in runs:
+            ks = [qs.ks_distance(qs.empirical_cdf(out, u, qs.Stage.STAGE1),
+                                 an.cdf_reference(an.StageLaw(r, 5.0, out.config.discipline)))
+                  for u, r in enumerate(out.rates)]
+            assert ks[1] > ks[0]
+            cell = [r for r in rows if r["discipline"] == out.config.discipline.value]
+            assert len(cell) == 4 and all(r["ks_stage"] == ks[1] for r in cell)
+
     def test_zero_update_rate_is_an_error_row(self):
         # an absorption this high underflows every user's SNR to a zero Shannon rate
         sweep, settings = self.small_sweep(values=(2.0,), absorption_per_m=2.5)

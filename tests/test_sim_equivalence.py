@@ -1,13 +1,21 @@
-"""The array simulator reproduces the scalar reference loops exactly.
+"""The array simulator against the scalar reference loops.
 
 ``sim_reference`` holds the event-by-event loops the array code replaced.
-Both consume the same random substreams in the same order, so every sample
-array, counter and exceedance must be equal bit for bit, not within a
-tolerance.
+The stage queue is drawn differently (i.i.d. service cycles from one
+substream per user, against arrivals and services event by event from
+two), so at the stage level the two must agree in distribution: a
+two-sample KS test on the pooled peaks and the per-user delivery and loss
+rates, over fixed seeds.  Everything downstream of the stage departures is
+deterministic, so when both simulators are fed the reference loop's
+departures every sample array, counter and exceedance must be equal bit
+for bit, not within a tolerance.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 import sim_reference as ref
 from thzaoi import aoi_analytic as an
@@ -38,18 +46,74 @@ def assert_runs_equal(got: qs.PaoiSamples, want: qs.PaoiSamples):
         assert getattr(got, name) == getattr(want, name), name
 
 
-def both(config, rates, horizon, seed):
-    return (qs.run(config, rates, horizon, seed), ref.run(config, rates, horizon, seed))
+# ---------------------------------------------------------------------------
+# the stage queue: equal in distribution
+
+MU = 2.0
+SEEDS = range(20)
+
+
+def stage_runs(sim, disc, rates, horizon):
+    return [sim.run(qs.QueueConfig(disc, MU, 40.0), rates, horizon, seed) for seed in SEEDS]
+
+
+def mean_and_se(values):
+    x = np.asarray(values, dtype=float)
+    return x.mean(), x.std(ddof=1) / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize("r_over_mu", [0.5, 2.0, 4e3])
+@pytest.mark.parametrize("disc", [FCFS, LCFS])
+def test_stage_matches_the_reference_in_distribution(disc, r_over_mu):
+    rates = [r_over_mu * MU, 0.7 * r_over_mu * MU]
+    horizon = 1000.0
+    got, want = (stage_runs(sim, disc, rates, horizon) for sim in (qs, ref))
+    loss = "preemptions" if disc is LCFS else "drops"
+    for u in range(len(rates)):
+        a = np.concatenate([out.stage1[u].peaks for out in got])
+        b = np.concatenate([out.stage1[u].peaks for out in want])
+        assert min(a.size, b.size) > 10_000
+        assert sps.ks_2samp(a, b).pvalue > 1e-3, (u, sps.ks_2samp(a, b))
+        for name in ("deliveries", loss):
+            (m_a, se_a), (m_b, se_b) = (
+                mean_and_se([getattr(out.stage_counters[u], name) / horizon for out in runs])
+                for runs in (got, want))
+            assert abs(m_a - m_b) <= 3 * math.hypot(se_a, se_b), (u, name, m_a, m_b)
+        for out in got:
+            c = out.stage_counters[u]
+            assert c.arrivals == c.deliveries + c.drops + c.preemptions + c.in_system
+            assert (c.drops if disc is LCFS else c.preemptions) == 0
+
+
+# ---------------------------------------------------------------------------
+# downstream of the stage departures: equal bit for bit
+
+def both(monkeypatch, config, rates, horizon, seed):
+    """Both simulators on the reference stage loop's departures.
+
+    ``qs.run`` hands each user's stage its arrival substream, users in
+    order; the stand-in adds that user's service substream and runs the
+    reference loop on the two, as ``ref.run`` does.
+    """
+    users = iter(range(len(rates)))
+
+    def reference_stage(rate, mu, horizon, arr_rng, discipline):
+        svc_rng = qs._rng(seed, ref._STAGE_SVC_TAG, next(users))
+        t, g, counters, _ = ref._simulate_stage(rate, mu, horizon, arr_rng, svc_rng, discipline)
+        return np.asarray(t, dtype=float), np.asarray(g, dtype=float), counters
+
+    monkeypatch.setattr(qs, "_simulate_stage", reference_stage)
+    return qs.run(config, rates, horizon, seed), ref.run(config, rates, horizon, seed)
 
 
 @pytest.mark.parametrize("feed", list(qs.ComputeFeed))
 @pytest.mark.parametrize("r_over_mu", [1e-3, 0.5, 2.0, 10.0, 4e3])
 @pytest.mark.parametrize("disc", [FCFS, LCFS])
-def test_sample_paths_match_the_reference(disc, r_over_mu, feed):
+def test_sample_paths_match_the_reference(monkeypatch, disc, r_over_mu, feed):
     mu = 2.0
     # the last user is too slow to deliver anything within the horizon
     rates = [r_over_mu * mu, 0.7 * r_over_mu * mu, 1e-9]
-    got, want = both(qs.QueueConfig(disc, mu, 40.0, feed), rates, 400.0, 5)
+    got, want = both(monkeypatch, qs.QueueConfig(disc, mu, 40.0, feed), rates, 400.0, 5)
     assert want.stage_counters[2].deliveries == 0
     assert_runs_equal(got, want)
     for u in range(len(rates)):
@@ -60,16 +124,16 @@ def test_sample_paths_match_the_reference(disc, r_over_mu, feed):
 
 
 @pytest.mark.parametrize("disc", [FCFS, LCFS])
-def test_overloaded_compute_queue_matches(disc):
+def test_overloaded_compute_queue_matches(monkeypatch, disc):
     # six stages deliver about 5.5/s into a compute queue that serves 2.5/s
-    got, want = both(qs.QueueConfig(disc, 1.0, 2.5), [3.0] * 6, 600.0, 8)
+    got, want = both(monkeypatch, qs.QueueConfig(disc, 1.0, 2.5), [3.0] * 6, 600.0, 8)
     assert want.compute_in_system > 100
     assert_runs_equal(got, want)
 
 
-def test_long_horizon_matches():
+def test_long_horizon_matches(monkeypatch):
     # long runs are where a reordered Lindley sum would drift in the last bits
-    got, want = both(qs.QueueConfig(FCFS, 1.0, 3.0), [2.0, 0.4], 40_000.0, 12)
+    got, want = both(monkeypatch, qs.QueueConfig(FCFS, 1.0, 3.0), [2.0, 0.4], 40_000.0, 12)
     assert want.compute_delivered > 30_000
     assert_runs_equal(got, want)
 
