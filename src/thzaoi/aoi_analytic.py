@@ -7,11 +7,9 @@ Poisson update stream of rate r and served at rate mu:
 * ``LCFS_MM12_STAR`` -- the waiting slot is replaced by each new arrival,
   the packet in service is never preempted.
 
-Every closed form carries (r - mu) denominators.  The densities, the FCFS
-CDF and the integrated LCFS CDF are evaluated through the stable kernels
-``_phi1`` and ``_h2``, so they stay exact through r = mu.  Only the
-published LCFS CDF is routed through a series limit inside the guard band
-|r - mu| < SINGULAR_EPS * mu.
+Every closed form carries (r - mu) denominators.  All five -- the two
+densities, the FCFS CDF and both LCFS CDFs -- are evaluated through the
+stable kernels ``_phi1`` and ``_h2``, so they stay exact through r = mu.
 
 The LCFS closed-form CDF is reproduced exactly as published even though
 it is not a valid CDF (it evaluates to mu (2 - mu - r) / (mu + r) at
@@ -32,7 +30,6 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-SINGULAR_EPS = 1e-6          # |r - mu| < SINGULAR_EPS * mu: published LCFS CDF series
 QUAD_ABS_TOL = 1e-9
 TAIL_MASS = 1e-12
 _RANGE_TOL = 1e-8            # slack when range-checking probabilities
@@ -230,42 +227,25 @@ def _cdf_lcfs_integrated(r: float, mu: float, a):
 
 
 def _cdf_lcfs_published(r: float, mu: float, a):
-    # the closed form exactly as printed; violates CDF axioms at a = 0
+    # the closed form exactly as printed, 1 - t1 + t2 - t3, with its 1 / (r (r - mu))
+    # cancelled through exp(-r a) = exp(-mu a) (1 - (r - mu) a phi1(-(r - mu) a)) and
+    # 1 - exp(-r a) = r a phi1(-r a); violates the CDF axioms at a = 0
     delta = r - mu
-    if abs(delta) < SINGULAR_EPS * mu:
-        return _cdf_lcfs_published_series(mu, a, delta)
-    es = np.exp(-(r + mu) * a)
-    er = np.exp(-r * a)
-    emu = np.exp(-mu * a)
-    t1 = es / (r * (r + mu) * delta) * (
-        r ** 3 - 3.0 * mu ** 3 + r * mu * (r + mu) * (1.0 + delta))
-    t2 = er / ((r + mu) * delta) * (r * r + r * mu + mu * mu)
-    t3 = emu / (r * (r + mu) * delta) * (
-        3.0 * mu ** 3 + r * delta ** 2
-        + r * mu * a * (r * r + r * mu - 2.0 * mu * mu))
-    return 1.0 - t1 + t2 - t3
+    s = r + mu
+    poly = r * r + 2.0 * mu * r + 3.0 * mu * mu
+    p = r * r + r * mu + mu * mu
+    bracket = (a * _phi1(-r * a) * (poly + mu * r * s) - p * a * _phi1(-delta * a)
+               - mu * (r + 2.0 * mu) * a - delta - mu * s)
+    return _tail_where_overflowed(1.0 + np.exp(-mu * a) * bracket / s,
+                                  r, mu, a, -p / s, 1, 1.0)
 
 
-def _cdf_lcfs_published_series(mu: float, a, delta: float):
-    # second-order expansion of the published form around r = mu
-    e1 = np.exp(-a * mu)
-    e2 = np.exp(-2.0 * a * mu)
-    c0 = 1.0 + 3.0 * e1 - 3.0 * a * mu * e1 - (mu + 3.0) * e2
-    c1 = (0.75 * a ** 2 * mu * e1 - 0.5 * a * e1 - 3.0 / mu * e1
-          + a * mu * e2 + 3.0 * a * e2 + 2.5 / mu * e2)
-    c2 = (-0.25 * a ** 3 * mu * e1 + 0.375 * a ** 2 * e1
-          - 0.25 * a / mu * e1 + 3.0 / mu ** 2 * e1
-          - 0.5 * a ** 2 * mu * e2 - 1.5 * a ** 2 * e2
-          - 2.5 * a / mu * e2 - 2.75 / mu ** 2 * e2)
-    return c0 + delta * (c1 + delta * c2)
-
-
-def support_bound(law: StageLaw, tail_mass: float = TAIL_MASS) -> float:
-    """Upper truncation point: drop-on-full closed-form tail below ``tail_mass``."""
+def support_bound(law: StageLaw) -> float:
+    """Upper truncation point: drop-on-full closed-form tail below ``TAIL_MASS``."""
     r, mu = law.update_rate, law.service_rate
     upper = 10.0 / min(r, mu)
     for _ in range(200):
-        if 1.0 - _cdf_fcfs_closed(r, mu, upper) < tail_mass:
+        if 1.0 - _cdf_fcfs_closed(r, mu, upper) < TAIL_MASS:
             return upper
         upper *= 1.5
     raise RuntimeError("tail mass did not fall below target")

@@ -28,8 +28,9 @@ from . import thz_link as link
 
 _PLACEMENT_TAG = 7
 
-# the most users, stages, replications or validate samples a config may ask
-# for: sizes past it are typos that end in a memory error, not in a result
+# the most users, stages, replications, validate samples or stage services per
+# user a config may ask for: sizes past it are typos that end in a memory error,
+# not in a result
 MOST = 1_000_000
 
 
@@ -192,11 +193,9 @@ def _derived_seed(*parts: int) -> int:
 
 def _sim_severity(samples: qs.PaoiSamples, ruin_level: float, z: float):
     """Pool completed stage excursions across users; empirical P(M - a <= z)."""
-    pooled = []
-    for u in range(len(samples.rates)):
-        stats_ = qs.excursion_severity(samples.series(u, qs.Stage.STAGE1), ruin_level)
-        pooled.append(stats_.exceedances)
-    exc = np.concatenate(pooled) if pooled else np.empty(0)
+    exc = np.concatenate([
+        qs.excursion_severity(samples.series(u, qs.Stage.STAGE1), ruin_level).exceedances
+        for u in range(len(samples.rates))])
     if exc.size == 0:
         return math.nan, 0
     return float(np.mean(exc <= z)), int(exc.size)
@@ -256,7 +255,7 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
         row["error"] = str(exc)
         return [row]
 
-    n_users = max(len(rates), 1)
+    n_users = len(rates)
     sev_pair = an.severity_both_modes(sys_law, settings.ruin_level,
                                       settings.threshold_z)
     out = []
@@ -307,7 +306,7 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
                "replications": len(members)}
         for m in metrics:
             vals = np.asarray([r[m] for r in members], dtype=float)
-            agg[f"{m}_mean"] = float(np.nanmean(vals)) if vals.size else math.nan
+            agg[f"{m}_mean"] = float(np.nanmean(vals))
             if vals.size > 1 and np.all(np.isfinite(vals)):
                 hw = float(qs.student_t_975(vals.size - 1)
                            * np.std(vals, ddof=1) / math.sqrt(vals.size))
@@ -375,6 +374,15 @@ def positive(value, field: str) -> float:
     return x
 
 
+def horizon(value, field: str, service_rate: float) -> float:
+    """A horizon above zero holding at most ``MOST`` stage services at ``service_rate``."""
+    x = positive(value, field)
+    if x * service_rate > MOST:
+        raise ConfigError(f"{field}: expected at most {MOST / service_rate:g} s "
+                          f"({MOST:,} services at {service_rate:g}/s), got {value!r}")
+    return x
+
+
 def parse_link(d: dict, path: str = "link") -> link.LinkParams:
     check_keys(d, {"bandwidth_hz", "carrier_hz", "tx_power_w", "absorption_per_m",
                    "temperature_k", "meta_surfaces", "image_size_bits"}, set(), path)
@@ -437,7 +445,8 @@ def parse_sweep(d: dict, base: Scenario, master_seed: int = 0,
         settings = SweepSettings(
             ruin_level=positive(d["ruin_level_s"], f"{path}.ruin_level_s"),
             threshold_z=positive(d["threshold_z_s"], f"{path}.threshold_z_s"),
-            horizon=positive(d["horizon_s"], f"{path}.horizon_s"),
+            horizon=horizon(d["horizon_s"], f"{path}.horizon_s",
+                            base.queue.stage_service_rate),
             master_seed=master_seed,
             arrival_mode=ArrivalRateMode(d.get("arrival_mode", "burke")))
         return sweep, settings

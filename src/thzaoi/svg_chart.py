@@ -8,9 +8,9 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def line_chart(series: dict[str, tuple[list[float], list[float]]],
-               title: str, x_label: str, y_label: str,
-               width: int = 640, height: int = 420) -> str:
+               title: str, x_label: str, y_label: str) -> str:
     """Render labelled (x, y) polylines into an SVG document string."""
+    width, height = 640, 420
     pad_l, pad_r, pad_t, pad_b = 70, 20, 40, 55
     plot_w = width - pad_l - pad_r
     plot_h = height - pad_t - pad_b

@@ -32,6 +32,8 @@ ORACLE_MU = (1.0, 5.0)
 ORACLE_RATIOS = (1e2, 1e3, 4e3, 5e3)
 ORACLE_AGES = (1e-3, 0.1, 0.5, 1.0, 3.0, 4.0)
 ORACLE_DIGITS = 30
+# the stage service rate each check runs its horizon at
+_HORIZON_STAGE_RATE = {"e2e_horizon": 5.0, "severity_horizon": 1.0, "trend_horizon": 5.0}
 
 
 @dataclass(frozen=True)
@@ -82,14 +84,14 @@ def format_check_line(check: CheckResult) -> str:
 
 
 def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
-    """Counts in [1, sc.MOST] (seed >= 0), horizons > 0, tolerances and budgets >= 0
-    (0 fails a check)."""
+    """Counts in [1, sc.MOST] (seed >= 0), horizons > 0 of at most sc.MOST stage
+    services, tolerances and budgets >= 0 (0 fails a check)."""
     defaults = ValidationConfig()
     sc.check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
 
     def read(key, value, field):
         if key.endswith("_horizon"):
-            return sc.positive(value, field)
+            return sc.horizon(value, field, _HORIZON_STAGE_RATE[key])
         if isinstance(getattr(defaults, key), int):
             if key == "master_seed":
                 return sc.count(value, field, least=0)
@@ -266,14 +268,13 @@ def check_stage_ks(cfg: ValidationConfig):
 
 
 def _reference_scenario(mu_c: float, meta_surfaces: int = 100,
-                        image_bits: float = 1e7, bandwidth: float = 1e10,
-                        num_users: int = 15, placement_seed: int = 424242) -> sc.Scenario:
-    link = tl.LinkParams(bandwidth_hz=bandwidth, carrier_hz=1e12, tx_power_w=1.0,
+                        image_bits: float = 1e7, num_users: int = 15) -> sc.Scenario:
+    link = tl.LinkParams(bandwidth_hz=1e10, carrier_hz=1e12, tx_power_w=1.0,
                          absorption_per_m=0.0016, temperature_k=300.0,
                          meta_surfaces=meta_surfaces, image_size_bits=image_bits)
     queue = qs.QueueConfig(an.Discipline.FCFS_MM12, 5.0, mu_c, qs.ComputeFeed.TANDEM)
     return sc.Scenario(room=sc.Room(), num_users=num_users, link_params=link,
-                       queue=queue, placement_seed=placement_seed)
+                       queue=queue, placement_seed=424242)
 
 
 @_timed_check("e2e_average_vs_simulator")

@@ -160,15 +160,35 @@ class TestCdfLcfs:
         quad = an.cdf_paoi(stage, 1.0, an.CdfSource.QUADRATURE).value
         assert abs(closed - quad) > 0.2
 
-    def test_published_series_branch_continuity(self):
-        # direct evaluation just outside the guard band vs the series inside
-        mu = 1.0
-        for a in (0.4, 1.0, 3.0):
-            outside = an._cdf_lcfs_published(mu * (1 + 1e-5), mu, a)
-            inside = an._cdf_lcfs_published(mu * (1 + 1e-7), mu, a)
-            at_mu = an._cdf_lcfs_published(mu, mu, a)
-            assert outside == pytest.approx(at_mu, abs=1e-4)
-            assert inside == pytest.approx(at_mu, abs=1e-6)
+    @staticmethod
+    def _mpmath_published(r, mu, a, nudge="0"):
+        # 1 - t1 + t2 - t3 exactly as printed, at 60 digits, at r (1 + nudge)
+        with mp.workdps(60):
+            r, mu, a = mp.mpf(r) * (1 + mp.mpf(nudge)), mp.mpf(mu), mp.mpf(a)
+            d, s = r - mu, r + mu
+            t1 = mp.exp(-s * a) / (r * s * d) * (r ** 3 - 3 * mu ** 3 + r * mu * s * (1 + d))
+            t2 = mp.exp(-r * a) / (s * d) * (r * r + r * mu + mu * mu)
+            t3 = mp.exp(-mu * a) / (r * s * d) * (
+                3 * mu ** 3 + r * d ** 2 + r * mu * a * (r * r + r * mu - 2 * mu * mu))
+            return 1 - t1 + t2 - t3
+
+    def test_published_form_matches_mpmath(self):
+        # through r = mu (exactly: against r = mu (1 + 1e-30)) and into the
+        # exp(-r a) tail, where (mu - r) a > 709
+        near = [1 + sign * eps for eps in (1e-3, 1e-5, 1e-6, 1e-7, 1e-9) for sign in (-1, 1)]
+        ratios = [1e-3, 0.01, 0.5, 0.9, *near, 1.1, 2, 10, 1e2, 1e3, 4e3, 1e5]
+        cases = [(ratio, "0") for ratio in ratios] + [(1.0, "1e-30")]
+        ages = [0, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1, 3, 8, 20, 100, 1000]
+        bad = []
+        for mu in (0.1, 1.0, 5.0, 100.0):
+            for ratio, nudge in cases:
+                for a_mu in ages:
+                    r, a = mu * ratio, a_mu / mu
+                    exact = self._mpmath_published(r, mu, a, nudge)
+                    got = an._cdf_lcfs_published(r, mu, a)
+                    if abs(got - exact) > 1e-12 * max(1, abs(exact)):
+                        bad.append((mu, ratio, nudge, a_mu, got, float(exact)))
+        assert not bad
 
 
 class TestCdfReference:

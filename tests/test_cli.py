@@ -259,6 +259,7 @@ class TestExitCodes:
         pytest.param(("scenario", "num_users"), 1e18, id="huge-num-users"),
         pytest.param(("sweep", "values"), [2, 1e18], id="huge-user-count-value"),
         pytest.param(("sweep", "replications"), 1e18, id="huge-replications"),
+        pytest.param(("sweep", "horizon_s"), 1e12, id="huge-horizon"),
     ])
     def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
         payload = {"scenario": scenario_section(), "sweep": {
@@ -269,7 +270,10 @@ class TestExitCodes:
             node = node[key]
         node[where[-1]] = value
         cfg = write_config(tmp_path, payload)
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        # a bad number must stop `sweep` before any cell is simulated
+        with mock.patch.object(cli.sc, "run_sweep", side_effect=AssertionError):
+            assert cli.main(["sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 3
         assert ".".join(where) in capsys.readouterr().err
 
     def test_zero_users_in_the_sweep_is_usage_error(self, tmp_path, capsys):
@@ -313,7 +317,13 @@ class TestExitCodes:
                                            pytest.param("ks_deliveries", 1e18,
                                                         id="huge-ks_deliveries"),
                                            pytest.param("trend_replications", 1e18,
-                                                        id="huge-trend_replications")])
+                                                        id="huge-trend_replications"),
+                                           pytest.param("severity_horizon", 1e12,
+                                                        id="huge-severity_horizon"),
+                                           pytest.param("e2e_horizon", 1e12,
+                                                        id="huge-e2e_horizon"),
+                                           pytest.param("trend_horizon", 1e12,
+                                                        id="huge-trend_horizon")])
     def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {"validate": {key: value}})
         # a bad bound must stop `validate` before the suite runs
