@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 QUAD_ABS_TOL = 1e-9
 TAIL_MASS = 1e-12
@@ -113,7 +112,12 @@ class FlaggedValue:
 # stable kernels
 
 def _phi1(x):
-    """(exp(x) - 1) / x, continuous through x = 0."""
+    """(exp(x) - 1) / x, continuous through x = 0.
+
+    A Python float (quadrature's one-point calls) takes plain branches with the
+    same threshold and numpy calls as the array path, so both agree bit for bit."""
+    if isinstance(x, float):
+        return 1.0 + x / 2.0 if abs(x) < 1e-12 else float(np.expm1(x) / x)
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-12
     safe = np.where(small, 1.0, x)
@@ -121,14 +125,19 @@ def _phi1(x):
     return out if out.ndim else float(out)
 
 
+def _h2_series(x):
+    return 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+
+
 def _h2(x):
-    """(exp(x) - 1 - x) / x^2, continuous through x = 0."""
+    """(exp(x) - 1 - x) / x^2, continuous through x = 0; a float path as in ``_phi1``."""
+    if isinstance(x, float):
+        return _h2_series(x) if abs(x) < 1e-4 else float((np.expm1(x) - x) / (x * x))
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     safe = np.where(small, 1.0, x)
-    series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
     direct = (np.expm1(safe) - safe) / (safe * safe)
-    out = np.where(small, series, direct)
+    out = np.where(small, _h2_series(x), direct)
     return out if out.ndim else float(out)
 
 
@@ -143,6 +152,10 @@ def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: in
 
 
 def _check_age(a):
+    if isinstance(a, float):
+        if a < 0:
+            raise ValueError("age must be non-negative")
+        return a
     arr = np.asarray(a, dtype=float)
     if np.any(arr < 0):
         raise ValueError("age must be non-negative")
@@ -157,8 +170,9 @@ def _pdf_fcfs(r: float, mu: float, a):
     p_busy = r / (r + mu)
     delta = r - mu
     emu = np.exp(-mu * a)
-    cond_empty = mu ** 2 * r * emu * a ** 2 * _h2(-delta * a)
-    cond_busy = 0.5 * a ** 2 * mu ** 3 * emu
+    # a * a, not a ** 2: a float's pow() can round apart from numpy's square
+    cond_empty = mu ** 2 * r * emu * (a * a) * _h2(-delta * a)
+    cond_busy = 0.5 * (a * a) * mu ** 3 * emu
     return _tail_where_overflowed(cond_empty * p_empty + cond_busy * p_busy,
                                   r, mu, a, p_empty * mu ** 2 * r, 2)
 
@@ -182,14 +196,14 @@ def _pdf_lcfs(r: float, mu: float, a):
 
 
 def pdf_paoi(law: StageLaw, a):
-    """Peak-age density at age(s) ``a``; accepts scalars or arrays."""
+    """Peak-age density at scalar or array age(s) ``a``; a float stays one in the kernels."""
     arr = _check_age(a)
     r, mu = law.update_rate, law.service_rate
     if law.discipline is Discipline.FCFS_MM12:
         out = _pdf_fcfs(r, mu, arr)
     else:
         out = _pdf_lcfs(r, mu, arr)
-    return out if np.ndim(a) else float(out)
+    return float(out) if isinstance(arr, float) or not np.ndim(a) else out
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +275,7 @@ def _quad_breakpoints(law: StageLaw, upper: float) -> list[float]:
 def _quad_pdf(law: StageLaw, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
+    from scipy import integrate
     pts = [p for p in _quad_breakpoints(law, hi) if lo < p < hi]
     val, err = integrate.quad(lambda t: pdf_paoi(law, t), lo, hi,
                               points=pts or None, limit=300,

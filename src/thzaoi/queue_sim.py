@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .aoi_analytic import Discipline
 
@@ -337,10 +336,26 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     return ExcursionStats(ruin_level, highest[highest > ruin_level] - ruin_level)
 
 
+# scipy.stats.t.ppf(0.975, dof) for dof = 1..30: batch means use at most 19,
+# replication intervals replications - 1, so a sweep never imports scipy
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378)
+
+
 @functools.lru_cache(maxsize=None)
 def student_t_975(dof: int) -> float:
     """Student-t 0.975 quantile (a 95% two-sided interval) for ``dof`` degrees of freedom."""
-    return float(sps.t.ppf(0.975, dof))
+    if 1 <= dof <= len(_T975):
+        return _T975[dof - 1]
+    from scipy import stats
+    return float(stats.t.ppf(0.975, dof))
 
 
 def estimate_avg(values: Sequence[float], batches: int = 20) -> AvgEstimate:

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy import integrate
 
 from . import aoi_analytic as an
 from . import queue_sim as qs
@@ -230,6 +229,7 @@ def check_stage_cdf_vs_mpmath(cfg: ValidationConfig):
 
 @_timed_check("stage_mean_moment_consistency")
 def check_moment_consistency(cfg: ValidationConfig):
+    from scipy import integrate
     worst = 0.0
     for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
         for law in _grid_laws(disc):

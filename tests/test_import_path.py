@@ -1,0 +1,64 @@
+"""scipy stays off the sweep's import path.
+
+``thzaoi sweep`` evaluates the reference CDF kernels and reads Student-t
+quantiles from a literal table, so neither importing the CLI nor running a
+sweep loads scipy; only quadrature and t-quantiles above the table do.
+"""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from scipy import stats
+
+import thzaoi
+from thzaoi import queue_sim as qs
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(thzaoi.__file__).resolve().parent.parent
+
+# prints the exit code and the scipy modules loaded, after the whole run
+SWEEP_IN_FRESH_INTERPRETER = """
+import json, sys
+from thzaoi import cli
+rc = cli.main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"rc": rc, "scipy": loaded}))
+"""
+
+
+def test_sweep_never_imports_scipy(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "reference_sweep.json").read_text())
+    # two replications, so the aggregate's confidence intervals need t-quantiles
+    cfg["sweep"].update({"values": [2], "replications": 2, "horizon_s": 10.0})
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(cfg))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SWEEP_IN_FRESH_INTERPRETER,
+         "sweep", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"rc": 0, "scipy": []}
+    with open(tmp_path / "out" / "sweep_aggregate.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(r["replications"] == "2" for r in rows)
+    assert any(float(r["avg_sim_hw"]) > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("dof", range(1, 31))
+def test_t_table_equals_scipy(dof):
+    assert qs._T975[dof - 1] == float(stats.t.ppf(0.975, dof))
+    assert qs.student_t_975(dof) == qs._T975[dof - 1]
+
+
+@pytest.mark.parametrize("dof", [31, 1000])
+def test_t_quantile_above_the_table_falls_back_to_scipy(dof):
+    assert len(qs._T975) < dof
+    assert qs.student_t_975(dof) == float(stats.t.ppf(0.975, dof))

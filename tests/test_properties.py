@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,50 @@ def test_density_is_finite_and_non_negative(ratio, mu, disc, ages):
     law, a = stage_and_ages(ratio, mu, disc, ages)
     pdf = an.pdf_paoi(law, a)
     assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
+
+
+@PROPERTY
+@given(RATIO, MU, DISCIPLINE, AGES)
+def test_density_float_path_is_bit_identical_to_arrays(ratio, mu, disc, ages):
+    law, a = stage_and_ages(ratio, mu, disc, ages)
+    delta = law.update_rate - mu
+    # ages where the kernel argument -delta a meets the series thresholds, and
+    # one in the tail where exp(-delta a) overflows
+    extra = [t / abs(delta) for t in (1e-12, 1e-4)] if delta else []
+    if delta < 0:
+        extra.append(720.0 / -delta)
+    for age in map(float, np.concatenate([a, extra])):
+        fast = an.pdf_paoi(law, age)
+        assert type(fast) is float
+        assert fast == an.pdf_paoi(law, np.array([age]))[0], age
+
+
+# each series threshold, its neighbouring floats and a factor of two either side
+THRESHOLD_POINTS = [0.0] + [float(sign * x) for t in (1e-12, 1e-4) for sign in (-1.0, 1.0)
+                            for x in (t / 2, np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 2 * t)]
+
+
+def test_kernel_float_path_is_bit_identical_at_the_thresholds():
+    for kernel in (an._phi1, an._h2):
+        for x in THRESHOLD_POINTS:
+            fast = kernel(x)
+            assert type(fast) is float
+            assert fast == kernel(np.array([x]))[0], (kernel.__name__, x)
+
+
+@PROPERTY
+@given(st.sampled_from([-1.0, 1.0]), st.floats(-14.0, 2.5))
+def test_kernel_float_path_is_bit_identical_to_arrays(sign, exponent):
+    x = sign * 10.0 ** exponent
+    for kernel in (an._phi1, an._h2):
+        assert kernel(x) == kernel(np.array([x]))[0], (kernel.__name__, x)
+
+
+def test_negative_float_age_is_rejected():
+    with pytest.raises(ValueError):
+        an._check_age(-1.0)
+    with pytest.raises(ValueError):
+        an.pdf_paoi(an.StageLaw(2.0, 1.0), -1.0)
 
 
 @PROPERTY
