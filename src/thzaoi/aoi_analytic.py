@@ -210,13 +210,13 @@ def pdf_paoi(law: StageLaw, a):
 # CDFs
 
 def _cdf_fcfs_closed(r: float, mu: float, a):
-    # exact restatement of the published form with the (r - mu)^-2 factor
-    # absorbed into the h2 kernel
+    # exact restatement of the published form with the (r - mu)^-2 factor absorbed
+    # into the h2 kernel; a * a, as in _pdf_fcfs, keeps the float path equal to arrays
     delta = r - mu
     emu = np.exp(-mu * a)
-    bracket = (2.0 * mu ** 3 * a ** 2 * _h2(-delta * a)
-               + mu ** 3 * a ** 2 + 4.0 * mu ** 2 * a + 4.0 * mu
-               + (mu ** 2 * a ** 2 + 2.0 * mu * a + 2.0) * delta)
+    bracket = (2.0 * mu ** 3 * (a * a) * _h2(-delta * a)
+               + mu ** 3 * (a * a) + 4.0 * mu ** 2 * a + 4.0 * mu
+               + (mu ** 2 * (a * a) + 2.0 * mu * a + 2.0) * delta)
     return _tail_where_overflowed(1.0 - emu * bracket / (2.0 * (r + mu)),
                                   r, mu, a, -mu ** 3 / (r + mu), 2, 1.0)
 
@@ -294,63 +294,55 @@ def _flag_probability(value: float) -> Validity:
     return Validity.INVALID
 
 
+def _cdf_kernel(law: StageLaw, source: CdfSource):
+    """The one stage-CDF kernel of a (discipline, reading): the FCFS closed form for
+    both; for LCFS the published form as CLOSED_FORM, else the integrated density."""
+    if law.discipline is Discipline.FCFS_MM12:
+        return _cdf_fcfs_closed
+    return _cdf_lcfs_published if source is CdfSource.CLOSED_FORM else _cdf_lcfs_integrated
+
+
 def cdf_paoi(law: StageLaw, a, source: CdfSource = CdfSource.REFERENCE) -> FlaggedValue:
     """Peak-age CDF at scalar age ``a`` from the requested source.
 
-    REFERENCE evaluates the canonical kernel of ``cdf_reference``;
-    CLOSED_FORM returns the published expression verbatim (for LCFS this
-    is known-invalid near zero and is flagged, never clamped); QUADRATURE
-    integrates the density and serves as an oracle.
+    REFERENCE is the kernel of ``cdf_reference`` on a float, bit for bit equal to
+    its array path; CLOSED_FORM is the published expression verbatim (for LCFS
+    known-invalid near zero: flagged, never clamped); QUADRATURE integrates the
+    density and serves as an oracle.
     """
-    a = float(a)
-    if a < 0:
-        raise ValueError("age must be non-negative")
-    r, mu = law.update_rate, law.service_rate
-    if source is CdfSource.REFERENCE:
-        val = float(cdf_reference(law)(a))
-    elif source is CdfSource.CLOSED_FORM:
-        if law.discipline is Discipline.FCFS_MM12:
-            val = float(_cdf_fcfs_closed(r, mu, a))
-        else:
-            val = float(_cdf_lcfs_published(r, mu, a))
-    else:
+    a = _check_age(float(a))
+    if source is CdfSource.QUADRATURE:
         val = _quad_pdf(law, 0.0, a)
+    else:
+        val = float(_cdf_kernel(law, source)(law.update_rate, law.service_rate, a))
     return FlaggedValue(val, _flag_probability(val))
 
 
 def cdf_reference(law: StageLaw) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized canonical CDF: the one place that picks the kernel per discipline.
+    """Vectorized canonical CDF: the FCFS closed form, or the integrated LCFS density.
 
-    FCFS uses the closed form (a genuine CDF); LCFS uses the integrated
-    density, never the published form.  Both agree with a 30-digit mpmath
-    evaluation to about 1e-16 at THz-scale rates, which the validation
-    suite checks; quadrature is off by up to about 1e-8 there.
+    Both agree with a 30-digit mpmath evaluation to about 1e-16 at THz-scale
+    rates, which the validation suite checks; quadrature is off by up to
+    about 1e-8 there.
     """
+    kernel = _cdf_kernel(law, CdfSource.REFERENCE)
     r, mu = law.update_rate, law.service_rate
-    if law.discipline is Discipline.FCFS_MM12:
-        return lambda a: _cdf_fcfs_closed(r, mu, np.asarray(a, dtype=float))
-    return lambda a: _cdf_lcfs_integrated(r, mu, np.asarray(a, dtype=float))
+    return lambda a: kernel(r, mu, np.asarray(a, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # system-level CDF and severity
 
-def system_cdf(sys_law: SystemLaw, a, source: CdfSource = CdfSource.REFERENCE) -> FlaggedValue:
-    """Joint CDF of the worst stage: the product of the per-stage CDFs."""
+def system_cdf(sys_law: SystemLaw, a) -> FlaggedValue:
+    """Joint CDF of the worst stage: the product of the per-stage reference CDFs."""
     val = 1.0
-    worst = Validity.VALID
     for stage in sys_law.stages:
-        part = cdf_paoi(stage, a, source)
-        val *= part.value
-        if part.validity is not Validity.VALID:
-            worst = part.validity
-    if worst is Validity.VALID:
-        worst = _flag_probability(val)
-    return FlaggedValue(val, worst)
+        val *= cdf_paoi(stage, a).value
+    return FlaggedValue(val, _flag_probability(val))
 
 
-def severity_both_modes(sys_law: SystemLaw, ruin_level: float, threshold_z: float,
-                        source: CdfSource = CdfSource.REFERENCE) -> dict[PsiMode, FlaggedValue]:
+def severity_both_modes(sys_law: SystemLaw, ruin_level: float,
+                        threshold_z: float) -> dict[PsiMode, FlaggedValue]:
     """Maximum-severity-of-exceedance CDF value J(z) under both Psi readings.
 
     J(z) = [Psi(a) - Psi(a + z)] / [Psi(a) (1 - Psi(z))] with Psi taken
@@ -359,26 +351,18 @@ def severity_both_modes(sys_law: SystemLaw, ruin_level: float, threshold_z: floa
     anything outside [0, 1] is flagged INVALID and a vanishing denominator
     yields NOT_COMPUTABLE (NaN), never a clamp.
     """
-    base = {x: system_cdf(sys_law, x, source)
-            for x in (ruin_level, ruin_level + threshold_z, threshold_z)}
+    points = (ruin_level, ruin_level + threshold_z, threshold_z)
+    cdf = {x: system_cdf(sys_law, x).value for x in points}   # a repeated point is read once
+    raw = [cdf[x] for x in points]
     out = {}
     for mode in (PsiMode.AS_WRITTEN_CDF, PsiMode.SURVIVAL):
-        def pick(x):
-            v = base[x]
-            return FlaggedValue(1.0 - v.value, v.validity) if mode is PsiMode.SURVIVAL else v
-        psi_a, psi_az, psi_z = (pick(ruin_level), pick(ruin_level + threshold_z),
-                                pick(threshold_z))
-        denom = psi_a.value * (1.0 - psi_z.value)
-        if psi_a.value == 0.0 or denom == 0.0:
+        psi_a, psi_az, psi_z = raw if mode is PsiMode.AS_WRITTEN_CDF else [1.0 - c for c in raw]
+        denom = psi_a * (1.0 - psi_z)
+        if psi_a == 0.0 or denom == 0.0:
             out[mode] = FlaggedValue(math.nan, Validity.NOT_COMPUTABLE)
             continue
-        val = (psi_a.value - psi_az.value) / denom
-        flag = _flag_probability(val)
-        if flag is Validity.VALID:
-            for part in (psi_a, psi_az, psi_z):
-                if part.validity is not Validity.VALID:
-                    flag = part.validity
-        out[mode] = FlaggedValue(val, flag)
+        val = (psi_a - psi_az) / denom
+        out[mode] = FlaggedValue(val, _flag_probability(val))
     return out
 
 

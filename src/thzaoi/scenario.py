@@ -306,7 +306,7 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
                "replications": len(members)}
         for m in metrics:
             vals = np.asarray([r[m] for r in members], dtype=float)
-            agg[f"{m}_mean"] = float(np.nanmean(vals))
+            agg[f"{m}_mean"] = math.nan if np.isnan(vals).all() else float(np.nanmean(vals))
             if vals.size > 1 and np.all(np.isfinite(vals)):
                 hw = float(qs.student_t_975(vals.size - 1)
                            * np.std(vals, ddof=1) / math.sqrt(vals.size))

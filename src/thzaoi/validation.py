@@ -311,7 +311,7 @@ def check_e2e_average(cfg: ValidationConfig):
 def check_severity(cfg: ValidationConfig, report: ValidationReport):
     law = an.StageLaw(2.0, 1.0, an.Discipline.FCFS_MM12)
     sys_law = an.SystemLaw((law,))
-    pair = an.severity_both_modes(sys_law, 1.0, 1.0, an.CdfSource.CLOSED_FORM)
+    pair = an.severity_both_modes(sys_law, 1.0, 1.0)
     written = pair[an.PsiMode.AS_WRITTEN_CDF]
     survival = pair[an.PsiMode.SURVIVAL]
     point_ok = (abs(written.value + 3.048824854331173) <= cfg.severity_tol
@@ -326,7 +326,7 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
     rows = []
     for z in z_grid:
         emp = float(np.mean(stats.exceedances <= z)) if not stats.is_empty else math.nan
-        zp = an.severity_both_modes(sys_law, 1.0, z, an.CdfSource.CLOSED_FORM)
+        zp = an.severity_both_modes(sys_law, 1.0, z)
         w, s = zp[an.PsiMode.AS_WRITTEN_CDF], zp[an.PsiMode.SURVIVAL]
         rows.append({
             "z": z, "empirical_below_z": emp, "excursions": int(len(stats.exceedances)),

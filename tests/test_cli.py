@@ -77,6 +77,25 @@ class TestAnalyticCommand:
         assert manifest["master_seed"] == 3
         assert len(manifest["config_sha256"]) == 64
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_tail_is_quiet(self, tmp_path):
+        # (mu - r) a > 709 overflows the kernels; their exact exp(-r a) tail takes over
+        cfg = write_config(tmp_path, {"analytic": {
+            "laws": [{"discipline": d, "update_rate": 0.01, "service_rate": 1.0}
+                     for d in ("fcfs", "lcfs")],
+            "ages": [1000.0],
+            "severity": {"ruin_level_s": 800.0, "z_grid": [300.0], "stages": 1}}})
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = read_csv(tmp_path / "out" / "analytic.csv")
+        # pdf, closed-form and quadrature CDF, stage mean, J(z) as written and as survival
+        assert [float(r["value"]) for r in rows] == pytest.approx([
+            4.586310122172304e-07, 0.9999541368987783, 0.9999541368987765,
+            101.01980198019803, -0.006404654812807131, 1.0005348283719548,
+            4.586305535862182e-07, 0.9999541369446414, 0.9999541369446419,
+            101.01970395059308, -0.006404654810635229, 1.000534775384984], rel=1e-10)
+        assert [r["validity_flag"] for r in rows if r["quantity"] == "severity"] \
+            == ["invalid"] * 4
+
 
 class TestSweepCommand:
     def config(self, tmp_path, values=(2, 3), reps=1):
@@ -156,6 +175,15 @@ class TestSweepCommand:
         header = paoi[0].read_text().splitlines()[0]
         assert header == "replication,user,stage,delivery_time,paoi_seconds"
         assert exc[0].read_text().splitlines()[0] == "replication,ruin_level,exceedance"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_excursion_mean_is_nan_without_a_warning(self, tmp_path):
+        # no age reaches a 30 s ruin level, so every replication's estimate is NaN
+        rc = cli.main(["sweep", "--config", str(self.config(tmp_path, values=(2,), reps=2)),
+                       "--out", str(tmp_path / "out"), "--ruin-level", "30"])
+        assert rc == 0
+        agg = read_csv(tmp_path / "out" / "sweep_aggregate.csv")
+        assert agg and all(r["sim_severity_below_z_mean"] == "nan" for r in agg)
 
 
 class TestValidateCommand:

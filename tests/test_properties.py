@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thzaoi import aoi_analytic as an
@@ -74,6 +74,24 @@ def test_density_float_path_is_bit_identical_to_arrays(ratio, mu, disc, ages):
         fast = an.pdf_paoi(law, age)
         assert type(fast) is float
         assert fast == an.pdf_paoi(law, np.array([age]))[0], age
+
+
+# FCFS r = 0.0907544596044186, mu = 0.7565540679635755 at a = 6.922528464508453: the
+# closed form once squared a with pow() on floats and rounded one ulp from the array path
+FLOAT_POW_POINT = (0.0907544596044186 / 0.7565540679635755, 0.7565540679635755,
+                   an.Discipline.FCFS_MM12, [6.922528464508453 * 0.0907544596044186])
+
+
+@PROPERTY
+@given(RATIO, MU, DISCIPLINE, AGES)
+@example(*FLOAT_POW_POINT)
+def test_cdf_float_path_is_bit_identical_to_arrays(ratio, mu, disc, ages):
+    law, a = stage_and_ages(ratio, mu, disc, ages)
+    for age in map(float, a):
+        fast = an.cdf_paoi(law, age).value
+        assert fast == an.cdf_reference(law)(np.array([age]))[0], age
+        if disc is an.Discipline.FCFS_MM12:
+            assert an.cdf_paoi(law, age, an.CdfSource.CLOSED_FORM).value == fast, age
 
 
 # each series threshold, its neighbouring floats and a factor of two either side
