@@ -212,7 +212,8 @@ def cmd_sweep(args) -> int:
     seed = _master_seed(args, cfg)
     sweep, settings = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]), seed)
     out = _out_dir(args)
-    sink = _sample_sink(out, settings) if args.export_samples else None
+    exported: list[str] = []
+    sink = _sample_sink(out, settings, exported) if args.export_samples else None
     rows = sc.run_sweep(sweep, settings, sample_sink=sink)
     if args.avg_mode is not None:
         rows = [r for r in rows if r.get("avg_analytic_mode", args.avg_mode) == args.avg_mode]
@@ -223,7 +224,7 @@ def cmd_sweep(args) -> int:
     val.write_csv(out / "sweep.csv", sc.SWEEP_COLUMNS, rows)
     agg_columns = list(agg[0].keys()) if agg else ["sweep_var"]
     val.write_csv(out / "sweep_aggregate.csv", agg_columns, agg)
-    outputs = ["sweep.csv", "sweep_aggregate.csv"]
+    outputs = ["sweep.csv", "sweep_aggregate.csv", *sorted(set(exported))]
     if args.svg:
         outputs.append(_render_sweep_svg(out, agg, sweep))
     _write_manifest(args, out, seed, outputs)
@@ -231,7 +232,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sample_sink(out: Path, settings: sc.SweepSettings):
+def _sample_sink(out: Path, settings: sc.SweepSettings, written: list[str]):
+    """Writes each cell's samples under ``out/samples``, appending the paths
+    relative to ``out`` to ``written``."""
     samples_dir = out / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
 
@@ -242,6 +245,7 @@ def _sample_sink(out: Path, settings: sc.SweepSettings):
                                              settings.ruin_level))
                  for u in range(len(samples.rates))]
         qs.write_excursions_csv(samples_dir / f"excursions_{tag}.csv", stats)
+        written.extend((f"samples/paoi_{tag}.csv", f"samples/excursions_{tag}.csv"))
 
     return sink
 

@@ -18,6 +18,13 @@ cumulative sum over the cycles, and the cost is a few array operations
 per service whatever the update rate -- four orders of magnitude above
 the service rate for THz link budgets.
 
+The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
+Within a busy period that is a running sum from the first job's arrival,
+so it is evaluated period by period with every addition the per-job loop
+makes, in the loop's order, and the completion times equal the loop's bit
+for bit.  Where the periods begin is guessed from the max-plus closed form,
+which rounds differently, and checked against the exact completions.
+
 Randomness: one independent substream per user for its stage cycles, drawn
 in blocks, one for the compute queue's service times and one for the
 independent feed, all derived from the master seed, so adding users never
@@ -253,18 +260,11 @@ def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
     independent feed, which has no per-user end-to-end series."""
     n = len(times)
     service = _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / config.compute_service_rate, n)
-    # Lindley recursion in event order (a cumsum form reorders the additions
-    # and changes last bits); completions never decrease, so the jobs
-    # delivered within the horizon are a prefix
-    done: list[float] = []
-    last = 0.0
-    for a, s in zip(times.tolist(), service.tolist()):
-        last = (a if a > last else last) + s
-        if last > horizon:
-            break
-        done.append(last)
-    k = len(done)
-    d = np.asarray(done, dtype=float)
+    d = _departures(times, service)
+    # completions never decrease, so the jobs delivered within the horizon are a
+    # prefix, and a completion exactly at the horizon is delivered
+    k = int(np.searchsorted(d, horizon, side="right"))
+    d = d[:k]
 
     out.compute_arrivals = n
     out.compute_delivered = k
@@ -276,6 +276,62 @@ def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
         counts = np.bincount(users[:k], minlength=len(out.rates))
         for u, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
             out.e2e[u] = _freshness_series(d[idx], gens[idx], warmup)
+
+
+# busy periods of at most this many jobs advance together, one position per
+# step, and each longer one is a cumsum of its own; the sums run over windows
+# of _WINDOW jobs, which keeps the temporaries small and bounds what a
+# misjudged period start costs (the timings are in CHANGES.md)
+_STEPWISE_MAX = 32
+_WINDOW = 1 << 14
+
+
+def _departures(times: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """Completion times ``d[i] = max(times[i], d[i-1]) + service[i]`` from
+    ``d[-1] = 0``, bit for bit those of the per-job loop."""
+    d = np.empty(times.size)
+    lo, prev = 0, 0.0
+    while lo < times.size:
+        hi = (lo // _WINDOW + 1) * _WINDOW
+        a, s = times[lo:hi].copy(), service[lo:hi]
+        a[0] = max(float(a[0]), prev)   # the loop's own step into the window
+        # the max-plus form C + max.accumulate(a - C + s), C = cumsum(s), is
+        # exact in real arithmetic only; it guesses which jobs find the server idle
+        c = np.cumsum(s)
+        guess = c - s
+        np.subtract(a, guess, out=guess)
+        np.maximum.accumulate(guess, out=guess)
+        guess += c
+        opens = np.concatenate(([True], a[1:] > guess[:-1]))
+        heads = np.flatnonzero(opens)
+        w = d[lo:hi]
+        w[:] = s
+        _busy_sums(w, heads, a[heads])
+        # a period's first job must find the server idle and every other job
+        # find it busy; a tie adds the same number either way.  The sums are
+        # exact before the first misjudged job, so the next window starts there.
+        wrong = np.flatnonzero(np.where(opens[1:], a[1:] < w[:-1], a[1:] > w[:-1]))
+        lo += 1 + int(wrong[0]) if wrong.size else a.size
+        prev = float(d[lo - 1])
+    return d
+
+
+def _busy_sums(d: np.ndarray, heads: np.ndarray, base: np.ndarray):
+    """Turn the service times in ``d`` into completion times, for busy periods
+    that begin at ``heads`` (the first at 0) with the server free at ``base``:
+    ``d[j] += base`` at a head, then ``d[i] += d[i-1]``."""
+    lengths = np.diff(heads, append=d.size)
+    d[heads] += base
+    short = lengths <= _STEPWISE_MAX
+    h, m = heads[short], lengths[short]
+    for k in range(1, _STEPWISE_MAX):
+        keep = m > k
+        h, m = h[keep], m[keep]
+        if not h.size:
+            break
+        d[h + k] += d[h + k - 1]
+    for j, e in zip(heads[~short].tolist(), (heads + lengths)[~short].tolist()):
+        np.cumsum(d[j:e], out=d[j:e])
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,17 @@ class TestSweepCommand:
         assert header == "replication,user,stage,delivery_time,paoi_seconds"
         assert exc[0].read_text().splitlines()[0] == "replication,ruin_level,exceedance"
 
+    def test_manifest_lists_the_exported_samples(self, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", str(self.config(tmp_path, reps=2)),
+                       "--out", str(out), "--export-samples", "--svg"])
+        assert rc == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        samples = sorted(f"samples/{p.name}" for p in (out / "samples").iterdir())
+        assert len(samples) == 2 * 2 * 2 * 2   # values x replications x disciplines x kinds
+        assert outputs == ["sweep.csv", "sweep_aggregate.csv", *samples, "sweep_avg.svg"]
+        assert all((out / name).is_file() for name in outputs)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_excursion_mean_is_nan_without_a_warning(self, tmp_path):
         # no age reaches a 30 s ruin level, so every replication's estimate is NaN

@@ -8,7 +8,9 @@ two-sample KS test on the pooled peaks and the per-user delivery and loss
 rates, over fixed seeds.  Everything downstream of the stage departures is
 deterministic, so when both simulators are fed the reference loop's
 departures every sample array, counter and exceedance must be equal bit
-for bit, not within a tolerance.
+for bit, not within a tolerance.  The compute queue's array kernel is also
+checked on its own against the scalar Lindley recursion, bit for bit, on
+inputs chosen to reach each of its paths.
 """
 
 import math
@@ -184,3 +186,134 @@ def test_excursions_on_coarse_grids_match():
         for level in (0.5, 1.0, 1.5, 2.5):
             got = qs.excursion_severity(trace, level).exceedances
             assert np.array_equal(got, ref.excursion_severity(trace, level).exceedances)
+
+
+# ---------------------------------------------------------------------------
+# the compute queue's busy-period sums against the scalar recursion, bit for bit
+
+def lindley(times, service):
+    """The scalar recursion ``_departures`` replaces, in the loop's order."""
+    done, last = [], 0.0
+    for a, s in zip(np.asarray(times, dtype=float).tolist(),
+                    np.asarray(service, dtype=float).tolist()):
+        last = (a if a > last else last) + s
+        done.append(last)
+    return done
+
+
+def assert_departures_exact(times, service):
+    times, service = np.asarray(times, dtype=float), np.asarray(service, dtype=float)
+    got = qs._departures(times, service)
+    assert got.dtype == np.float64
+    assert got.tolist() == lindley(times, service)
+    return got
+
+
+def period_starts(times, done):
+    """Jobs after the first that find the server idle."""
+    return int(np.count_nonzero(np.asarray(times[1:]) > np.asarray(done[:-1])))
+
+
+def test_ties_on_an_integer_grid():
+    rng = np.random.default_rng(21)
+    times = np.cumsum(rng.integers(0, 4, 2000)).astype(float)
+    service = rng.integers(0, 3, 2000).astype(float)
+    done = assert_departures_exact(times, service)
+    assert np.count_nonzero(times[1:] == done[:-1]) > 300   # arrivals exactly at a completion
+    assert period_starts(times, done) > 300
+
+
+@pytest.mark.parametrize("times,service", [
+    ([], []),
+    ([0.0], [0.0]),
+    ([2.5], [0.1]),
+    ([0.0], [0.3]),
+])
+def test_no_job_and_one_job(times, service):
+    assert_departures_exact(times, service)
+
+
+def test_no_job_from_the_independent_feed(monkeypatch):
+    config = qs.QueueConfig(FCFS, 2.0, 40.0, qs.ComputeFeed.INDEPENDENT_POISSON)
+    rates, seed = [3.0, 1.0], 4
+    # the feed runs at the stage rate per user; stop before its first arrival
+    first_gap = qs._rng(seed, qs._FEED_TAG, 0).exponential(1.0 / (2.0 * len(rates)))
+    got, want = both(monkeypatch, config, rates, first_gap / 2, seed)
+    assert want.compute_arrivals == 0
+    assert_runs_equal(got, want)
+
+
+@pytest.mark.parametrize("job", [0, 7, 300])
+def test_completion_exactly_at_the_horizon_is_delivered(job):
+    config = qs.QueueConfig(FCFS, 1.0, 3.0)
+    seed = 6
+    rng = np.random.default_rng(8)
+    times = np.cumsum(rng.exponential(0.4, 600))
+    gens = times - rng.uniform(0.0, 0.5, times.size)
+    users = rng.integers(0, 2, times.size)
+    service = qs._rng(seed, qs._COMPUTE_SVC_TAG, 0).exponential(1.0 / 3.0, times.size)
+    done = assert_departures_exact(times, service)
+    horizon = float(done[job])
+    assert done[job + 1] > horizon
+    got, want = (qs.PaoiSamples(config, (1.0, 1.0), horizon, 0.0, seed) for _ in range(2))
+    qs._simulate_compute(got, times, gens, users, config, horizon, 0.0, seed)
+    ref._simulate_compute(want, times, gens, users, config, horizon, 0.0, seed)
+    assert got.compute_delivered == job + 1
+    assert_runs_equal(got, want)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_busy_periods_around_the_stepwise_limit(extra):
+    # batches of jobs that arrive together, each batch one busy period
+    limit = qs._STEPWISE_MAX
+    lengths = [limit + extra, 1, limit + extra, 2, limit + extra, limit - 1, limit + 1, limit]
+    rng = np.random.default_rng(limit + extra)
+    times = np.repeat(100.0 * np.arange(len(lengths)) + 0.1, lengths)
+    service = rng.exponential(0.7, times.size)
+    done = assert_departures_exact(times, service)
+    assert period_starts(times, done) == len(lengths) - 1
+
+
+def test_one_busy_period_spans_the_run():
+    # longer than a window, so the period is summed in several pieces
+    rng = np.random.default_rng(2)
+    times = np.cumsum(rng.exponential(1.0, 50_000))
+    service = rng.exponential(2.0, times.size)   # load 2
+    done = assert_departures_exact(times, service)
+    assert period_starts(times, done) == 0
+
+
+@pytest.mark.parametrize("rho", [0.01, 0.7, 0.99, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_loads(rho, seed):
+    rng = np.random.default_rng([seed, int(100 * rho)])
+    times = np.cumsum(rng.exponential(1.0, 20_000))
+    assert_departures_exact(times, rng.exponential(rho, times.size))
+
+
+def test_near_ties_on_a_decimal_grid():
+    # sums of tenths land within an ulp of each other, where the guess at
+    # the period starts is as often wrong as right
+    rng = np.random.default_rng(9)
+    times = np.cumsum(np.round(rng.uniform(0.0, 1.0, 5000), 1))
+    assert_departures_exact(times, np.round(rng.uniform(0.0, 0.9, times.size), 1))
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 1000])
+@pytest.mark.parametrize("rho", [0.7, 2.0])
+def test_windows_split_busy_periods(monkeypatch, window, rho):
+    monkeypatch.setattr(qs, "_WINDOW", window)
+    rng = np.random.default_rng(window)
+    times = np.cumsum(rng.exponential(1.0, 3000))
+    assert_departures_exact(times, rng.exponential(rho, times.size))
+
+
+@pytest.mark.parametrize("times,service,expected", [
+    # the guess frees the server one ulp late: the third job opens a period after all
+    ([0.6, 0.6, 1.0], [0.3, 0.1, 0.1], [0.8999999999999999, 0.9999999999999999, 1.1]),
+    # the guess frees the server one ulp early: the third job still waits
+    ([0.2, 0.5, 0.9], [0.4, 0.3, 0.3],
+     [0.6000000000000001, 0.9000000000000001, 1.2000000000000002]),
+])
+def test_misjudged_period_starts_are_repaired(times, service, expected):
+    assert assert_departures_exact(times, service).tolist() == expected
