@@ -16,22 +16,23 @@ it is not a valid CDF (it evaluates to mu (2 - mu - r) / (mu + r) at
 a = 0); results carry a validity flag instead of being corrected
 silently.  The canonical CDFs (``CdfSource.REFERENCE``, the default) are
 the FCFS closed form and, for LCFS, the analytically integrated density.
-Adaptive quadrature of the density (``CdfSource.QUADRATURE``) is kept as
-an independent oracle.
+Gauss-Legendre quadrature of the density (``CdfSource.QUADRATURE``, see
+``_quad_pdf``) is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-QUAD_ABS_TOL = 1e-9
 TAIL_MASS = 1e-12
 _RANGE_TOL = 1e-8            # slack when range-checking probabilities
+_QUAD_SELF_CHECK_TOL = 1e-12  # quadrature's largest move when its panels are halved
 
 
 class Discipline(enum.Enum):
@@ -41,7 +42,7 @@ class Discipline(enum.Enum):
 
 class CdfSource(enum.Enum):
     CLOSED_FORM = "closed_form"      # as published; the LCFS form is flagged invalid
-    QUADRATURE = "quadrature"        # adaptive quadrature of the density (oracle)
+    QUADRATURE = "quadrature"        # Gauss-Legendre quadrature of the density (oracle)
     REFERENCE = "reference"          # canonical kernels, see cdf_reference
 
 
@@ -112,33 +113,20 @@ class FlaggedValue:
 # stable kernels
 
 def _phi1(x):
-    """(exp(x) - 1) / x, continuous through x = 0.
-
-    A Python float (quadrature's one-point calls) takes plain branches with the
-    same threshold and numpy calls as the array path, so both agree bit for bit."""
-    if isinstance(x, float):
-        return 1.0 + x / 2.0 if abs(x) < 1e-12 else float(np.expm1(x) / x)
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-12
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x / 2.0, np.expm1(safe) / safe)
-    return out if out.ndim else float(out)
-
-
-def _h2_series(x):
-    return 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+    """(exp(x) - 1) / x, continuous through x = 0."""
+    return np.where(np.abs(x) < 1e-12, 1.0 + x / 2.0, np.expm1(x) / x)
 
 
 def _h2(x):
-    """(exp(x) - 1 - x) / x^2, continuous through x = 0; a float path as in ``_phi1``."""
-    if isinstance(x, float):
-        return _h2_series(x) if abs(x) < 1e-4 else float((np.expm1(x) - x) / (x * x))
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    direct = (np.expm1(safe) - safe) / (safe * safe)
-    out = np.where(small, _h2_series(x), direct)
-    return out if out.ndim else float(out)
+    """(exp(x) - 1 - x) / x^2, continuous through x = 0."""
+    series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+    return np.where(np.abs(x) < 1e-4, series, (np.expm1(x) - x) / (x * x))
+
+
+# every kernel runs without numpy's overflow and invalid-value warnings: what raises
+# them is the overflow _tail_where_overflowed replaces, or the 0 / 0 of _phi1 and _h2
+# at x = 0, where the series is taken
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: int,
@@ -146,37 +134,34 @@ def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: in
     """``value`` where finite, else the exp(-r a) tail base + coef exp(-r a) / (mu - r)^power.
 
     The kernels overflow only once (mu - r) a > 709, where exp(-mu a) < 1e-308."""
-    if (isinstance(value, float) and math.isfinite(value)) or np.all(np.isfinite(value)):
+    if np.isfinite(value).all():
         return value
     return np.where(np.isfinite(value), value, base + coef * np.exp(-r * a) / (mu - r) ** power)
 
 
 def _check_age(a):
-    if isinstance(a, float):
-        if a < 0:
-            raise ValueError("age must be non-negative")
-        return a
     arr = np.asarray(a, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("age must be non-negative")
-    return arr
+    return arr[()]   # one age as a numpy scalar: scalar arithmetic beats 0-d arrays
 
 
 # ---------------------------------------------------------------------------
 # densities
 
+@_quiet
 def _pdf_fcfs(r: float, mu: float, a):
     p_empty = mu / (r + mu)
     p_busy = r / (r + mu)
     delta = r - mu
     emu = np.exp(-mu * a)
-    # a * a, not a ** 2: a float's pow() can round apart from numpy's square
     cond_empty = mu ** 2 * r * emu * (a * a) * _h2(-delta * a)
     cond_busy = 0.5 * (a * a) * mu ** 3 * emu
     return _tail_where_overflowed(cond_empty * p_empty + cond_busy * p_busy,
                                   r, mu, a, p_empty * mu ** 2 * r, 2)
 
 
+@_quiet
 def _pdf_lcfs(r: float, mu: float, a):
     s = r + mu
     p_empty = mu / s
@@ -196,22 +181,20 @@ def _pdf_lcfs(r: float, mu: float, a):
 
 
 def pdf_paoi(law: StageLaw, a):
-    """Peak-age density at scalar or array age(s) ``a``; a float stays one in the kernels."""
+    """Peak-age density at scalar or array age(s) ``a``."""
     arr = _check_age(a)
-    r, mu = law.update_rate, law.service_rate
-    if law.discipline is Discipline.FCFS_MM12:
-        out = _pdf_fcfs(r, mu, arr)
-    else:
-        out = _pdf_lcfs(r, mu, arr)
-    return float(out) if isinstance(arr, float) or not np.ndim(a) else out
+    kernel = _pdf_fcfs if law.discipline is Discipline.FCFS_MM12 else _pdf_lcfs
+    out = kernel(law.update_rate, law.service_rate, arr)
+    return out if arr.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
 # CDFs
 
+@_quiet
 def _cdf_fcfs_closed(r: float, mu: float, a):
     # exact restatement of the published form with the (r - mu)^-2 factor absorbed
-    # into the h2 kernel; a * a, as in _pdf_fcfs, keeps the float path equal to arrays
+    # into the h2 kernel
     delta = r - mu
     emu = np.exp(-mu * a)
     bracket = (2.0 * mu ** 3 * (a * a) * _h2(-delta * a)
@@ -221,6 +204,7 @@ def _cdf_fcfs_closed(r: float, mu: float, a):
                                   r, mu, a, -mu ** 3 / (r + mu), 2, 1.0)
 
 
+@_quiet
 def _cdf_lcfs_integrated(r: float, mu: float, a):
     # antiderivative of the LCFS density (not the published form): the
     # canonical LCFS CDF, exact where quadrature stops at its tolerance
@@ -240,6 +224,7 @@ def _cdf_lcfs_integrated(r: float, mu: float, a):
                                   r, mu, a, -q2 / (r * s), 1, 1.0)
 
 
+@_quiet
 def _cdf_lcfs_published(r: float, mu: float, a):
     # the closed form exactly as printed, 1 - t1 + t2 - t3, with its 1 / (r (r - mu))
     # cancelled through exp(-r a) = exp(-mu a) (1 - (r - mu) a phi1(-(r - mu) a)) and
@@ -265,25 +250,45 @@ def support_bound(law: StageLaw) -> float:
     raise RuntimeError("tail mass did not fall below target")
 
 
-def _quad_breakpoints(law: StageLaw, upper: float) -> list[float]:
-    scales = {1.0 / (law.update_rate + law.service_rate),
-              1.0 / law.update_rate, 1.0 / law.service_rate,
-              3.0 / law.service_rate}
-    return sorted(p for p in scales if 0.0 < p < upper)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # numpy.polynomial loads here, off the sweep's import path
+    return np.polynomial.legendre.leggauss(20)
 
 
-def _quad_pdf(law: StageLaw, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    from scipy import integrate
-    pts = [p for p in _quad_breakpoints(law, hi) if lo < p < hi]
-    val, err = integrate.quad(lambda t: pdf_paoi(law, t), lo, hi,
-                              points=pts or None, limit=300,
-                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)
-    if not math.isfinite(val) or err > max(1e-7, 1e-6 * abs(val)):
+def _quad_pdf(law: StageLaw, grid, moment: int = 0) -> np.ndarray:
+    """Integral of a^moment pdf(a) from ``grid[0]`` to each point of the ascending ``grid``.
+
+    20-point Gauss-Legendre on panels cut at the grid, at the time scales 1/(r + mu),
+    1/r, 1/mu, 3/mu and at 1/(64 max(r, mu)) times powers of 1.5, all in one call of
+    ``pdf_paoi``.  ``ArithmeticError`` if halving every panel moves a value by more
+    than ``_QUAD_SELF_CHECK_TOL`` times the largest value (at least 1).
+    """
+    grid = _check_age(grid)
+    r, mu = law.update_rate, law.service_rate
+    lo, hi = float(grid[0]), float(grid[-1])
+    first = 1.0 / (64.0 * max(r, mu))
+    steps = math.ceil(math.log(hi / first, 1.5)) if hi > first else 0
+    edges = np.unique(np.concatenate(
+        (grid, [1.0 / (r + mu), 1.0 / r, 1.0 / mu, 3.0 / mu], first * 1.5 ** np.arange(steps))))
+    edges = edges[(edges >= lo) & (edges <= hi)]
+    nodes, weights = _gauss_legendre()
+
+    def cumulative(edges):
+        half = 0.5 * np.diff(edges)
+        t = (edges[:-1] + half)[:, None] + half[:, None] * nodes
+        panels = half * ((pdf_paoi(law, t) * t ** moment) @ weights)
+        return np.cumsum(np.concatenate(([0.0], panels)))
+
+    at = np.searchsorted(edges, grid)
+    cum = cumulative(edges)[at]
+    halved = np.sort(np.concatenate((edges, edges[:-1] + 0.5 * np.diff(edges))))
+    check = cumulative(halved)[2 * at]
+    moved = np.max(np.abs(cum - check))
+    if not moved <= _QUAD_SELF_CHECK_TOL * max(1.0, np.max(np.abs(check))):
         raise ArithmeticError(
-            f"quadrature failed on [{lo}, {hi}]: value={val}, err={err}")
-    return val
+            f"quadrature failed on [{lo}, {hi}]: halving its panels moved it by {moved}")
+    return cum
 
 
 def _flag_probability(value: float) -> Validity:
@@ -305,14 +310,13 @@ def _cdf_kernel(law: StageLaw, source: CdfSource):
 def cdf_paoi(law: StageLaw, a, source: CdfSource = CdfSource.REFERENCE) -> FlaggedValue:
     """Peak-age CDF at scalar age ``a`` from the requested source.
 
-    REFERENCE is the kernel of ``cdf_reference`` on a float, bit for bit equal to
-    its array path; CLOSED_FORM is the published expression verbatim (for LCFS
-    known-invalid near zero: flagged, never clamped); QUADRATURE integrates the
-    density and serves as an oracle.
+    REFERENCE is the kernel of ``cdf_reference``; CLOSED_FORM is the published
+    expression verbatim (for LCFS known-invalid near zero: flagged, never
+    clamped); QUADRATURE integrates the density (``_quad_pdf``), an oracle.
     """
     a = _check_age(float(a))
     if source is CdfSource.QUADRATURE:
-        val = _quad_pdf(law, 0.0, a)
+        val = float(_quad_pdf(law, [0.0, a])[-1])
     else:
         val = float(_cdf_kernel(law, source)(law.update_rate, law.service_rate, a))
     return FlaggedValue(val, _flag_probability(val))
@@ -322,8 +326,8 @@ def cdf_reference(law: StageLaw) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized canonical CDF: the FCFS closed form, or the integrated LCFS density.
 
     Both agree with a 30-digit mpmath evaluation to about 1e-16 at THz-scale
-    rates, which the validation suite checks; quadrature is off by up to
-    about 1e-8 there.
+    rates, which the validation suite checks; quadrature stays within 1e-12
+    there.
     """
     kernel = _cdf_kernel(law, CdfSource.REFERENCE)
     r, mu = law.update_rate, law.service_rate

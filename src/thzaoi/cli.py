@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import aoi_analytic as an
 from . import queue_sim as qs
@@ -166,29 +164,27 @@ def cmd_analytic(args) -> int:
     seed = _master_seed(args, cfg)
 
     rows = []
-    # the kernels overflow past (mu - r) a > 709; their exact exp(-r a) tail replaces the value
-    with np.errstate(over="ignore", invalid="ignore"):
-        for law in laws:
-            base = {"discipline": law.discipline.value, "r": law.update_rate,
-                    "mu": law.service_rate}
+    for law in laws:
+        base = {"discipline": law.discipline.value, "r": law.update_rate,
+                "mu": law.service_rate}
+        for a in ages:
+            rows.append({**base, "a_or_z": a, "quantity": "pdf", "mode": "",
+                         "value": an.pdf_paoi(law, a), "validity_flag": "valid"})
+        for source in (an.CdfSource.CLOSED_FORM, an.CdfSource.QUADRATURE):
             for a in ages:
-                rows.append({**base, "a_or_z": a, "quantity": "pdf", "mode": "",
-                             "value": an.pdf_paoi(law, a), "validity_flag": "valid"})
-            for source in (an.CdfSource.CLOSED_FORM, an.CdfSource.QUADRATURE):
-                for a in ages:
-                    got = an.cdf_paoi(law, a, source)
-                    rows.append({**base, "a_or_z": a, "quantity": "cdf",
-                                 "mode": source.value, "value": got.value,
-                                 "validity_flag": got.validity.value})
-            rows.append({**base, "a_or_z": "", "quantity": "avg_stage", "mode": "",
-                         "value": an.avg_paoi_stage(law), "validity_flag": "valid"})
-            sys_law = an.SystemLaw((law,) * n_stages)
-            for z in z_grid:
-                pair = an.severity_both_modes(sys_law, ruin, z)
-                for mode, got in pair.items():
-                    rows.append({**base, "a_or_z": z, "quantity": "severity",
-                                 "mode": mode.value, "value": got.value,
-                                 "validity_flag": got.validity.value})
+                got = an.cdf_paoi(law, a, source)
+                rows.append({**base, "a_or_z": a, "quantity": "cdf",
+                             "mode": source.value, "value": got.value,
+                             "validity_flag": got.validity.value})
+        rows.append({**base, "a_or_z": "", "quantity": "avg_stage", "mode": "",
+                     "value": an.avg_paoi_stage(law), "validity_flag": "valid"})
+        sys_law = an.SystemLaw((law,) * n_stages)
+        for z in z_grid:
+            pair = an.severity_both_modes(sys_law, ruin, z)
+            for mode, got in pair.items():
+                rows.append({**base, "a_or_z": z, "quantity": "severity",
+                             "mode": mode.value, "value": got.value,
+                             "validity_flag": got.validity.value})
 
     out = _out_dir(args)
     val.write_csv(out / "analytic.csv", ANALYTIC_COLUMNS, rows)
@@ -239,7 +235,7 @@ def _sample_sink(out: Path, settings: sc.SweepSettings, written: list[str]):
     samples_dir.mkdir(parents=True, exist_ok=True)
 
     def sink(value, rep, disc, samples):
-        tag = f"{value:g}_rep{rep}_{disc.value}"
+        tag = f"{value!r}_rep{rep}_{disc.value}"
         qs.write_samples_csv(samples_dir / f"paoi_{tag}.csv", [(rep, samples)])
         stats = [(rep, qs.excursion_severity(samples.series(u, qs.Stage.STAGE1),
                                              settings.ruin_level))

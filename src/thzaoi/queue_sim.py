@@ -393,7 +393,7 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
 
 
 # scipy.stats.t.ppf(0.975, dof) for dof = 1..30: batch means use at most 19,
-# replication intervals replications - 1, so a sweep never imports scipy
+# replication intervals replications - 1, so a sweep never imports mpmath
 _T975 = (
     12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
     2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
@@ -410,8 +410,13 @@ def student_t_975(dof: int) -> float:
     """Student-t 0.975 quantile (a 95% two-sided interval) for ``dof`` degrees of freedom."""
     if 1 <= dof <= len(_T975):
         return _T975[dof - 1]
-    from scipy import stats
-    return float(stats.t.ppf(0.975, dof))
+    import mpmath as mp
+
+    # the t at which P(|T| > t) = I_{dof / (dof + t^2)}(dof / 2, 1 / 2) is 0.05
+    with mp.workdps(40):
+        nu = mp.mpf(dof)
+        return float(mp.findroot(lambda t: mp.betainc(
+            nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) - mp.mpf(1) / 20, 2))
 
 
 def estimate_avg(values: Sequence[float], batches: int = 20) -> AvgEstimate:

@@ -213,8 +213,44 @@ class TestCdfReference:
         assert an.cdf_paoi(stage, 1.0).value == pytest.approx(0.1323938838573952, abs=1e-12)
 
 
+class TestQuadrature:
+    LAWS = TestCdfReference.LAWS
+
+    def test_grid_is_the_running_sum_of_its_intervals(self):
+        for stage in self.LAWS:
+            grid = np.concatenate(([0.0], np.geomspace(1e-4, an.support_bound(stage), 30)))
+            pieces = [an._quad_pdf(stage, [lo, hi])[-1] for lo, hi in zip(grid, grid[1:])]
+            whole = an._quad_pdf(stage, grid)
+            assert whole[0] == 0.0
+            np.testing.assert_allclose(whole[1:], np.cumsum(pieces), rtol=0.0, atol=1e-15)
+
+    def test_repeated_grid_points_read_the_same_value(self):
+        stage = law(2, 1, LCFS)
+        got = an._quad_pdf(stage, [0.0, 0.0, 1.0, 1.0, 2.0])
+        assert got[0] == got[1] == 0.0 and got[2] == got[3]
+
+    def test_nan_density_raises(self, monkeypatch):
+        density = an.pdf_paoi
+        monkeypatch.setattr(an, "pdf_paoi",
+                            lambda stage, a: np.where(a > 0.7, np.nan, density(stage, a)))
+        with pytest.raises(ArithmeticError):
+            an.cdf_paoi(law(2, 1), 1.0, an.CdfSource.QUADRATURE)
+
+    @pytest.mark.parametrize("mu", GRID_MU)
+    def test_fcfs_at_equal_rates_is_erlang3(self, mu):
+        # r = mu: the FCFS density is mu^3 a^2 exp(-mu a) / 2
+        stage = law(mu, mu)
+        grid = np.linspace(0.0, an.support_bound(stage), 61)
+        x = mu * grid
+        erlang3 = 1.0 - np.exp(-x) * (1.0 + x + x * x / 2.0)
+        np.testing.assert_allclose(an.cdf_reference(stage)(grid), erlang3, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(an._quad_pdf(stage, grid), erlang3, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestKernelOverflow:
-    # (mu - r) a above about 709 overflows exp((mu - r) a) in the stable kernels
+    # (mu - r) a above about 709 overflows exp((mu - r) a) in the stable kernels;
+    # the kernels replace those values and raise no warning
     POINTS = [(1.0, 5.0, 200.0), (0.01, 1.0, 1000.0)]
 
     @pytest.mark.parametrize("disc", [FCFS, LCFS])

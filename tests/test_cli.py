@@ -187,6 +187,20 @@ class TestSweepCommand:
         assert outputs == ["sweep.csv", "sweep_aggregate.csv", *samples, "sweep_avg.svg"]
         assert all((out / name).is_file() for name in outputs)
 
+    def test_values_equal_to_six_digits_export_apart(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "scenario": scenario_section(),
+            "sweep": {"variable": "bandwidth", "values": [1e10, 1.0000001e10],
+                      "replications": 1, "ruin_level_s": 1.0,
+                      "threshold_z_s": 3.0, "horizon_s": 10.0},
+        })
+        rc = cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--export-samples"])
+        assert rc == 0
+        samples = sorted(f"samples/{p.name}" for p in (out / "samples").iterdir())
+        assert len(samples) == 2 * 2 * 2   # values x disciplines x kinds
+        assert json.loads((out / "manifest.json").read_text())["outputs"][2:] == samples
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_excursion_mean_is_nan_without_a_warning(self, tmp_path):
         # no age reaches a 30 s ruin level, so every replication's estimate is NaN

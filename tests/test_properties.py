@@ -61,58 +61,11 @@ def test_density_is_finite_and_non_negative(ratio, mu, disc, ages):
 
 
 @PROPERTY
-@given(RATIO, MU, DISCIPLINE, AGES)
-def test_density_float_path_is_bit_identical_to_arrays(ratio, mu, disc, ages):
+@given(log_uniform(1e-2, 5e3), st.sampled_from([1.0, 5.0]), DISCIPLINE, AGES)
+def test_quadrature_matches_the_reference_cdf(ratio, mu, disc, ages):
     law, a = stage_and_ages(ratio, mu, disc, ages)
-    delta = law.update_rate - mu
-    # ages where the kernel argument -delta a meets the series thresholds, and
-    # one in the tail where exp(-delta a) overflows
-    extra = [t / abs(delta) for t in (1e-12, 1e-4)] if delta else []
-    if delta < 0:
-        extra.append(720.0 / -delta)
-    for age in map(float, np.concatenate([a, extra])):
-        fast = an.pdf_paoi(law, age)
-        assert type(fast) is float
-        assert fast == an.pdf_paoi(law, np.array([age]))[0], age
-
-
-# FCFS r = 0.0907544596044186, mu = 0.7565540679635755 at a = 6.922528464508453: the
-# closed form once squared a with pow() on floats and rounded one ulp from the array path
-FLOAT_POW_POINT = (0.0907544596044186 / 0.7565540679635755, 0.7565540679635755,
-                   an.Discipline.FCFS_MM12, [6.922528464508453 * 0.0907544596044186])
-
-
-@PROPERTY
-@given(RATIO, MU, DISCIPLINE, AGES)
-@example(*FLOAT_POW_POINT)
-def test_cdf_float_path_is_bit_identical_to_arrays(ratio, mu, disc, ages):
-    law, a = stage_and_ages(ratio, mu, disc, ages)
-    for age in map(float, a):
-        fast = an.cdf_paoi(law, age).value
-        assert fast == an.cdf_reference(law)(np.array([age]))[0], age
-        if disc is an.Discipline.FCFS_MM12:
-            assert an.cdf_paoi(law, age, an.CdfSource.CLOSED_FORM).value == fast, age
-
-
-# each series threshold, its neighbouring floats and a factor of two either side
-THRESHOLD_POINTS = [0.0] + [float(sign * x) for t in (1e-12, 1e-4) for sign in (-1.0, 1.0)
-                            for x in (t / 2, np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 2 * t)]
-
-
-def test_kernel_float_path_is_bit_identical_at_the_thresholds():
-    for kernel in (an._phi1, an._h2):
-        for x in THRESHOLD_POINTS:
-            fast = kernel(x)
-            assert type(fast) is float
-            assert fast == kernel(np.array([x]))[0], (kernel.__name__, x)
-
-
-@PROPERTY
-@given(st.sampled_from([-1.0, 1.0]), st.floats(-14.0, 2.5))
-def test_kernel_float_path_is_bit_identical_to_arrays(sign, exponent):
-    x = sign * 10.0 ** exponent
-    for kernel in (an._phi1, an._h2):
-        assert kernel(x) == kernel(np.array([x]))[0], (kernel.__name__, x)
+    quad = an._quad_pdf(law, a)
+    assert np.max(np.abs(quad - an.cdf_reference(law)(a))) <= 1e-12
 
 
 def test_negative_float_age_is_rejected():
