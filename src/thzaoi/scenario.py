@@ -399,10 +399,16 @@ def parse_link(d: dict, path: str = "link") -> link.LinkParams:
 
 def parse_room(d: dict, path: str = "room") -> Room:
     check_keys(d, {"side_length"}, {"ris_positions"}, path)
+    field = f"{path}.ris_positions"
+    pos = d.get("ris_positions", ())
+    if "ris_positions" in d and not (isinstance(pos, list) and pos):
+        raise ConfigError(f"{field}: expected a non-empty list of [x, y] pairs, got {pos!r}")
+    for i, xy in enumerate(pos):
+        if not (isinstance(xy, list) and len(xy) == 2):
+            raise ConfigError(f"{field}[{i}]: expected an [x, y] pair, got {xy!r}")
     with config_errors(path):
-        pos = tuple((number(x, f"{path}.ris_positions[{i}]"),
-                     number(y, f"{path}.ris_positions[{i}]"))
-                    for i, (x, y) in enumerate(d.get("ris_positions", ())))
+        pos = tuple((number(x, f"{field}[{i}]"), number(y, f"{field}[{i}]"))
+                    for i, (x, y) in enumerate(pos))
         return Room(side_length=positive(d["side_length"], f"{path}.side_length"),
                     ris_positions=pos)
 
@@ -438,10 +444,12 @@ def parse_sweep(d: dict, base: Scenario, master_seed: int = 0,
         variable = SweepVariable(d["variable"])
         read = (lambda v, field: count(v, field, least=1, most=MOST)) \
             if variable is SweepVariable.NUM_USERS else positive
+        if not (isinstance(d["values"], list) and d["values"]):
+            raise ConfigError(f"{path}.values: expected a non-empty list, got {d['values']!r}")
         values = tuple(float(read(v, f"{path}.values[{i}]")) for i, v in enumerate(d["values"]))
-        sweep = Sweep(variable, values,
-                      count(d["replications"], f"{path}.replications", least=1, most=MOST),
-                      base)
+        replications = count(d["replications"], f"{path}.replications", least=1, most=MOST)
+        with config_errors(f"{path}.values"):   # Sweep's one check left is on the values
+            sweep = Sweep(variable, values, replications, base)
         settings = SweepSettings(
             ruin_level=positive(d["ruin_level_s"], f"{path}.ruin_level_s"),
             threshold_z=positive(d["threshold_z_s"], f"{path}.threshold_z_s"),

@@ -6,8 +6,9 @@ canonical CDF kernels and the quadrature against a 30-digit mpmath
 evaluation, the reference CDFs against the discrete-event simulator,
 the published-but-inconsistent expressions against their flagged
 reproductions.  The same suite backs the ``validate`` CLI command and
-the acceptance tests; tolerances live in ``ValidationConfig`` so a
-corrupted tolerance demonstrably fails.
+the acceptance tests.  Its fixed tolerances and time budgets are module
+constants, so a corrupted tolerance demonstrably fails; ``ValidationConfig``
+holds only what runs change.
 """
 
 from __future__ import annotations
@@ -32,31 +33,31 @@ ORACLE_MU = (1.0, 5.0)
 ORACLE_RATIOS = (1e2, 1e3, 4e3, 5e3)
 ORACLE_AGES = (1e-3, 0.1, 0.5, 1.0, 3.0, 4.0)
 ORACLE_DIGITS = 30
+NORMALIZATION_TOL = CLOSED_VS_QUAD_TOL = MOMENT_TOL = 1e-6
+CDF_SPOT_TOL = 1e-4
+PUBLISHED_ORIGIN_TOL = 1e-9
+LCFS_TAIL_TOL = 1e-6
+ORACLE_TOL = 1e-12
+SEVERITY_TOL = 1e-6
+NORMALIZATION_MAX_SECONDS = 10.0
+KS_MAX_SECONDS = 60.0
+TOTAL_BUDGET_SECONDS = 300.0
 # the stage service rate each check runs its horizon at
 _HORIZON_STAGE_RATE = {"e2e_horizon": 5.0, "severity_horizon": 1.0, "trend_horizon": 5.0}
 
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    normalization_tol: float = 1e-6
-    normalization_max_seconds: float = 10.0
-    closed_vs_quad_tol: float = 1e-6
-    cdf_spot_tol: float = 1e-4
-    published_origin_tol: float = 1e-9
-    lcfs_tail_tol: float = 1e-6
-    oracle_tol: float = 1e-12
-    moment_tol: float = 1e-6
+    """What runs change: the simulator sizes, the seed and the tolerances that scale with them."""
+
     ks_tolerance: float = 0.01
     ks_deliveries: int = 100_000
-    ks_max_seconds: float = 60.0
     e2e_rel_tol: float = 0.02
     e2e_horizon: float = 800.0
-    severity_tol: float = 1e-6
     severity_horizon: float = 420_000.0
     trend_horizon: float = 60.0
     trend_replications: int = 2
     master_seed: int = 20260810
-    total_budget_seconds: float = 300.0
 
 
 @dataclass
@@ -85,7 +86,7 @@ def format_check_line(check: CheckResult) -> str:
 
 def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
     """Counts in [1, sc.MOST] (seed >= 0), horizons > 0 of at most sc.MOST stage
-    services, tolerances and budgets >= 0 (0 fails a check)."""
+    services, tolerances >= 0 (0 fails a check)."""
     defaults = ValidationConfig()
     sc.check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
 
@@ -112,8 +113,15 @@ def _grid_laws(disc):
     return laws
 
 
+def _worst_moment_gap(moment: int, expected) -> float:
+    """Largest |integral of a^moment pdf - expected(law)| over both disciplines' grid laws."""
+    return max(abs(an._quad_pdf(law, [0.0, an.support_bound(law)], moment)[-1] - expected(law))
+               for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)
+               for law in _grid_laws(disc))
+
+
 def _timed_check(name: str):
-    """Make ``fn(cfg, ...) -> (passed, details)`` return a timed ``CheckResult``."""
+    """Make ``fn(...) -> (passed, details)`` return a timed ``CheckResult``."""
     def decorate(fn):
         @functools.wraps(fn)
         def timed(*args) -> CheckResult:
@@ -128,53 +136,46 @@ def _timed_check(name: str):
 # individual checks
 
 @_timed_check("density_normalization")
-def check_normalization(cfg: ValidationConfig):
+def check_normalization():
     start = time.perf_counter()
-    worst = 0.0
-    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-        for law in _grid_laws(disc):
-            mass = an._quad_pdf(law, [0.0, an.support_bound(law)])[-1]
-            worst = max(worst, abs(mass - 1.0))
+    worst = _worst_moment_gap(0, lambda law: 1.0)
     details = f"max |mass - 1| = {worst:.3e}"
-    if time.perf_counter() - start >= cfg.normalization_max_seconds:
-        return False, details + f"; exceeded {cfg.normalization_max_seconds}s budget"
-    return worst <= cfg.normalization_tol, details
+    if time.perf_counter() - start >= NORMALIZATION_MAX_SECONDS:
+        return False, details + f"; exceeded {NORMALIZATION_MAX_SECONDS}s budget"
+    return worst <= NORMALIZATION_TOL, details
 
 
 @_timed_check("fcfs_closed_vs_quadrature")
-def check_fcfs_closed_vs_quadrature(cfg: ValidationConfig):
+def check_fcfs_closed_vs_quadrature():
     worst = 0.0
     for law in _grid_laws(an.Discipline.FCFS_MM12):
         grid = np.linspace(0.0, 20.0 / law.service_rate, 200)
-        for hi, cum in zip(grid[1:], an._quad_pdf(law, grid)[1:]):
-            closed = an.cdf_paoi(law, hi, an.CdfSource.CLOSED_FORM).value
-            worst = max(worst, abs(closed - cum))
+        # for FCFS the reference CDF is the closed form
+        gap = np.abs(an.cdf_reference(law)(grid[1:]) - an._quad_pdf(law, grid)[1:])
+        worst = max(worst, float(gap.max()))
     spot = an.cdf_paoi(an.StageLaw(2, 1), 1.0, an.CdfSource.CLOSED_FORM).value
     spot_err = abs(spot - 0.096502876187763686)
-    ok = worst <= cfg.closed_vs_quad_tol and spot_err <= cfg.cdf_spot_tol
+    ok = worst <= CLOSED_VS_QUAD_TOL and spot_err <= CDF_SPOT_TOL
     return ok, f"max |closed - quad| = {worst:.3e}, spot err = {spot_err:.3e}"
 
 
 @_timed_check("lcfs_published_cdf_discrepancy")
-def check_lcfs_discrepancy(cfg: ValidationConfig, report: ValidationReport):
+def check_lcfs_discrepancy(report: ValidationReport):
     law = an.StageLaw(2.0, 1.0, an.Discipline.LCFS_MM12_STAR)
     origin = an.cdf_paoi(law, 0.0, an.CdfSource.CLOSED_FORM)
-    origin_ok = (abs(origin.value + 1.0 / 3.0) <= cfg.published_origin_tol
+    origin_ok = (abs(origin.value + 1.0 / 3.0) <= PUBLISHED_ORIGIN_TOL
                  and origin.validity is an.Validity.INVALID)
 
     grid = np.linspace(0.0, 20.0, 200)
     cum_arr = an._quad_pdf(law, grid)
     monotone = bool(np.all(np.diff(cum_arr) >= -1e-9))
-    tail_ok = 1.0 - cum_arr[-1] < cfg.lcfs_tail_tol
+    tail_ok = 1.0 - cum_arr[-1] < LCFS_TAIL_TOL
     zero_ok = cum_arr[0] == 0.0
 
-    rows = []
-    for a, quad_val in zip(grid, cum_arr):
-        closed = an.cdf_paoi(law, float(a), an.CdfSource.CLOSED_FORM)
-        rows.append({"a": float(a), "closed_form": closed.value,
-                     "closed_validity": closed.validity.value,
-                     "quadrature": float(quad_val),
-                     "difference": closed.value - float(quad_val)})
+    closed = an._cdf_kernel(law, an.CdfSource.CLOSED_FORM)(law.update_rate, law.service_rate, grid)
+    rows = [{"a": a, "closed_form": c, "closed_validity": an._flag_probability(c).value,
+             "quadrature": q, "difference": c - q}
+            for a, c, q in zip(grid.tolist(), closed.tolist(), cum_arr.tolist())]
     report.artifacts["lcfs_cdf_discrepancy"] = rows
     ok = origin_ok and monotone and tail_ok and zero_ok
     return ok, (f"origin = {origin.value:.10f} ({origin.validity.value}), "
@@ -203,34 +204,30 @@ def _mpmath_stage_cdf(law: an.StageLaw, a: float):
 
 
 @_timed_check("stage_cdf_vs_mpmath")
-def check_stage_cdf_vs_mpmath(cfg: ValidationConfig):
+def check_stage_cdf_vs_mpmath():
     worst_ref = worst_quad = 0.0
     for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
         for mu in ORACLE_MU:
             for ratio in ORACLE_RATIOS:
                 law = an.StageLaw(ratio * mu, mu, disc)
-                for a in ORACLE_AGES:
+                refs = an.cdf_reference(law)(ORACLE_AGES)
+                quads = an._quad_pdf(law, (0.0,) + ORACLE_AGES)[1:]
+                for a, ref, quad in zip(ORACLE_AGES, refs, quads):
                     exact = _mpmath_stage_cdf(law, a)
-                    ref = an.cdf_paoi(law, a, an.CdfSource.REFERENCE).value
-                    quad = an.cdf_paoi(law, a, an.CdfSource.QUADRATURE).value
                     worst_ref = max(worst_ref, float(abs(ref - exact)))
                     worst_quad = max(worst_quad, float(abs(quad - exact)))
-    return max(worst_ref, worst_quad) <= cfg.oracle_tol, (
+    return max(worst_ref, worst_quad) <= ORACLE_TOL, (
         f"max |reference - mpmath| = {worst_ref:.2e}, "
-        f"max |quadrature - mpmath| = {worst_quad:.2e} (tol {cfg.oracle_tol:.0e})")
+        f"max |quadrature - mpmath| = {worst_quad:.2e} (tol {ORACLE_TOL:.0e})")
 
 
 @_timed_check("stage_mean_moment_consistency")
-def check_moment_consistency(cfg: ValidationConfig):
-    worst = 0.0
-    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-        for law in _grid_laws(disc):
-            moment = an._quad_pdf(law, [0.0, an.support_bound(law)], moment=1)[-1]
-            worst = max(worst, abs(moment - an.avg_paoi_stage(law)))
+def check_moment_consistency():
+    worst = _worst_moment_gap(1, an.avg_paoi_stage)
     spot_f = abs(an.avg_paoi_stage(an.StageLaw(2, 1)) - 17.0 / 6.0)
     spot_l = abs(an.avg_paoi_stage(
         an.StageLaw(2, 1, an.Discipline.LCFS_MM12_STAR)) - 43.0 / 18.0)
-    ok = worst <= cfg.moment_tol and spot_f < 1e-12 and spot_l < 1e-12
+    ok = worst <= MOMENT_TOL and spot_f < 1e-12 and spot_l < 1e-12
     return ok, f"max |closed mean - moment| = {worst:.3e}"
 
 
@@ -249,7 +246,7 @@ def check_stage_ks(cfg: ValidationConfig):
             d = qs.ks_distance(ecdf, an.cdf_reference(law))
             case_s = time.perf_counter() - case_start
             good = d <= cfg.ks_tolerance and ecdf.n >= cfg.ks_deliveries \
-                and case_s < cfg.ks_max_seconds
+                and case_s < KS_MAX_SECONDS
             ok = ok and good
             lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={ecdf.n} ({case_s:.1f}s)")
     return ok, "; ".join(lines)
@@ -302,8 +299,8 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
     pair = an.severity_both_modes(sys_law, 1.0, 1.0)
     written = pair[an.PsiMode.AS_WRITTEN_CDF]
     survival = pair[an.PsiMode.SURVIVAL]
-    point_ok = (abs(written.value + 3.048824854331173) <= cfg.severity_tol
-                and abs(survival.value - 3.048824854331173) <= cfg.severity_tol
+    point_ok = (abs(written.value + 3.048824854331173) <= SEVERITY_TOL
+                and abs(survival.value - 3.048824854331173) <= SEVERITY_TOL
                 and written.validity is an.Validity.INVALID
                 and survival.validity is an.Validity.INVALID)
 
@@ -395,13 +392,7 @@ def write_rows_csv(fh, columns, rows):
     w = csv.writer(fh)
     w.writerow(columns)
     for row in rows:
-        w.writerow([_csv_cell(row.get(c, "")) for c in columns])
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        w.writerow([row.get(c, "") for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +403,11 @@ def run_validation(cfg: ValidationConfig | None = None,
     cfg = cfg or ValidationConfig()
     report = ValidationReport()
     start = time.perf_counter()
-    report.checks.append(check_normalization(cfg))
-    report.checks.append(check_fcfs_closed_vs_quadrature(cfg))
-    report.checks.append(check_lcfs_discrepancy(cfg, report))
-    report.checks.append(check_stage_cdf_vs_mpmath(cfg))
-    report.checks.append(check_moment_consistency(cfg))
+    report.checks.append(check_normalization())
+    report.checks.append(check_fcfs_closed_vs_quadrature())
+    report.checks.append(check_lcfs_discrepancy(report))
+    report.checks.append(check_stage_cdf_vs_mpmath())
+    report.checks.append(check_moment_consistency())
     report.checks.append(check_stage_ks(cfg))
     report.checks.append(check_e2e_average(cfg))
     report.checks.append(check_severity(cfg, report))
@@ -425,8 +416,8 @@ def run_validation(cfg: ValidationConfig | None = None,
     report.total_duration_s = time.perf_counter() - start
     report.checks.append(CheckResult(
         "total_runtime_budget",
-        report.total_duration_s < cfg.total_budget_seconds,
-        f"suite took {report.total_duration_s:.1f}s of {cfg.total_budget_seconds:.0f}s",
+        report.total_duration_s < TOTAL_BUDGET_SECONDS,
+        f"suite took {report.total_duration_s:.1f}s of {TOTAL_BUDGET_SECONDS:.0f}s",
         0.0))
     if out_dir is not None:
         persist_artifacts(report, out_dir)

@@ -313,6 +313,9 @@ class TestExitCodes:
         pytest.param(("sweep", "values"), [2, 1e18], id="huge-user-count-value"),
         pytest.param(("sweep", "replications"), 1e18, id="huge-replications"),
         pytest.param(("sweep", "horizon_s"), 1e12, id="huge-horizon"),
+        pytest.param(("scenario", "room", "ris_positions"), [], id="no-ris-positions"),
+        pytest.param(("sweep", "values"), [], id="no-sweep-values"),
+        pytest.param(("sweep", "values"), [3, 2], id="decreasing-sweep-values"),
     ])
     def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
         payload = {"scenario": scenario_section(), "sweep": {
@@ -328,6 +331,18 @@ class TestExitCodes:
             assert cli.main(["sweep", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3
         assert ".".join(where) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("position", [[1, 2, 3], [5], 5])
+    def test_malformed_ris_position_is_usage_error_with_its_index(self, tmp_path, capsys,
+                                                                  position):
+        payload = {"scenario": scenario_section(), "sweep": {
+            "variable": "num_users", "values": [2], "replications": 1,
+            "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
+        payload["scenario"]["room"]["ris_positions"] = [position]
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "scenario.room.ris_positions[0]: expected an [x, y] pair" \
+            in capsys.readouterr().err
 
     def test_zero_users_in_the_sweep_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": scenario_section(), "sweep": {
@@ -363,7 +378,7 @@ class TestExitCodes:
             assert cli.main(argv) == 3
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("oracle_tol", float("nan")),
+    @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("ks_tolerance", float("nan")),
                                            ("master_seed", True), ("ks_deliveries", 0),
                                            ("trend_replications", 0), ("e2e_horizon", 0.0),
                                            ("severity_horizon", -1.0), ("trend_horizon", 0.0),
@@ -384,6 +399,17 @@ class TestExitCodes:
             assert cli.main(["validate", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3
         assert f"validate.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [
+        "normalization_tol", "closed_vs_quad_tol", "moment_tol", "cdf_spot_tol",
+        "published_origin_tol", "lcfs_tail_tol", "oracle_tol", "severity_tol",
+        "normalization_max_seconds", "ks_max_seconds", "total_budget_seconds"])
+    def test_fixed_tolerance_is_not_a_validate_key(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, {"validate": {key: getattr(cli.val, key.upper())}})
+        with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
+            assert cli.main(["validate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 3
+        assert "validate: unknown keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag,value,field", [
         ("sweep", "--replications", "0", "sweep.replications"),
