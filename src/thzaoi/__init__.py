@@ -13,8 +13,8 @@ from .queue_sim import (  # noqa: F401
     empirical_cdf, estimate_avg, excursion_severity, ks_distance, run,
 )
 from .scenario import (  # noqa: F401
-    ArrivalRateMode, ConfigError, Room, Scenario, Sweep, SweepSettings,
-    SweepVariable, associate, place_users, realize_rates, run_sweep,
+    ArrivalRateMode, ConfigError, Room, Scenario, Sweep, SweepVariable,
+    associate, place_users, realize_rates, run_sweep,
 )
 from .thz_link import (  # noqa: F401
     LinkGeometry, LinkParams, channel_gain, noise_plus_interference,

@@ -50,10 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="run a user-count or bandwidth sweep")
     common(p_sw)
-    p_sw.add_argument("--psi-mode", choices=[m.value for m in an.PsiMode], default=None,
-                      help="emit only this severity interpretation")
-    p_sw.add_argument("--avg-mode", choices=[m.value for m in an.AvgMode], default=None,
-                      help="emit only this average formula mode")
     p_sw.add_argument("--feed", choices=[m.value for m in qs.ComputeFeed], default=None,
                       help="compute-queue feed override")
     p_sw.add_argument("--replications", type=int, default=None)
@@ -107,7 +103,10 @@ def _override(cfg: dict, keys: tuple[str, ...], value):
 
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(f"out-{args.command}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:   # a file is in the way
+        raise sc.ConfigError(f"--out: cannot make directory {out} ({exc.strerror})") from exc
     return out
 
 
@@ -148,9 +147,9 @@ def cmd_analytic(args) -> int:
     section = cfg["analytic"]
     sc.check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
     laws = [_parse_analytic_law(d, f"analytic.laws[{i}]")
-            for i, d in enumerate(section.get("laws", []))]
+            for i, d in enumerate(sc.entries(section.get("laws", []), "analytic.laws"))]
     ages = [sc.number(a, f"analytic.ages[{i}]", least=0)
-            for i, a in enumerate(section.get("ages", []))]
+            for i, a in enumerate(sc.entries(section.get("ages", []), "analytic.ages"))]
 
     severity = section.get("severity")
     ruin, z_grid, n_stages = None, [], 1
@@ -158,7 +157,8 @@ def cmd_analytic(args) -> int:
         sc.check_keys(severity, {"ruin_level_s"}, {"z_grid", "stages"}, "analytic.severity")
         ruin = sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s", least=0)
         z_grid = [sc.number(z, f"analytic.severity.z_grid[{i}]", least=0)
-                  for i, z in enumerate(severity.get("z_grid", []))]
+                  for i, z in enumerate(sc.entries(severity.get("z_grid", []),
+                                                   "analytic.severity.z_grid"))]
         n_stages = sc.count(severity.get("stages", 1), "analytic.severity.stages",
                             least=1, most=sc.MOST)
     seed = _master_seed(args, cfg)
@@ -206,15 +206,11 @@ def cmd_sweep(args) -> int:
     _override(cfg, ("sweep", "ruin_level_s"), args.ruin_level)
     _override(cfg, ("sweep", "threshold_z_s"), args.z)
     seed = _master_seed(args, cfg)
-    sweep, settings = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]), seed)
+    sweep = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]), seed)
     out = _out_dir(args)
     exported: list[str] = []
-    sink = _sample_sink(out, settings, exported) if args.export_samples else None
-    rows = sc.run_sweep(sweep, settings, sample_sink=sink)
-    if args.avg_mode is not None:
-        rows = [r for r in rows if r.get("avg_analytic_mode", args.avg_mode) == args.avg_mode]
-    if args.psi_mode is not None:
-        rows = [r for r in rows if r.get("severity_mode", args.psi_mode) == args.psi_mode]
+    sink = _sample_sink(out, exported) if args.export_samples else None
+    rows = sc.run_sweep(sweep, sample_sink=sink)
     agg = sc.aggregate_sweep(rows)
 
     val.write_csv(out / "sweep.csv", sc.SWEEP_COLUMNS, rows)
@@ -228,19 +224,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _sample_sink(out: Path, settings: sc.SweepSettings, written: list[str]):
+def _sample_sink(out: Path, written: list[str]):
     """Writes each cell's samples under ``out/samples``, appending the paths
     relative to ``out`` to ``written``."""
     samples_dir = out / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
 
-    def sink(value, rep, disc, samples):
+    def sink(value, rep, disc, samples, excursions):
         tag = f"{value!r}_rep{rep}_{disc.value}"
         qs.write_samples_csv(samples_dir / f"paoi_{tag}.csv", [(rep, samples)])
-        stats = [(rep, qs.excursion_severity(samples.series(u, qs.Stage.STAGE1),
-                                             settings.ruin_level))
-                 for u in range(len(samples.rates))]
-        qs.write_excursions_csv(samples_dir / f"excursions_{tag}.csv", stats)
+        qs.write_excursions_csv(samples_dir / f"excursions_{tag}.csv",
+                                [(rep, e) for e in excursions])
         written.extend((f"samples/paoi_{tag}.csv", f"samples/excursions_{tag}.csv"))
 
     return sink

@@ -93,16 +93,6 @@ class Sweep:
     values: tuple[float, ...]
     replications: int
     base: Scenario
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("sweep values must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SweepSettings:
     ruin_level: float
     threshold_z: float
     horizon: float
@@ -110,6 +100,10 @@ class SweepSettings:
     arrival_mode: ArrivalRateMode = ArrivalRateMode.BURKE
 
     def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+            raise ValueError("sweep values must be strictly increasing")
         if self.ruin_level <= 0:
             raise ValueError("ruin_level must be strictly positive")
         if self.threshold_z <= 0 or self.horizon <= 0:
@@ -136,8 +130,6 @@ def place_users(scenario: Scenario) -> np.ndarray:
 def associate(users: np.ndarray, room: Room) -> tuple[np.ndarray, list[link.LinkGeometry]]:
     """Nearest-surface assignment (Euclidean, ties to the lowest index)."""
     ris = np.asarray(room.ris_positions, dtype=float)
-    if ris.size == 0:
-        raise ValueError("room has no reflecting surfaces")
     geoms = []
     serving = np.empty(len(users), dtype=int)
     for u, pos in enumerate(np.atleast_2d(users)):
@@ -191,24 +183,15 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _sim_severity(samples: qs.PaoiSamples, ruin_level: float, z: float):
-    """Pool completed stage excursions across users; empirical P(M - a <= z)."""
-    exc = np.concatenate([
-        qs.excursion_severity(samples.series(u, qs.Stage.STAGE1), ruin_level).exceedances
-        for u in range(len(samples.rates))])
-    if exc.size == 0:
-        return math.nan, 0
-    return float(np.mean(exc <= z)), int(exc.size)
-
-
-def run_sweep(sweep: Sweep, settings: SweepSettings, sample_sink=None) -> list[dict]:
+def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     """One row per (value, replication, discipline, avg mode, severity mode).
 
     Cell failures (a user with a zero update rate, too few simulated
     samples, an unstable compute queue in corrected mode) are recorded in
     the row's ``error`` column; any other exception propagates.
-    ``sample_sink(value, replication, discipline, samples)`` receives each
-    cell's raw simulator output, e.g. for CSV export.
+    ``sample_sink(value, replication, discipline, samples, excursions)``
+    receives each cell's raw simulator output and each user's stage
+    excursions above the ruin level, e.g. for CSV export.
     """
     rows: list[dict] = []
     for vi, value in enumerate(sweep.values):
@@ -217,13 +200,12 @@ def run_sweep(sweep: Sweep, settings: SweepSettings, sample_sink=None) -> list[d
             scen = replace(scen, placement_seed=_derived_seed(scen.placement_seed, 1000 + rep))
             rates = realize_rates(scen)
             for di, disc in enumerate((an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)):
-                rows.extend(_run_cell(sweep, settings, scen, rates, value, vi, rep,
-                                      di, disc, sample_sink))
+                seed = _derived_seed(sweep.master_seed, vi, rep, di)
+                rows.extend(_run_cell(sweep, scen, rates, value, rep, disc, seed, sample_sink))
     return rows
 
 
-def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
-              sample_sink=None) -> list[dict]:
+def _run_cell(sweep, scen, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
     mu_u = scen.queue.stage_service_rate
     mu_c = scen.queue.compute_service_rate
     base_row = {
@@ -233,17 +215,20 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
     try:
         if np.any(rates <= 0):   # the link budget's SNR underflowed to a zero Shannon rate
             raise qs.EmptyDataError("a user's link gives a zero update rate and no samples")
-        lam_c = compute_arrival_rate(rates, mu_u, settings.arrival_mode)
+        lam_c = compute_arrival_rate(rates, mu_u, sweep.arrival_mode)
         stages = tuple(an.StageLaw(float(r), mu_u, disc) for r in rates)
         sys_law = an.SystemLaw(stages)
 
         config = qs.QueueConfig(disc, mu_u, mu_c, scen.queue.compute_feed)
-        sim_seed = _derived_seed(settings.master_seed, vi, rep, di)
-        samples = qs.run(config, rates, settings.horizon, sim_seed)
+        samples = qs.run(config, rates, sweep.horizon, seed)
+        excursions = [qs.excursion_severity(samples.series(u, qs.Stage.STAGE1), sweep.ruin_level)
+                      for u in range(len(rates))]
         if sample_sink is not None:
-            sample_sink(value, rep, disc, samples)
+            sample_sink(value, rep, disc, samples, excursions)
         sim_avg = qs.e2e_average_estimate(samples)
-        sev_below, n_exc = _sim_severity(samples, settings.ruin_level, settings.threshold_z)
+        # completed excursions pooled across users; empirical P(M - a <= z)
+        exceed = np.concatenate([e.exceedances for e in excursions])
+        sev_below = float(np.mean(exceed <= sweep.threshold_z)) if exceed.size else math.nan
         # every user has samples here: the estimate above needs two peaks from each
         ks = max(qs.ks_distance(qs.empirical_cdf(samples, u, qs.Stage.STAGE1),
                                 an.cdf_reference(law)) for u, law in enumerate(stages))
@@ -256,8 +241,7 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
         return [row]
 
     n_users = len(rates)
-    sev_pair = an.severity_both_modes(sys_law, settings.ruin_level,
-                                      settings.threshold_z)
+    sev_pair = an.severity_both_modes(sys_law, sweep.ruin_level, sweep.threshold_z)
     out = []
     for avg_mode in (an.AvgMode.CORRECTED, an.AvgMode.AS_WRITTEN):
         try:
@@ -279,7 +263,7 @@ def _run_cell(sweep, settings, scen, rates, value, vi, rep, di, disc,
                 "ks_stage": ks, "drops": drops, "preemptions": preempts,
                 "avg_analytic_per_user": avg_val / n_users,
                 "avg_sim_per_user": sim_avg.mean / n_users,
-                "sim_severity_below_z": sev_below, "sim_excursions": n_exc,
+                "sim_severity_below_z": sev_below, "sim_excursions": exceed.size,
                 "lambda_c": lam_c, "burke_gap": burke_gap,
                 "error": avg_err,
             })
@@ -366,6 +350,14 @@ def count(value, field: str, least: int | None = None, most: int | None = None) 
     return int(value)
 
 
+def entries(value, field: str, least: int = 0) -> list:
+    """A JSON list of at least ``least`` entries; a string or an object is not a list."""
+    if not (isinstance(value, list) and len(value) >= least):
+        kind = "a non-empty list" if least else "a list"
+        raise ConfigError(f"{field}: expected {kind}, got {value!r}")
+    return value
+
+
 def positive(value, field: str) -> float:
     """A finite JSON number above zero."""
     x = number(value, field)
@@ -400,9 +392,7 @@ def parse_link(d: dict, path: str = "link") -> link.LinkParams:
 def parse_room(d: dict, path: str = "room") -> Room:
     check_keys(d, {"side_length"}, {"ris_positions"}, path)
     field = f"{path}.ris_positions"
-    pos = d.get("ris_positions", ())
-    if "ris_positions" in d and not (isinstance(pos, list) and pos):
-        raise ConfigError(f"{field}: expected a non-empty list of [x, y] pairs, got {pos!r}")
+    pos = entries(d["ris_positions"], field, least=1) if "ris_positions" in d else []
     for i, xy in enumerate(pos):
         if not (isinstance(xy, list) and len(xy) == 2):
             raise ConfigError(f"{field}[{i}]: expected an [x, y] pair, got {xy!r}")
@@ -435,8 +425,7 @@ def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
             placement_seed=count(d["placement_seed"], f"{path}.placement_seed", least=0))
 
 
-def parse_sweep(d: dict, base: Scenario, master_seed: int = 0,
-                path: str = "sweep") -> tuple[Sweep, SweepSettings]:
+def parse_sweep(d: dict, base: Scenario, master_seed: int = 0, path: str = "sweep") -> Sweep:
     check_keys(d, {"variable", "values", "replications", "ruin_level_s",
                    "threshold_z_s", "horizon_s"},
                {"arrival_mode"}, path)
@@ -444,20 +433,16 @@ def parse_sweep(d: dict, base: Scenario, master_seed: int = 0,
         variable = SweepVariable(d["variable"])
         read = (lambda v, field: count(v, field, least=1, most=MOST)) \
             if variable is SweepVariable.NUM_USERS else positive
-        if not (isinstance(d["values"], list) and d["values"]):
-            raise ConfigError(f"{path}.values: expected a non-empty list, got {d['values']!r}")
-        values = tuple(float(read(v, f"{path}.values[{i}]")) for i, v in enumerate(d["values"]))
+        values = tuple(float(read(v, f"{path}.values[{i}]"))
+                       for i, v in enumerate(entries(d["values"], f"{path}.values", least=1)))
         replications = count(d["replications"], f"{path}.replications", least=1, most=MOST)
-        with config_errors(f"{path}.values"):   # Sweep's one check left is on the values
-            sweep = Sweep(variable, values, replications, base)
-        settings = SweepSettings(
-            ruin_level=positive(d["ruin_level_s"], f"{path}.ruin_level_s"),
-            threshold_z=positive(d["threshold_z_s"], f"{path}.threshold_z_s"),
-            horizon=horizon(d["horizon_s"], f"{path}.horizon_s",
-                            base.queue.stage_service_rate),
-            master_seed=master_seed,
-            arrival_mode=ArrivalRateMode(d.get("arrival_mode", "burke")))
-        return sweep, settings
+        ruin_level = positive(d["ruin_level_s"], f"{path}.ruin_level_s")
+        threshold_z = positive(d["threshold_z_s"], f"{path}.threshold_z_s")
+        horizon_s = horizon(d["horizon_s"], f"{path}.horizon_s", base.queue.stage_service_rate)
+        arrival_mode = ArrivalRateMode(d.get("arrival_mode", "burke"))
+        with config_errors(f"{path}.values"):   # the one check left to Sweep is on the values
+            return Sweep(variable, values, replications, base, ruin_level, threshold_z,
+                         horizon_s, master_seed, arrival_mode)
 
 
 def load_json(path) -> dict:

@@ -341,17 +341,15 @@ def _trend_series(rows, disc) -> list[float]:
 @_timed_check("figure_trends_corrected_average")
 def check_trends(cfg: ValidationConfig):
     users_base = _reference_scenario(mu_c=1000.0, num_users=5)
-    users_sweep = sc.Sweep(sc.SweepVariable.NUM_USERS,
-                           (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                           cfg.trend_replications, users_base)
-    settings = sc.SweepSettings(1.0, 3.0, cfg.trend_horizon, cfg.master_seed + 11)
-    user_rows = sc.run_sweep(users_sweep, settings)
+    users_sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
+                           cfg.trend_replications, users_base, 1.0, 3.0, cfg.trend_horizon,
+                           cfg.master_seed + 11)
+    user_rows = sc.run_sweep(users_sweep)
 
     bw_base = _reference_scenario(mu_c=100.0, meta_surfaces=1,
                                   image_bits=2e10, num_users=15)
-    bw_sweep = sc.Sweep(sc.SweepVariable.BANDWIDTH, (1e10, 2e10, 4e10),
-                        cfg.trend_replications, bw_base)
-    bw_rows = sc.run_sweep(bw_sweep, settings)
+    bw_rows = sc.run_sweep(replace(users_sweep, variable=sc.SweepVariable.BANDWIDTH,
+                                   values=(1e10, 2e10, 4e10), base=bw_base))
 
     ok = True
     lines = []
@@ -369,11 +367,11 @@ def check_trends(cfg: ValidationConfig):
 @_timed_check("sweep_determinism")
 def check_sweep_determinism(cfg: ValidationConfig):
     base = _reference_scenario(mu_c=1000.0, num_users=3)
-    sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, base)
-    settings = sc.SweepSettings(1.0, 3.0, 30.0, cfg.master_seed + 13)
+    sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, base, 1.0, 3.0, 30.0,
+                     cfg.master_seed + 13)
     blobs = []
     for _ in range(2):
-        rows = sc.run_sweep(sweep, settings)
+        rows = sc.run_sweep(sweep)
         buf = io.StringIO()
         write_rows_csv(buf, sc.SWEEP_COLUMNS, rows)
         blobs.append(buf.getvalue().encode())

@@ -119,9 +119,9 @@ def test_c08_short_trend_series_fails_with_its_length(monkeypatch):
     # which has three values, one short
     run_sweep = val.sc.run_sweep
 
-    def first_value_fails(sweep, settings):
+    def first_value_fails(sweep):
         return [dict(row, error="no samples") if row["value"] == sweep.values[0] else row
-                for row in run_sweep(sweep, settings)]
+                for row in run_sweep(sweep)]
 
     monkeypatch.setattr(val.sc, "run_sweep", first_value_fails)
     check = val.check_trends(replace(val.ValidationConfig(), trend_replications=1))

@@ -134,15 +134,6 @@ class TestSweepCommand:
         assert (tmp_path / "a" / "sweep.csv").read_bytes() \
             != (tmp_path / "b" / "sweep.csv").read_bytes()
 
-    def test_mode_filters(self, tmp_path):
-        rc = cli.main(["sweep", "--config", str(self.config(tmp_path)),
-                       "--out", str(tmp_path / "out"),
-                       "--avg-mode", "corrected", "--psi-mode", "survival"])
-        assert rc == 0
-        rows = read_csv(tmp_path / "out" / "sweep.csv")
-        assert all(r["avg_analytic_mode"] == "corrected" for r in rows)
-        assert all(r["severity_mode"] == "survival" for r in rows)
-
     def test_threshold_override_changes_severity_column(self, tmp_path):
         cfg = self.config(tmp_path)
         cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -175,6 +166,19 @@ class TestSweepCommand:
         header = paoi[0].read_text().splitlines()[0]
         assert header == "replication,user,stage,delivery_time,paoi_seconds"
         assert exc[0].read_text().splitlines()[0] == "replication,ruin_level,exceedance"
+
+    def test_exported_excursions_are_the_cells_excursions(self, tmp_path):
+        out = tmp_path / "out"
+        with mock.patch.object(cli.qs, "excursion_severity",
+                               wraps=cli.qs.excursion_severity) as spy:
+            rc = cli.main(["sweep", "--config", str(self.config(tmp_path)),
+                           "--out", str(out), "--export-samples"])
+        assert rc == 0
+        assert spy.call_count == (2 + 3) * 2   # once per user per cell: users x disciplines
+        for row in read_csv(out / "sweep.csv"):
+            name = f"excursions_{row['value']}_rep{row['replication']}_{row['discipline']}.csv"
+            lines = (out / "samples" / name).read_text().splitlines()
+            assert len(lines) - 1 == int(row["sim_excursions"])
 
     def test_manifest_lists_the_exported_samples(self, tmp_path):
         out = tmp_path / "out"
@@ -264,15 +268,15 @@ class TestShippedConfigs:
         from thzaoi import scenario as sc
         cfg = sc.load_json(self.CONFIG_DIR / "bandwidth_sweep.json")
         base = sc.parse_scenario(cfg["scenario"])
-        sweep, settings = sc.parse_sweep(cfg["sweep"], base)
+        sweep = sc.parse_sweep(cfg["sweep"], base)
         assert sweep.variable is sc.SweepVariable.BANDWIDTH
-        assert settings.arrival_mode is sc.ArrivalRateMode.THROUGHPUT
+        assert sweep.arrival_mode is sc.ArrivalRateMode.THROUGHPUT
 
     def test_reference_sweep_config_loads(self):
         from thzaoi import scenario as sc
         cfg = sc.load_json(self.CONFIG_DIR / "reference_sweep.json")
         base = sc.parse_scenario(cfg["scenario"])
-        sweep, _ = sc.parse_sweep(cfg["sweep"], base)
+        sweep = sc.parse_sweep(cfg["sweep"], base)
         assert sweep.values == (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 
@@ -448,6 +452,16 @@ class TestExitCodes:
                      "analytic.severity.ruin_level_s", id="negative-ruin-level"),
         pytest.param(lambda s: s["severity"].update(stages=1e12), "analytic.severity.stages",
                      id="huge-stages"),
+        pytest.param(lambda s: s.update(ages=5), "analytic.ages: expected a list",
+                     id="number-ages"),
+        pytest.param(lambda s: s.update(laws=5), "analytic.laws: expected a list",
+                     id="number-laws"),
+        pytest.param(lambda s: s["severity"].update(z_grid=5),
+                     "analytic.severity.z_grid: expected a list", id="number-z-grid"),
+        pytest.param(lambda s: s.update(ages="0 1"), "analytic.ages: expected a list",
+                     id="string-ages"),
+        pytest.param(lambda s: s.update(laws=s["laws"][0]), "analytic.laws: expected a list",
+                     id="object-laws"),
     ])
     def test_bad_analytic_number_is_usage_error(self, tmp_path, capsys, edit, field):
         section = {"laws": [{"discipline": "fcfs", "update_rate": 2.0, "service_rate": 1.0}],
@@ -456,3 +470,10 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"analytic": section})
         assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("")
+        cfg = write_config(tmp_path, {"analytic": {"laws": [], "ages": []}})
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
+        assert "--out" in capsys.readouterr().err

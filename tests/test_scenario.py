@@ -154,27 +154,25 @@ class TestSweep:
     def small_sweep(self, variable=sc.SweepVariable.NUM_USERS, values=(2.0, 3.0),
                     reps=1, **link_over):
         base = scenario(num_users=2, **link_over)
-        sweep = sc.Sweep(variable, tuple(values), reps, base)
-        settings = sc.SweepSettings(ruin_level=1.0, threshold_z=3.0,
-                                    horizon=40.0, master_seed=99)
-        return sweep, settings
+        return sc.Sweep(variable, tuple(values), reps, base, ruin_level=1.0, threshold_z=3.0,
+                        horizon=40.0, master_seed=99)
 
     def test_values_must_increase(self):
         with pytest.raises(ValueError):
-            sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 5.0), 1, scenario())
+            sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 5.0), 1, scenario(), 1.0, 3.0, 40.0, 0)
 
     def test_row_count_and_columns(self):
-        sweep, settings = self.small_sweep(values=(2.0, 3.0), reps=2)
-        rows = sc.run_sweep(sweep, settings)
+        sweep = self.small_sweep(values=(2.0, 3.0), reps=2)
+        rows = sc.run_sweep(sweep)
         # value x rep x discipline x avg mode x psi mode
         assert len(rows) == 2 * 2 * 2 * 2 * 2
         for col in sc.SWEEP_COLUMNS:
             assert col in rows[0]
 
     def test_rows_deterministic(self):
-        sweep, settings = self.small_sweep()
-        a = sc.run_sweep(sweep, settings)
-        b = sc.run_sweep(sweep, settings)
+        sweep = self.small_sweep()
+        a = sc.run_sweep(sweep)
+        b = sc.run_sweep(sweep)
         assert a == b
 
     def test_unstable_cells_record_error_without_abort(self):
@@ -184,9 +182,8 @@ class TestSweep:
                            link_params=link_params(),
                            queue=queue_config(mu_u=5.0, mu_c=40.0),
                            placement_seed=3)
-        sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (10.0,), 1, base)
-        settings = sc.SweepSettings(1.0, 3.0, 30.0, 5)
-        rows = sc.run_sweep(sweep, settings)
+        sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (10.0,), 1, base, 1.0, 3.0, 30.0, 5)
+        rows = sc.run_sweep(sweep)
         corrected = [r for r in rows if r.get("avg_analytic_mode") == "corrected"]
         assert corrected and all(r["error"] for r in corrected)
         assert all(math.isnan(r["avg_analytic"]) for r in corrected)
@@ -198,9 +195,9 @@ class TestSweep:
                            link_params=link_params(),
                            queue=queue_config(mu_u=5.0, mu_c=1000.0),
                            placement_seed=12)
-        sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 10.0, 15.0), 1, base)
-        settings = sc.SweepSettings(1.0, 3.0, 30.0, 7)
-        rows = sc.run_sweep(sweep, settings)
+        sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 10.0, 15.0), 1, base,
+                         1.0, 3.0, 30.0, 7)
+        rows = sc.run_sweep(sweep)
         for disc in ("fcfs", "lcfs"):
             series = [r["avg_analytic_per_user"] for r in rows
                       if r["discipline"] == disc and r["avg_analytic_mode"] == "corrected"
@@ -212,8 +209,8 @@ class TestSweep:
             raise AssertionError("the sweep must use the reference CDF kernels")
 
         monkeypatch.setattr(an, "_quad_pdf", no_quadrature)
-        sweep, settings = self.small_sweep(values=(2.0, 3.0))
-        rows = sc.run_sweep(sweep, settings)
+        sweep = self.small_sweep(values=(2.0, 3.0))
+        rows = sc.run_sweep(sweep)
         assert len(rows) == 2 * 2 * 2 * 2
         assert not any(r["error"] for r in rows)
         assert all(math.isfinite(r["j_z"]) for r in rows)
@@ -223,9 +220,9 @@ class TestSweep:
             raise ZeroDivisionError("a bug, not a failed cell")
 
         monkeypatch.setattr(qs, "run", broken)
-        sweep, settings = self.small_sweep()
+        sweep = self.small_sweep()
         with pytest.raises(ZeroDivisionError):
-            sc.run_sweep(sweep, settings)
+            sc.run_sweep(sweep)
 
     def test_ks_stage_is_the_largest_over_users(self, monkeypatch):
         real_run = qs.run
@@ -238,8 +235,8 @@ class TestSweep:
             return out
 
         monkeypatch.setattr(qs, "run", skew_user_1)
-        sweep, settings = self.small_sweep(values=(2.0,))
-        rows = sc.run_sweep(sweep, settings)
+        sweep = self.small_sweep(values=(2.0,))
+        rows = sc.run_sweep(sweep)
         for out in runs:
             ks = [qs.ks_distance(qs.empirical_cdf(out, u, qs.Stage.STAGE1),
                                  an.cdf_reference(an.StageLaw(r, 5.0, out.config.discipline)))
@@ -250,13 +247,13 @@ class TestSweep:
 
     def test_zero_update_rate_is_an_error_row(self):
         # an absorption this high underflows every user's SNR to a zero Shannon rate
-        sweep, settings = self.small_sweep(values=(2.0,), absorption_per_m=2.5)
-        rows = sc.run_sweep(sweep, settings)
+        sweep = self.small_sweep(values=(2.0,), absorption_per_m=2.5)
+        rows = sc.run_sweep(sweep)
         assert len(rows) == 2 and all("zero update rate" in r["error"] for r in rows)
 
     def test_aggregate_groups_replications(self):
-        sweep, settings = self.small_sweep(values=(2.0,), reps=3)
-        rows = sc.run_sweep(sweep, settings)
+        sweep = self.small_sweep(values=(2.0,), reps=3)
+        rows = sc.run_sweep(sweep)
         agg = sc.aggregate_sweep(rows)
         assert all(a["replications"] == 3 for a in agg)
         # value x discipline x avg mode x psi mode
@@ -297,12 +294,12 @@ class TestConfigParsing:
 
     def test_sweep_section(self):
         scen = sc.parse_scenario(self.good())
-        sweep, settings = sc.parse_sweep(
+        sweep = sc.parse_sweep(
             {"variable": "num_users", "values": [5, 10], "replications": 2,
              "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 100.0},
             scen)
         assert sweep.values == (5.0, 10.0)
-        assert settings.arrival_mode is sc.ArrivalRateMode.BURKE
+        assert sweep.arrival_mode is sc.ArrivalRateMode.BURKE
 
     def test_bad_sweep_variable(self):
         scen = sc.parse_scenario(self.good())
@@ -364,16 +361,16 @@ class TestConfigParsing:
                             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}, scen)
 
     def test_settings_carry_the_master_seed(self):
-        _, settings = sc.parse_sweep(
+        sweep = sc.parse_sweep(
             {"variable": "num_users", "values": [5], "replications": 1,
              "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0},
             sc.parse_scenario(self.good()), master_seed=17)
-        assert (settings.ruin_level, settings.threshold_z, settings.horizon,
-                settings.master_seed) == (1.0, 3.0, 10.0, 17)
+        assert (sweep.ruin_level, sweep.threshold_z, sweep.horizon,
+                sweep.master_seed) == (1.0, 3.0, 10.0, 17)
 
     def test_bandwidth_sweep_values_may_be_fractional(self):
         scen = sc.parse_scenario(self.good())
-        sweep, _ = sc.parse_sweep(
+        sweep = sc.parse_sweep(
             {"variable": "bandwidth", "values": [1e10, 2.5e10], "replications": 1,
              "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}, scen)
         assert sweep.values == (1e10, 2.5e10)
