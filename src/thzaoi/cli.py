@@ -50,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="run a user-count or bandwidth sweep")
     common(p_sw)
-    p_sw.add_argument("--feed", choices=[m.value for m in qs.ComputeFeed], default=None,
-                      help="compute-queue feed override")
     p_sw.add_argument("--replications", type=int, default=None)
     p_sw.add_argument("--svg", action="store_true", help="render SVG charts")
     p_sw.add_argument("--export-samples", action="store_true",
@@ -65,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv   # for the manifest
     try:
         return args.func(args)
     except sc.ConfigError as exc:
@@ -120,7 +120,7 @@ def _write_manifest(args, out: Path, seed: int, outputs: list[str]):
         "out_dir": str(out.resolve()),
         "tool_version": __version__,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "outputs": outputs,
     }
     with open(out / "manifest.json", "w") as fh:
@@ -201,7 +201,6 @@ def cmd_sweep(args) -> int:
     for key in ("scenario", "sweep"):
         if key not in cfg:
             raise sc.ConfigError(f"config: {key} section required")
-    _override(cfg, ("scenario", "queue", "compute_feed"), args.feed)
     _override(cfg, ("sweep", "replications"), args.replications)
     _override(cfg, ("sweep", "ruin_level_s"), args.ruin_level)
     _override(cfg, ("sweep", "threshold_z_s"), args.z)

@@ -26,14 +26,13 @@ for bit.  Where the periods begin is guessed from the max-plus closed form,
 which rounds differently, and checked against the exact completions.
 
 Randomness: one independent substream per user for its stage cycles, drawn
-in blocks, one for the compute queue's service times and one for the
-independent feed, all derived from the master seed, so adding users never
-perturbs existing streams.  The stage paths match the event loops in
-``tests/sim_reference.py`` in distribution, not draw for draw; the compute
-queue, the freshness series and the excursions match them bit for bit when
-both are fed the same departure streams.  The first WARMUP_FRACTION of
-the horizon is discarded from all recorded statistics (counters cover the
-full run).
+in blocks, and one for the compute queue's service times, all derived from
+the master seed, so adding users never perturbs existing streams.  The
+stage paths match the event loops in ``tests/sim_reference.py`` in
+distribution, not draw for draw; the compute queue, the freshness series
+and the excursions match them bit for bit when both are fed the same
+departure streams.  The first WARMUP_FRACTION of the horizon is discarded
+from all recorded statistics (counters cover the full run).
 """
 
 from __future__ import annotations
@@ -54,12 +53,10 @@ WARMUP_FRACTION = 0.01
 # spawn-key tags for substream derivation
 _ARRIVAL_TAG = 0
 _COMPUTE_SVC_TAG = 2
-_FEED_TAG = 3
 
 
 class ComputeFeed(enum.Enum):
     TANDEM = "tandem"
-    INDEPENDENT_POISSON = "independent"
 
 
 class Stage(enum.Enum):
@@ -76,6 +73,7 @@ class QueueConfig:
     discipline: Discipline
     stage_service_rate: float
     compute_service_rate: float
+    # read by nothing; kept because perfbench/worker.py passes it positionally
     compute_feed: ComputeFeed = ComputeFeed.TANDEM
 
     def __post_init__(self):
@@ -229,23 +227,11 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
         out.stage1[u] = _freshness_series(dep_t, dep_g, warmup)
         dep_streams.append((dep_t, dep_g))
 
-    if config.compute_feed is ComputeFeed.TANDEM:
-        times = np.concatenate([d[0] for d in dep_streams])
-        gens = np.concatenate([d[1] for d in dep_streams])
-        users = np.concatenate([np.full(len(d[0]), u) for u, d in enumerate(dep_streams)])
-        order = np.argsort(times, kind="stable")
-        times, gens, users = times[order], gens[order], users[order]
-    else:
-        feed_rng = _rng(seed, _FEED_TAG, 0)
-        lam = mu_u * len(rates)
-        gaps = feed_rng.exponential(1.0 / lam, size=max(16, int(lam * horizon * 1.2) + 64))
-        times = np.cumsum(gaps)
-        while times.size and times[-1] <= horizon:
-            more = feed_rng.exponential(1.0 / lam, size=times.size)
-            times = np.concatenate([times, times[-1] + np.cumsum(more)])
-        times = times[times <= horizon]
-        gens = times.copy()
-        users = None
+    times = np.concatenate([d[0] for d in dep_streams])
+    gens = np.concatenate([d[1] for d in dep_streams])
+    users = np.concatenate([np.full(len(d[0]), u) for u, d in enumerate(dep_streams)])
+    order = np.argsort(times, kind="stable")
+    times, gens, users = times[order], gens[order], users[order]
 
     _simulate_compute(out, times, gens, users, config, horizon, warmup, seed)
     window = horizon - warmup
@@ -256,8 +242,7 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 
 def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
                       horizon: float, warmup: float, seed: int):
-    """FCFS compute queue fed at ``times``; ``users`` is None for an
-    independent feed, which has no per-user end-to-end series."""
+    """FCFS compute queue fed at ``times`` by ``users``' stage deliveries."""
     n = len(times)
     service = _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / config.compute_service_rate, n)
     d = _departures(times, service)
@@ -270,12 +255,11 @@ def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
     out.compute_delivered = k
     out.compute_in_system = n - k
     out.compute_agg = _freshness_series(d, times[:k], warmup)
-    if users is not None:
-        # each user's deliveries in time order: a stable sort on the user index
-        order = np.argsort(users[:k], kind="stable")
-        counts = np.bincount(users[:k], minlength=len(out.rates))
-        for u, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-            out.e2e[u] = _freshness_series(d[idx], gens[idx], warmup)
+    # each user's deliveries in time order: a stable sort on the user index
+    order = np.argsort(users[:k], kind="stable")
+    counts = np.bincount(users[:k], minlength=len(out.rates))
+    for u, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+        out.e2e[u] = _freshness_series(d[idx], gens[idx], warmup)
 
 
 # busy periods of at most this many jobs advance together, one position per

@@ -219,8 +219,7 @@ def _run_cell(sweep, scen, rates, value, rep, disc, seed, sample_sink) -> list[d
         stages = tuple(an.StageLaw(float(r), mu_u, disc) for r in rates)
         sys_law = an.SystemLaw(stages)
 
-        config = qs.QueueConfig(disc, mu_u, mu_c, scen.queue.compute_feed)
-        samples = qs.run(config, rates, sweep.horizon, seed)
+        samples = qs.run(qs.QueueConfig(disc, mu_u, mu_c), rates, sweep.horizon, seed)
         excursions = [qs.excursion_severity(samples.series(u, qs.Stage.STAGE1), sweep.ruin_level)
                       for u in range(len(rates))]
         if sample_sink is not None:
@@ -404,14 +403,14 @@ def parse_room(d: dict, path: str = "room") -> Room:
 
 
 def parse_queue(d: dict, path: str = "queue") -> qs.QueueConfig:
-    check_keys(d, {"discipline", "stage_service_rate", "compute_service_rate"},
-               {"compute_feed"}, path)
+    """The two service rates; the discipline is a placeholder, as each sweep
+    cell runs both."""
+    check_keys(d, {"stage_service_rate", "compute_service_rate"}, set(), path)
     with config_errors(path):
-        disc = an.Discipline(d["discipline"])
-        feed = qs.ComputeFeed(d.get("compute_feed", "tandem"))
         return qs.QueueConfig(
-            disc, positive(d["stage_service_rate"], f"{path}.stage_service_rate"),
-            positive(d["compute_service_rate"], f"{path}.compute_service_rate"), feed)
+            an.Discipline.FCFS_MM12,
+            positive(d["stage_service_rate"], f"{path}.stage_service_rate"),
+            positive(d["compute_service_rate"], f"{path}.compute_service_rate"))
 
 
 def parse_scenario(d: dict, path: str = "scenario") -> Scenario:

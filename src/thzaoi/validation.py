@@ -257,7 +257,7 @@ def _reference_scenario(mu_c: float, meta_surfaces: int = 100,
     link = tl.LinkParams(bandwidth_hz=1e10, carrier_hz=1e12, tx_power_w=1.0,
                          absorption_per_m=0.0016, temperature_k=300.0,
                          meta_surfaces=meta_surfaces, image_size_bits=image_bits)
-    queue = qs.QueueConfig(an.Discipline.FCFS_MM12, 5.0, mu_c, qs.ComputeFeed.TANDEM)
+    queue = qs.QueueConfig(an.Discipline.FCFS_MM12, 5.0, mu_c)
     return sc.Scenario(room=sc.Room(), num_users=num_users, link_params=link,
                        queue=queue, placement_seed=424242)
 
@@ -274,8 +274,7 @@ def check_e2e_average(cfg: ValidationConfig):
         sys_law = an.SystemLaw(stages)
         analytic = an.avg_paoi_e2e(
             sys_law, an.ComputeQueueLaw(lam_c, 100.0, an.AvgMode.CORRECTED))
-        config = qs.QueueConfig(disc, 5.0, 100.0, qs.ComputeFeed.TANDEM)
-        out = qs.run(config, rates, cfg.e2e_horizon, cfg.master_seed + 5)
+        out = qs.run(qs.QueueConfig(disc, 5.0, 100.0), rates, cfg.e2e_horizon, cfg.master_seed + 5)
         est = qs.e2e_average_estimate(out)
         rel = abs(est.mean - analytic) / analytic
         gap = lam_c - out.compute_arrival_rate

@@ -18,8 +18,8 @@ import numpy as np
 
 from thzaoi.aoi_analytic import Discipline
 from thzaoi.queue_sim import (
-    _ARRIVAL_TAG, _COMPUTE_SVC_TAG, _FEED_TAG, WARMUP_FRACTION,
-    ComputeFeed, ExcursionStats, PaoiSamples, QueueConfig, StageSeries, UserCounters, _rng,
+    _ARRIVAL_TAG, _COMPUTE_SVC_TAG, WARMUP_FRACTION,
+    ExcursionStats, PaoiSamples, QueueConfig, StageSeries, UserCounters, _rng,
 )
 
 # the stage loop draws service times from their own substream per user
@@ -130,23 +130,11 @@ def run(config: QueueConfig, per_user_rates, horizon: float, seed: int) -> PaoiS
         out.stage1[u] = _series_from_triples(triples, warmup)
         dep_streams.append((np.asarray(dep_t), np.asarray(dep_g)))
 
-    if config.compute_feed is ComputeFeed.TANDEM:
-        times = np.concatenate([d[0] for d in dep_streams]) if dep_streams else np.empty(0)
-        gens = np.concatenate([d[1] for d in dep_streams])
-        users = np.concatenate([np.full(len(d[0]), u) for u, d in enumerate(dep_streams)])
-        order = np.argsort(times, kind="stable")
-        times, gens, users = times[order], gens[order], users[order]
-    else:
-        feed_rng = _rng(seed, _FEED_TAG, 0)
-        lam = mu_u * len(rates)
-        gaps = feed_rng.exponential(1.0 / lam, size=max(16, int(lam * horizon * 1.2) + 64))
-        times = np.cumsum(gaps)
-        while times.size and times[-1] <= horizon:
-            more = feed_rng.exponential(1.0 / lam, size=times.size)
-            times = np.concatenate([times, times[-1] + np.cumsum(more)])
-        times = times[times <= horizon]
-        gens = times.copy()
-        users = np.full(len(times), -1)
+    times = np.concatenate([d[0] for d in dep_streams]) if dep_streams else np.empty(0)
+    gens = np.concatenate([d[1] for d in dep_streams])
+    users = np.concatenate([np.full(len(d[0]), u) for u, d in enumerate(dep_streams)])
+    order = np.argsort(times, kind="stable")
+    times, gens, users = times[order], gens[order], users[order]
 
     _simulate_compute(out, times, gens, users, config, horizon, warmup, seed)
     window = horizon - warmup
@@ -182,18 +170,16 @@ def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
             agg.append((d_i, d_i - prev_arrival, d_i - a_i))
         prev_arrival = a_i
         u = int(users[i])
-        if u >= 0:
-            g_i = gens[i]
-            if u in freshest:
-                per_user[u].append((d_i, d_i - freshest[u], d_i - g_i))
-            freshest[u] = g_i
+        g_i = gens[i]
+        if u in freshest:
+            per_user[u].append((d_i, d_i - freshest[u], d_i - g_i))
+        freshest[u] = g_i
 
     out.compute_delivered = delivered
     out.compute_in_system = n - delivered
     out.compute_agg = _series_from_triples(agg, warmup)
-    if config.compute_feed is ComputeFeed.TANDEM:
-        for u in range(len(out.rates)):
-            out.e2e[u] = _series_from_triples(per_user[u], warmup)
+    for u in range(len(out.rates)):
+        out.e2e[u] = _series_from_triples(per_user[u], warmup)
 
 
 def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:

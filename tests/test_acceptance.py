@@ -136,8 +136,7 @@ def test_c09_sweep_cli_byte_identical(tmp_path):
                      "absorption_per_m": 0.0016, "temperature_k": 300.0,
                      "meta_surfaces": 100, "image_size_bits": 1e7},
             "room": {"side_length": 50.0},
-            "queue": {"discipline": "fcfs", "stage_service_rate": 5.0,
-                      "compute_service_rate": 500.0, "compute_feed": "tandem"},
+            "queue": {"stage_service_rate": 5.0, "compute_service_rate": 500.0},
             "num_users": 3,
             "placement_seed": 21,
         },

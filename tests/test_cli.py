@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -21,8 +23,7 @@ def scenario_section(num_users=3, mu_c=200.0):
                  "absorption_per_m": 0.0016, "temperature_k": 300.0,
                  "meta_surfaces": 100, "image_size_bits": 1e7},
         "room": {"side_length": 50.0},
-        "queue": {"discipline": "fcfs", "stage_service_rate": 5.0,
-                  "compute_service_rate": mu_c, "compute_feed": "tandem"},
+        "queue": {"stage_service_rate": 5.0, "compute_service_rate": mu_c},
         "num_users": num_users,
         "placement_seed": 11,
     }
@@ -76,6 +77,15 @@ class TestAnalyticCommand:
         assert manifest["command"] == "analytic"
         assert manifest["master_seed"] == 3
         assert len(manifest["config_sha256"]) == 64
+
+    def test_manifest_records_the_argv_main_parsed(self, tmp_path, monkeypatch):
+        # a host process calling main has arguments of its own
+        monkeypatch.setattr("sys.argv", ["host", "--unrelated", "flag"])
+        argv = ["analytic", "--config", str(self.config(tmp_path)),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["argv"] == argv
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_tail_is_quiet(self, tmp_path):
@@ -149,11 +159,6 @@ class TestSweepCommand:
         assert rc == 0
         doc = (tmp_path / "out" / "sweep_avg.svg").read_text()
         assert doc.startswith("<svg") and "polyline" in doc
-
-    def test_independent_feed_flag(self, tmp_path):
-        rc = cli.main(["sweep", "--config", str(self.config(tmp_path)),
-                       "--out", str(tmp_path / "out"), "--feed", "independent"])
-        assert rc == 0
 
     def test_export_samples(self, tmp_path):
         rc = cli.main(["sweep", "--config", str(self.config(tmp_path, values=(2,))),
@@ -280,6 +285,29 @@ class TestShippedConfigs:
         assert sweep.values == (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 
 
+class TestReadme:
+    """The README's config example and override table must match the code."""
+
+    TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_config_example_parses(self):
+        from thzaoi import scenario as sc
+        blocks = re.findall(r"```json\n(.*?)```", self.TEXT, re.S)
+        assert len(blocks) == 1
+        cfg = json.loads(blocks[0])
+        sweep = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]))
+        assert sweep.base.num_users == cfg["scenario"]["num_users"]
+
+    def test_override_flags_are_accepted(self):
+        rows = re.findall(r"^\| `(\w+)` \| `(--[\w-]+)", self.TEXT, re.M)
+        assert len(rows) >= 6
+        parser = cli.build_parser()
+        for command, flag in rows:
+            # every flag in the table takes a value; an unknown flag exits
+            args = parser.parse_args([command, "--config", "c.json", flag, "1"])
+            assert args.command == command
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"nonsense": 1})
@@ -293,14 +321,27 @@ class TestExitCodes:
         cfg.write_text('{"master_seed": ' + "9" * 5000 + "}")
         assert cli.main(["validate", "--config", str(cfg)]) == 3
 
-    def test_bad_nested_key_reports_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section,key,value", [
+        ("link", "typo_key", 1),
+        # the queue section holds the two service rates only
+        ("queue", "discipline", "fcfs"),
+        ("queue", "compute_feed", "tandem"),
+    ])
+    def test_bad_nested_key_reports_path(self, tmp_path, capsys, section, key, value):
         payload = {"scenario": scenario_section(), "sweep": {
             "variable": "num_users", "values": [2], "replications": 1,
             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
-        payload["scenario"]["link"]["typo_key"] = 1
+        payload["scenario"][section][key] = value
         cfg = write_config(tmp_path, payload)
         assert cli.main(["sweep", "--config", str(cfg)]) == 3
-        assert "scenario.link" in capsys.readouterr().err
+        assert f"scenario.{section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+    def test_feed_flag_is_rejected_by_argparse(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": scenario_section()})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", str(cfg), "--feed", "tandem"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --feed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,value", [
         (("scenario", "link", "bandwidth_hz"), float("nan")),

@@ -11,8 +11,8 @@ FCFS = an.Discipline.FCFS_MM12
 LCFS = an.Discipline.LCFS_MM12_STAR
 
 
-def config(disc=FCFS, mu_u=1.0, mu_c=50.0, feed=qs.ComputeFeed.TANDEM):
-    return qs.QueueConfig(disc, mu_u, mu_c, feed)
+def config(disc=FCFS, mu_u=1.0, mu_c=50.0):
+    return qs.QueueConfig(disc, mu_u, mu_c)
 
 
 def single_user_run(disc, rate, mu, horizon, seed=11):
@@ -121,14 +121,22 @@ class TestAgainstClosedForms:
         expect = an.avg_paoi_stage(an.StageLaw(1e4, 5.0, FCFS))
         assert got == pytest.approx(expect, rel=0.02)
 
-    def test_independent_feed_matches_corrected_compute_formula(self):
-        cfg = config(FCFS, mu_u=5.0, mu_c=100.0, feed=qs.ComputeFeed.INDEPENDENT_POISSON)
-        out = qs.run(cfg, [1.0] * 15, 2000.0, seed=21)   # feed rate 75/s
+    def test_poisson_fed_compute_queue_matches_corrected_formula(self):
+        # the compute queue alone, fed a Poisson stream at 75/s by one user
+        horizon, seed = 2000.0, 21
+        times = np.cumsum(np.random.default_rng(seed).exponential(1.0 / 75.0, 160_000))
+        assert times[-1] > horizon
+        times = times[times <= horizon]
+        cfg = config(mu_c=100.0)
+        out = qs.PaoiSamples(cfg, (75.0,), horizon, qs.WARMUP_FRACTION * horizon, seed)
+        qs._simulate_compute(out, times, times, np.zeros(times.size, dtype=int), cfg,
+                             horizon, out.warmup, seed)
         got = float(np.mean(out.compute_agg.peaks))
         expect = an.avg_paoi_compute(
             an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.CORRECTED)).value
         assert got == pytest.approx(expect, rel=0.03)
-        assert not out.e2e   # no per-user end-to-end stream in this mode
+        # one user whose updates are generated on arrival sees the aggregate stream
+        assert np.array_equal(out.e2e[0].peaks, out.compute_agg.peaks)
 
     def test_tandem_compute_arrival_rate_below_service_sum(self):
         out = qs.run(config(FCFS, mu_u=1.0, mu_c=50.0), [2.0, 2.0, 2.0], 5000.0, 17)

@@ -267,8 +267,7 @@ class TestConfigParsing:
                      "absorption_per_m": 0.0016, "temperature_k": 300.0,
                      "meta_surfaces": 100, "image_size_bits": 1e7},
             "room": {"side_length": 50.0},
-            "queue": {"discipline": "fcfs", "stage_service_rate": 5.0,
-                      "compute_service_rate": 100.0, "compute_feed": "tandem"},
+            "queue": {"stage_service_rate": 5.0, "compute_service_rate": 100.0},
             "num_users": 4,
             "placement_seed": 7,
         }
@@ -288,7 +287,7 @@ class TestConfigParsing:
 
     def test_missing_key_rejected(self):
         cfg = self.good()
-        del cfg["queue"]["discipline"]
+        del cfg["queue"]["stage_service_rate"]
         with pytest.raises(sc.ConfigError, match="queue"):
             sc.parse_scenario(cfg)
 

@@ -108,14 +108,13 @@ def both(monkeypatch, config, rates, horizon, seed):
     return qs.run(config, rates, horizon, seed), ref.run(config, rates, horizon, seed)
 
 
-@pytest.mark.parametrize("feed", list(qs.ComputeFeed))
 @pytest.mark.parametrize("r_over_mu", [1e-3, 0.5, 2.0, 10.0, 4e3])
 @pytest.mark.parametrize("disc", [FCFS, LCFS])
-def test_sample_paths_match_the_reference(monkeypatch, disc, r_over_mu, feed):
+def test_sample_paths_match_the_reference(monkeypatch, disc, r_over_mu):
     mu = 2.0
     # the last user is too slow to deliver anything within the horizon
     rates = [r_over_mu * mu, 0.7 * r_over_mu * mu, 1e-9]
-    got, want = both(monkeypatch, qs.QueueConfig(disc, mu, 40.0, feed), rates, 400.0, 5)
+    got, want = both(monkeypatch, qs.QueueConfig(disc, mu, 40.0), rates, 400.0, 5)
     assert want.stage_counters[2].deliveries == 0
     assert_runs_equal(got, want)
     for u in range(len(rates)):
@@ -233,12 +232,15 @@ def test_no_job_and_one_job(times, service):
     assert_departures_exact(times, service)
 
 
-def test_no_job_from_the_independent_feed(monkeypatch):
-    config = qs.QueueConfig(FCFS, 2.0, 40.0, qs.ComputeFeed.INDEPENDENT_POISSON)
+def test_no_job_before_the_first_stage_arrival(monkeypatch):
+    config = qs.QueueConfig(FCFS, 2.0, 40.0)
     rates, seed = [3.0, 1.0], 4
-    # the feed runs at the stage rate per user; stop before its first arrival
-    first_gap = qs._rng(seed, qs._FEED_TAG, 0).exponential(1.0 / (2.0 * len(rates)))
-    got, want = both(monkeypatch, config, rates, first_gap / 2, seed)
+    # each user's first arrival is the first draw of its arrival substream;
+    # stop before the earliest of them
+    first = min(qs._rng(seed, qs._ARRIVAL_TAG, u).exponential(1.0 / r)
+                for u, r in enumerate(rates))
+    got, want = both(monkeypatch, config, rates, first / 2, seed)
+    assert all(c.arrivals == 0 for c in want.stage_counters.values())
     assert want.compute_arrivals == 0
     assert_runs_equal(got, want)
 
