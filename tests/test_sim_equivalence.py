@@ -108,13 +108,15 @@ def both(monkeypatch, config, rates, horizon, seed):
     return qs.run(config, rates, horizon, seed), ref.run(config, rates, horizon, seed)
 
 
+# a compute queue that rarely holds a job, and one the faster stages overload
+@pytest.mark.parametrize("mu_c", [40.0, 3.0])
 @pytest.mark.parametrize("r_over_mu", [1e-3, 0.5, 2.0, 10.0, 4e3])
 @pytest.mark.parametrize("disc", [FCFS, LCFS])
-def test_sample_paths_match_the_reference(monkeypatch, disc, r_over_mu):
+def test_sample_paths_match_the_reference(monkeypatch, disc, r_over_mu, mu_c):
     mu = 2.0
     # the last user is too slow to deliver anything within the horizon
     rates = [r_over_mu * mu, 0.7 * r_over_mu * mu, 1e-9]
-    got, want = both(monkeypatch, qs.QueueConfig(disc, mu, 40.0), rates, 400.0, 5)
+    got, want = both(monkeypatch, qs.QueueConfig(disc, mu, mu_c), rates, 400.0, 5)
     assert want.stage_counters[2].deliveries == 0
     assert_runs_equal(got, want)
     for u in range(len(rates)):
