@@ -35,14 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Peak-age analytics, tandem-queue simulation, and sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, severity=True):
+    def common(p):
         p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory")
-        if severity:
-            p.add_argument("--z", type=float, default=None, help="severity threshold override")
-            p.add_argument("--ruin-level", type=float, default=None,
-                           help="severity ruin level override")
 
     p_an = sub.add_parser("analytic", help="evaluate densities, CDFs, severity, averages")
     common(p_an)
@@ -50,14 +45,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="run a user-count or bandwidth sweep")
     common(p_sw)
-    p_sw.add_argument("--replications", type=int, default=None)
+    p_sw.add_argument("--seed", type=int, default=None,
+                      help="master seed (default: config master_seed, else 0)")
     p_sw.add_argument("--svg", action="store_true", help="render SVG charts")
     p_sw.add_argument("--export-samples", action="store_true",
                       help="write raw peak-age samples and excursions per cell")
     p_sw.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the full oracle validation suite")
-    common(p_val, severity=False)
+    common(p_val)
     p_val.set_defaults(func=cmd_validate)
     return parser
 
@@ -82,25 +78,6 @@ def _load(args) -> dict:
     return cfg
 
 
-def _master_seed(args, cfg: dict) -> int:
-    """``--seed`` if given, else ``config.master_seed``; seeds are non-negative."""
-    if args.seed is not None:
-        return sc.count(args.seed, "--seed", least=0)
-    return sc.count(cfg.get("master_seed", 0), "config.master_seed", least=0)
-
-
-def _override(cfg: dict, keys: tuple[str, ...], value):
-    """Write a given flag into the config at ``keys``, to be read and checked as that key."""
-    if value is None:
-        return
-    node = cfg
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            return   # the section's parser rejects it by path
-    node[keys[-1]] = value
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(f"out-{args.command}")
     try:
@@ -110,7 +87,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(args, out: Path, seed: int, outputs: list[str]):
+def _write_manifest(args, out: Path, seed: int | None, outputs: list[str]):
     digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     manifest = {
         "command": args.command,
@@ -142,8 +119,6 @@ def cmd_analytic(args) -> int:
     cfg = _load(args)
     if "analytic" not in cfg:
         raise sc.ConfigError("config: analytic section required")
-    _override(cfg, ("analytic", "severity", "ruin_level_s"), args.ruin_level)
-    _override(cfg, ("analytic", "severity", "z_grid"), None if args.z is None else [args.z])
     section = cfg["analytic"]
     sc.check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
     laws = [_parse_analytic_law(d, f"analytic.laws[{i}]")
@@ -161,7 +136,6 @@ def cmd_analytic(args) -> int:
                                                    "analytic.severity.z_grid"))]
         n_stages = sc.count(severity.get("stages", 1), "analytic.severity.stages",
                             least=1, most=sc.MOST)
-    seed = _master_seed(args, cfg)
 
     rows = []
     for law in laws:
@@ -188,7 +162,7 @@ def cmd_analytic(args) -> int:
 
     out = _out_dir(args)
     val.write_csv(out / "analytic.csv", ANALYTIC_COLUMNS, rows)
-    _write_manifest(args, out, seed, ["analytic.csv"])
+    _write_manifest(args, out, None, ["analytic.csv"])   # draws no random numbers
     print(f"wrote {out / 'analytic.csv'} ({len(rows)} rows)")
     return 0
 
@@ -201,10 +175,10 @@ def cmd_sweep(args) -> int:
     for key in ("scenario", "sweep"):
         if key not in cfg:
             raise sc.ConfigError(f"config: {key} section required")
-    _override(cfg, ("sweep", "replications"), args.replications)
-    _override(cfg, ("sweep", "ruin_level_s"), args.ruin_level)
-    _override(cfg, ("sweep", "threshold_z_s"), args.z)
-    seed = _master_seed(args, cfg)
+    if args.seed is not None:
+        seed = sc.count(args.seed, "--seed", least=0)
+    else:
+        seed = sc.count(cfg.get("master_seed", 0), "config.master_seed", least=0)
     sweep = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]), seed)
     out = _out_dir(args)
     exported: list[str] = []
@@ -260,10 +234,7 @@ def _render_sweep_svg(out: Path, agg, sweep) -> str:
 # validate command
 
 def cmd_validate(args) -> int:
-    cfg = _load(args)
-    _master_seed(args, cfg)   # a bad --seed is reported as the flag, not the key
-    _override(cfg, ("validate", "master_seed"), args.seed)
-    vcfg = val.parse_validation_config(cfg.get("validate", {}))
+    vcfg = val.parse_validation_config(_load(args).get("validate", {}))
     out = _out_dir(args)
     report = val.run_validation(vcfg, out_dir=out)
     for check in report.checks:

@@ -1,5 +1,6 @@
 """Command-line interface tests: wiring, schemas, manifests, exit codes."""
 
+import argparse
 import csv
 import json
 import re
@@ -71,11 +72,11 @@ class TestAnalyticCommand:
 
     def test_manifest_written(self, tmp_path):
         rc = cli.main(["analytic", "--config", str(self.config(tmp_path)),
-                       "--out", str(tmp_path / "out"), "--seed", "3"])
+                       "--out", str(tmp_path / "out")])
         assert rc == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["command"] == "analytic"
-        assert manifest["master_seed"] == 3
+        assert manifest["master_seed"] is None   # analytic draws no random numbers
         assert len(manifest["config_sha256"]) == 64
 
     def test_manifest_records_the_argv_main_parsed(self, tmp_path, monkeypatch):
@@ -108,14 +109,14 @@ class TestAnalyticCommand:
 
 
 class TestSweepCommand:
-    def config(self, tmp_path, values=(2, 3), reps=1):
+    def config(self, tmp_path, values=(2, 3), reps=1, ruin=1.0, z=3.0, name="config.json"):
         return write_config(tmp_path, {
             "scenario": scenario_section(),
             "sweep": {"variable": "num_users", "values": list(values),
-                      "replications": reps, "ruin_level_s": 1.0,
-                      "threshold_z_s": 3.0, "horizon_s": 30.0},
+                      "replications": reps, "ruin_level_s": ruin,
+                      "threshold_z_s": z, "horizon_s": 30.0},
             "master_seed": 5,
-        })
+        }, name)
 
     def test_rows_and_aggregate(self, tmp_path):
         rc = cli.main(["sweep", "--config", str(self.config(tmp_path)),
@@ -145,10 +146,10 @@ class TestSweepCommand:
             != (tmp_path / "b" / "sweep.csv").read_bytes()
 
     def test_threshold_override_changes_severity_column(self, tmp_path):
-        cfg = self.config(tmp_path)
-        cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b"),
-                  "--z", "2.0"])
+        cli.main(["sweep", "--config", str(self.config(tmp_path)),
+                  "--out", str(tmp_path / "a")])
+        cli.main(["sweep", "--config", str(self.config(tmp_path, z=2.0, name="z2.json")),
+                  "--out", str(tmp_path / "b")])
         a = read_csv(tmp_path / "a" / "sweep.csv")
         b = read_csv(tmp_path / "b" / "sweep.csv")
         assert a[0]["j_z"] != b[0]["j_z"]
@@ -213,8 +214,9 @@ class TestSweepCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_excursion_mean_is_nan_without_a_warning(self, tmp_path):
         # no age reaches a 30 s ruin level, so every replication's estimate is NaN
-        rc = cli.main(["sweep", "--config", str(self.config(tmp_path, values=(2,), reps=2)),
-                       "--out", str(tmp_path / "out"), "--ruin-level", "30"])
+        rc = cli.main(["sweep", "--config",
+                       str(self.config(tmp_path, values=(2,), reps=2, ruin=30.0)),
+                       "--out", str(tmp_path / "out")])
         assert rc == 0
         agg = read_csv(tmp_path / "out" / "sweep_aggregate.csv")
         assert agg and all(r["sim_severity_below_z_mean"] == "nan" for r in agg)
@@ -238,16 +240,16 @@ class TestValidateCommand:
         assert len(read_csv(tmp_path / "out" / "lcfs_cdf_discrepancy.csv")) > 0
         assert len(read_csv(tmp_path / "out" / "severity_deviation.csv")) > 0
 
-    @pytest.mark.parametrize("flags,seed", [(["--seed", "7"], 7), ([], 3)])
-    def test_suite_runs_with_the_recorded_seed(self, tmp_path, flags, seed):
+    def test_suite_runs_with_the_recorded_seed(self, tmp_path):
+        # the suite's seed is validate.master_seed; the top-level one is the sweep's
         cfg = write_config(tmp_path, {"validate": {"master_seed": 3}, "master_seed": 5})
         with mock.patch.object(cli.val, "run_validation",
                                return_value=cli.val.ValidationReport()) as suite:
             assert cli.main(["validate", "--config", str(cfg),
-                             "--out", str(tmp_path / "out")] + flags) == 0
-        assert suite.call_args.args[0].master_seed == seed
+                             "--out", str(tmp_path / "out")]) == 0
+        assert suite.call_args.args[0].master_seed == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["master_seed"] == seed
+        assert manifest["master_seed"] == 3
 
     def test_corrupted_tolerance_fails_with_report(self, tmp_path):
         corrupted = dict(self.REDUCED)
@@ -286,7 +288,7 @@ class TestShippedConfigs:
 
 
 class TestReadme:
-    """The README's config example and override table must match the code."""
+    """The README's config example and flag table must match the code."""
 
     TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -298,28 +300,30 @@ class TestReadme:
         sweep = sc.parse_sweep(cfg["sweep"], sc.parse_scenario(cfg["scenario"]))
         assert sweep.base.num_users == cfg["scenario"]["num_users"]
 
-    def test_override_flags_are_accepted(self):
-        rows = re.findall(r"^\| `(\w+)` \| `(--[\w-]+)", self.TEXT, re.M)
-        assert len(rows) >= 6
-        parser = cli.build_parser()
-        for command, flag in rows:
-            # every flag in the table takes a value; an unknown flag exits
-            args = parser.parse_args([command, "--config", "c.json", flag, "1"])
-            assert args.command == command
+    def test_flag_table_matches_the_parser(self):
+        documented = {command: set(re.findall(r"`(--[\w-]+)`", flags))
+                      for command, flags in re.findall(r"^\| `(\w+)` \| (`--.*) \|$",
+                                                       self.TEXT, re.M)}
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        parsed = {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+                  for name, p in commands.items()}
+        assert documented == parsed
 
 
 class TestExitCodes:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, {"nonsense": 1})
-        assert cli.main(["validate", "--config", str(cfg)]) == 3
+        assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
     def test_missing_file_is_usage_error(self, tmp_path):
-        assert cli.main(["sweep", "--config", str(tmp_path / "absent.json")]) == 3
+        assert cli.main(["sweep", "--config", str(tmp_path / "absent.json"),
+                         "--out", str(tmp_path / "out")]) == 3
 
     def test_integer_over_the_digit_limit_is_usage_error(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text('{"master_seed": ' + "9" * 5000 + "}")
-        assert cli.main(["validate", "--config", str(cfg)]) == 3
+        assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize("section,key,value", [
         ("link", "typo_key", 1),
@@ -333,15 +337,22 @@ class TestExitCodes:
             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
         payload["scenario"][section][key] = value
         cfg = write_config(tmp_path, payload)
-        assert cli.main(["sweep", "--config", str(cfg)]) == 3
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert f"scenario.{section}: unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_feed_flag_is_rejected_by_argparse(self, tmp_path, capsys):
+        # every setting but the sweep's seed comes from the config file alone
         cfg = write_config(tmp_path, {"scenario": scenario_section()})
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["sweep", "--config", str(cfg), "--feed", "tandem"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --feed" in capsys.readouterr().err
+        for command, flag, value in [("sweep", "--feed", "tandem"), ("sweep", "--z", "2"),
+                                     ("sweep", "--ruin-level", "1"),
+                                     ("sweep", "--replications", "2"),
+                                     ("analytic", "--z", "2"), ("analytic", "--ruin-level", "1"),
+                                     ("analytic", "--seed", "3"), ("validate", "--seed", "3")]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                          flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where,value", [
         (("scenario", "link", "bandwidth_hz"), float("nan")),
@@ -403,7 +414,7 @@ class TestExitCodes:
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "sweep.values[0]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["analytic", "sweep", "validate"])
+    @pytest.mark.parametrize("command", ["sweep"])   # the one command that reads a master seed
     @pytest.mark.parametrize("seed,flag,field", [
         ("abc", None, "config.master_seed"),
         (2.7, None, "config.master_seed"),
@@ -412,14 +423,13 @@ class TestExitCodes:
     ])
     def test_bad_master_seed_is_usage_error(self, tmp_path, capsys, command, seed, flag, field):
         payload = {"master_seed": seed,
-                   "analytic": {"laws": [], "severity": {"ruin_level_s": 1.0}},
                    "scenario": scenario_section(),
                    "sweep": {"variable": "num_users", "values": [2], "replications": 1,
                              "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
         argv = [command, "--config", str(write_config(tmp_path, payload)),
                 "--out", str(tmp_path / "out")] + (["--seed", flag] if flag else [])
-        # a bad seed must stop `validate` before the suite runs
-        with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
+        # a bad seed must stop `sweep` before any cell is simulated
+        with mock.patch.object(cli.sc, "run_sweep", side_effect=AssertionError):
             assert cli.main(argv) == 3
         assert field in capsys.readouterr().err
 
@@ -455,31 +465,6 @@ class TestExitCodes:
             assert cli.main(["validate", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3
         assert "validate: unknown keys" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command,flag,value,field", [
-        ("sweep", "--replications", "0", "sweep.replications"),
-        ("sweep", "--z", "-1", "sweep.threshold_z_s"),
-        ("sweep", "--ruin-level", "0", "sweep.ruin_level_s"),
-        ("sweep", "--z", "nan", "sweep.threshold_z_s"),
-        ("analytic", "--z", "-1", "analytic.severity.z_grid[0]"),
-        ("analytic", "--z", "nan", "analytic.severity.z_grid[0]"),
-    ])
-    def test_bad_flag_is_usage_error_naming_its_key(self, tmp_path, capsys, command, flag,
-                                                     value, field):
-        payload = {"analytic": {"laws": [], "severity": {"ruin_level_s": 1.0}},
-                   "scenario": scenario_section(),
-                   "sweep": {"variable": "num_users", "values": [2], "replications": 1,
-                             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
-        argv = [command, "--config", str(write_config(tmp_path, payload)),
-                "--out", str(tmp_path / "out"), f"{flag}={value}"]
-        assert cli.main(argv) == 3
-        assert field in capsys.readouterr().err
-
-    def test_analytic_z_without_ruin_level_is_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"analytic": {"laws": [], "ages": [1.0]}})
-        assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                         "--z", "1.0"]) == 3
-        assert "analytic.severity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,field", [
         (lambda s: s["laws"][0].update(update_rate=True), "analytic.laws[0].update_rate"),
