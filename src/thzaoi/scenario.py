@@ -172,15 +172,17 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _apply_value(scenario: Scenario, variable: SweepVariable, value: float) -> Scenario:
-    if variable is SweepVariable.NUM_USERS:
-        return replace(scenario, num_users=int(value))
-    return replace(scenario, link_params=replace(scenario.link_params,
-                                                 bandwidth_hz=float(value)))
-
-
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
+def cell_rates(base: Scenario, variable: SweepVariable, value: float, rep: int) -> np.ndarray:
+    """Per-user update rates of ``base`` at sweep ``value``, placed for replication ``rep``."""
+    seed = _derived_seed(base.placement_seed, 1000 + rep)
+    if variable is SweepVariable.NUM_USERS:
+        return realize_rates(replace(base, num_users=int(value), placement_seed=seed))
+    link_params = replace(base.link_params, bandwidth_hz=float(value))
+    return realize_rates(replace(base, link_params=link_params, placement_seed=seed))
 
 
 def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
@@ -196,18 +198,15 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     rows: list[dict] = []
     for vi, value in enumerate(sweep.values):
         for rep in range(sweep.replications):
-            scen = _apply_value(sweep.base, sweep.variable, value)
-            scen = replace(scen, placement_seed=_derived_seed(scen.placement_seed, 1000 + rep))
-            rates = realize_rates(scen)
+            rates = cell_rates(sweep.base, sweep.variable, value, rep)
             for di, disc in enumerate((an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)):
                 seed = _derived_seed(sweep.master_seed, vi, rep, di)
-                rows.extend(_run_cell(sweep, scen, rates, value, rep, disc, seed, sample_sink))
+                rows.extend(_run_cell(sweep, rates, value, rep, disc, seed, sample_sink))
     return rows
 
 
-def _run_cell(sweep, scen, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
-    mu_u = scen.queue.stage_service_rate
-    mu_c = scen.queue.compute_service_rate
+def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
+    mu_u, mu_c = sweep.base.queue.stage_service_rate, sweep.base.queue.compute_service_rate
     base_row = {
         "sweep_var": sweep.variable.value, "value": value, "replication": rep,
         "discipline": disc.value, "error": "",

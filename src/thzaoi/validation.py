@@ -1,14 +1,14 @@
 """Oracle-and-property validation suite.
 
-Each check pits an implementation path against an independent one:
-closed forms against Gauss-Legendre quadrature of the density, the
-canonical CDF kernels and the quadrature against a 30-digit mpmath
-evaluation, the reference CDFs against the discrete-event simulator,
-the published-but-inconsistent expressions against their flagged
-reproductions.  The same suite backs the ``validate`` CLI command and
-the acceptance tests.  Its fixed tolerances and time budgets are module
-constants, so a corrupted tolerance demonstrably fails; ``ValidationConfig``
-holds only what runs change.
+Each check pits an implementation path against an independent one: closed forms
+against Gauss-Legendre quadrature of the density, the canonical CDF kernels and
+the quadrature against a 30-digit mpmath evaluation, the reference CDFs against
+the discrete-event simulator, the published-but-inconsistent expressions
+against their flagged reproductions.  The figure trends read the analytic means
+alone, over fixed user placements.  The same suite backs the ``validate`` CLI
+command and the acceptance tests.  Its fixed tolerances and time budgets are
+module constants, so a corrupted tolerance demonstrably fails;
+``ValidationConfig`` holds only what runs change.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ SEVERITY_TOL = 1e-6
 NORMALIZATION_MAX_SECONDS = 10.0
 KS_MAX_SECONDS = 60.0
 TOTAL_BUDGET_SECONDS = 300.0
+TREND_REPLICATIONS = 2
 # the stage service rate each check runs its horizon at
-_HORIZON_STAGE_RATE = {"e2e_horizon": 5.0, "severity_horizon": 1.0, "trend_horizon": 5.0}
+_HORIZON_STAGE_RATE = {"e2e_horizon": 5.0, "severity_horizon": 1.0}
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,6 @@ class ValidationConfig:
     e2e_rel_tol: float = 0.02
     e2e_horizon: float = 800.0
     severity_horizon: float = 420_000.0
-    trend_horizon: float = 60.0
-    trend_replications: int = 2
     master_seed: int = 20260810
 
 
@@ -253,27 +252,30 @@ def check_stage_ks(cfg: ValidationConfig):
 
 
 def _reference_scenario(mu_c: float, meta_surfaces: int = 100,
-                        image_bits: float = 1e7, num_users: int = 15) -> sc.Scenario:
+                        image_bits: float = 1e7) -> sc.Scenario:
     link = tl.LinkParams(bandwidth_hz=1e10, carrier_hz=1e12, tx_power_w=1.0,
                          absorption_per_m=0.0016, temperature_k=300.0,
                          meta_surfaces=meta_surfaces, image_size_bits=image_bits)
     queue = qs.QueueConfig(an.Discipline.FCFS_MM12, 5.0, mu_c)
-    return sc.Scenario(room=sc.Room(), num_users=num_users, link_params=link,
+    return sc.Scenario(room=sc.Room(), num_users=15, link_params=link,
                        queue=queue, placement_seed=424242)
+
+
+def _corrected_e2e(rates, mu_u: float, mu_c: float, disc) -> float:
+    """The corrected ``avg_paoi_e2e`` of users at ``rates``, fed to compute at Burke's rate."""
+    sys_law = an.SystemLaw(tuple(an.StageLaw(float(r), mu_u, disc) for r in rates))
+    lam_c = sc.compute_arrival_rate(rates, mu_u, sc.ArrivalRateMode.BURKE)
+    return an.avg_paoi_e2e(sys_law, an.ComputeQueueLaw(lam_c, mu_c, an.AvgMode.CORRECTED))
 
 
 @_timed_check("e2e_average_vs_simulator")
 def check_e2e_average(cfg: ValidationConfig):
-    scen = _reference_scenario(mu_c=100.0)
-    rates = sc.realize_rates(scen)
+    rates = sc.realize_rates(_reference_scenario(mu_c=100.0))
     lam_c = sc.compute_arrival_rate(rates, 5.0, sc.ArrivalRateMode.BURKE)
     lines = []
     ok = True
     for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-        stages = tuple(an.StageLaw(float(r), 5.0, disc) for r in rates)
-        sys_law = an.SystemLaw(stages)
-        analytic = an.avg_paoi_e2e(
-            sys_law, an.ComputeQueueLaw(lam_c, 100.0, an.AvgMode.CORRECTED))
+        analytic = _corrected_e2e(rates, 5.0, 100.0, disc)
         out = qs.run(qs.QueueConfig(disc, 5.0, 100.0), rates, cfg.e2e_horizon, cfg.master_seed + 5)
         est = qs.e2e_average_estimate(out)
         rel = abs(est.mean - analytic) / analytic
@@ -327,47 +329,36 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
         f"{len(rows)} deviation rows persisted")
 
 
-def _trend_series(rows, disc) -> list[float]:
-    per_value: dict[float, list[float]] = {}
-    for row in rows:
-        if (row["discipline"] == disc.value and not row.get("error")
-                and row.get("avg_analytic_mode") == an.AvgMode.CORRECTED.value
-                and row.get("severity_mode") == an.PsiMode.SURVIVAL.value):
-            per_value.setdefault(row["value"], []).append(row["avg_analytic_per_user"])
-    return [float(np.mean(per_value[v])) for v in sorted(per_value)]
+def _trend_series(base: sc.Scenario, variable: sc.SweepVariable, values, disc) -> list[float]:
+    """Each value's corrected ``avg_analytic_per_user``, meaned over its placements."""
+    mu_u, mu_c = base.queue.stage_service_rate, base.queue.compute_service_rate
+    series = []
+    for value in values:
+        reps = (sc.cell_rates(base, variable, value, rep) for rep in range(TREND_REPLICATIONS))
+        series.append(float(np.mean([_corrected_e2e(r, mu_u, mu_c, disc) / len(r) for r in reps])))
+    return series
 
 
 @_timed_check("figure_trends_corrected_average")
-def check_trends(cfg: ValidationConfig):
-    users_base = _reference_scenario(mu_c=1000.0, num_users=5)
-    users_sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                           cfg.trend_replications, users_base, 1.0, 3.0, cfg.trend_horizon,
-                           cfg.master_seed + 11)
-    user_rows = sc.run_sweep(users_sweep)
-
-    bw_base = _reference_scenario(mu_c=100.0, meta_surfaces=1,
-                                  image_bits=2e10, num_users=15)
-    bw_rows = sc.run_sweep(replace(users_sweep, variable=sc.SweepVariable.BANDWIDTH,
-                                   values=(1e10, 2e10, 4e10), base=bw_base))
-
-    ok = True
-    lines = []
-    for label, rows in (("users", user_rows), ("bandwidth", bw_rows)):
+def check_trends():
+    monotone, lines = [], []
+    for label, base, variable, values in (
+            ("users", _reference_scenario(mu_c=1000.0),
+             sc.SweepVariable.NUM_USERS, (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
+            ("bandwidth", _reference_scenario(mu_c=100.0, meta_surfaces=1, image_bits=2e10),
+             sc.SweepVariable.BANDWIDTH, (1e10, 2e10, 4e10))):
         for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            series = _trend_series(rows, disc)
-            mono = all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
-            ok = ok and mono and len(series) >= 3
-            verdict = (f"{len(series)} values, need at least 3" if len(series) < 3
-                       else "non-increasing" if mono else f"VIOLATION {series}")
+            series = _trend_series(base, variable, values, disc)
+            monotone.append(all(b <= a + 1e-12 for a, b in zip(series, series[1:])))
+            verdict = "non-increasing" if monotone[-1] else f"VIOLATION {series}"
             lines.append(f"{label}/{disc.value}: {verdict}")
-    return ok, "; ".join(lines)
+    return all(monotone), "; ".join(lines)
 
 
 @_timed_check("sweep_determinism")
 def check_sweep_determinism(cfg: ValidationConfig):
-    base = _reference_scenario(mu_c=1000.0, num_users=3)
-    sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, base, 1.0, 3.0, 30.0,
-                     cfg.master_seed + 13)
+    sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, _reference_scenario(mu_c=1000.0),
+                     1.0, 3.0, 30.0, cfg.master_seed + 13)
     blobs = []
     for _ in range(2):
         rows = sc.run_sweep(sweep)
@@ -408,7 +399,7 @@ def run_validation(cfg: ValidationConfig | None = None,
     report.checks.append(check_stage_ks(cfg))
     report.checks.append(check_e2e_average(cfg))
     report.checks.append(check_severity(cfg, report))
-    report.checks.append(check_trends(cfg))
+    report.checks.append(check_trends())
     report.checks.append(check_sweep_determinism(cfg))
     report.total_duration_s = time.perf_counter() - start
     report.checks.append(CheckResult(

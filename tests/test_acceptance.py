@@ -14,7 +14,8 @@ the CLI.
      uncorrected compute value 1,515,000.0233... reproduced and flagged
   7  severity worked point -3.05/+3.05 both flagged invalid; excursion
      deviation report persisted and non-empty
-  8  corrected per-user average non-increasing in users and in bandwidth
+  8  corrected per-user average non-increasing in users and in bandwidth,
+     read from the analytic means without simulating
   9  sweep command reruns are byte-identical
  10  full suite under 5 minutes
  11  canonical stage CDFs within 1e-12 of a 30-digit mpmath evaluation at
@@ -114,19 +115,53 @@ def test_c08_figure_trends(report):
     assert check.passed, check.details
 
 
-def test_c08_short_trend_series_fails_with_its_length(monkeypatch):
-    # error rows for each sweep's first value leave the bandwidth series,
-    # which has three values, one short
-    run_sweep = val.sc.run_sweep
+TREND_DETAILS = ("users/fcfs: non-increasing; users/lcfs: non-increasing; "
+                 "bandwidth/fcfs: non-increasing; bandwidth/lcfs: non-increasing")
 
-    def first_value_fails(sweep):
-        return [dict(row, error="no samples") if row["value"] == sweep.values[0] else row
-                for row in run_sweep(sweep)]
 
-    monkeypatch.setattr(val.sc, "run_sweep", first_value_fails)
-    check = val.check_trends(replace(val.ValidationConfig(), trend_replications=1))
+def test_c08_trend_check_never_simulates(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the figure-trend check reads the analytic means only")
+
+    monkeypatch.setattr(val.qs, "run", no_simulation)
+    monkeypatch.setattr(val.sc, "run_sweep", no_simulation)
+    check = val.check_trends()
+    assert check.passed, check.details
+    assert check.details == TREND_DETAILS
+
+
+def test_c08_growing_average_is_a_violation(monkeypatch):
+    # a per-user mean of N plus the summed update rates grows with the user
+    # count and, through the rates, with the bandwidth
+    def growing(sys_law, comp):
+        n = len(sys_law.stages)
+        return n * (n + sum(law.update_rate for law in sys_law.stages))
+
+    monkeypatch.setattr(val.an, "avg_paoi_e2e", growing)
+    check = val.check_trends()
     assert not check.passed
-    assert "2 values, need at least 3" in check.details, check.details
+    lines = check.details.split("; ")
+    assert len(lines) == 4 and all(": VIOLATION [" in line for line in lines), check.details
+
+
+@pytest.mark.parametrize("variable,values", [
+    (val.sc.SweepVariable.NUM_USERS, (2.0, 3.0)),
+    (val.sc.SweepVariable.BANDWIDTH, (1e10, 2e10)),
+])
+def test_c08_trend_series_is_the_sweeps_column(variable, values):
+    # the series the check judges is run_sweep's corrected avg_analytic_per_user,
+    # meaned over the same placements
+    base = replace(val._reference_scenario(mu_c=1000.0), num_users=3)
+    sweep = val.sc.Sweep(variable, values, val.TREND_REPLICATIONS, base, 1.0, 3.0, 20.0, 5)
+    rows = [r for r in val.sc.run_sweep(sweep)
+            if r["avg_analytic_mode"] == "corrected" and r["severity_mode"] == "survival"]
+    assert len(rows) == len(values) * val.TREND_REPLICATIONS * 2
+    assert not any(r["error"] for r in rows)
+    for disc in (val.an.Discipline.FCFS_MM12, val.an.Discipline.LCFS_MM12_STAR):
+        column = [float(np.mean([r["avg_analytic_per_user"] for r in rows
+                                 if r["value"] == v and r["discipline"] == disc.value]))
+                  for v in values]
+        assert val._trend_series(base, variable, values, disc) == column
 
 
 def test_c09_sweep_cli_byte_identical(tmp_path):

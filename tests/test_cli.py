@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -223,9 +224,7 @@ class TestSweepCommand:
 
 
 class TestValidateCommand:
-    REDUCED = {"severity_horizon": 20000.0,
-               "e2e_horizon": 300.0, "trend_horizon": 25.0,
-               "trend_replications": 1}
+    REDUCED = {"severity_horizon": 20000.0, "e2e_horizon": 300.0}
 
     def test_reduced_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"validate": dict(self.REDUCED)})
@@ -288,7 +287,7 @@ class TestShippedConfigs:
 
 
 class TestReadme:
-    """The README's config example and flag table must match the code."""
+    """The README's config example, flag table and validate keys must match the code."""
 
     TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -309,6 +308,10 @@ class TestReadme:
         parsed = {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
                   for name, p in commands.items()}
         assert documented == parsed
+
+    def test_validate_keys_are_the_config_fields(self):
+        documented = set(re.findall(r"`validate\.(\w+)`", self.TEXT))
+        assert documented == {f.name for f in dataclasses.fields(cli.val.ValidationConfig)}
 
 
 class TestExitCodes:
@@ -435,18 +438,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("ks_tolerance", float("nan")),
                                            ("master_seed", True), ("ks_deliveries", 0),
-                                           ("trend_replications", 0), ("e2e_horizon", 0.0),
-                                           ("severity_horizon", -1.0), ("trend_horizon", 0.0),
+                                           ("e2e_horizon", 0.0), ("severity_horizon", -1.0),
                                            pytest.param("ks_deliveries", 1e18,
                                                         id="huge-ks_deliveries"),
-                                           pytest.param("trend_replications", 1e18,
-                                                        id="huge-trend_replications"),
                                            pytest.param("severity_horizon", 1e12,
                                                         id="huge-severity_horizon"),
                                            pytest.param("e2e_horizon", 1e12,
-                                                        id="huge-e2e_horizon"),
-                                           pytest.param("trend_horizon", 1e12,
-                                                        id="huge-trend_horizon")])
+                                                        id="huge-e2e_horizon")])
     def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {"validate": {key: value}})
         # a bad bound must stop `validate` before the suite runs
@@ -458,9 +456,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", [
         "normalization_tol", "closed_vs_quad_tol", "moment_tol", "cdf_spot_tol",
         "published_origin_tol", "lcfs_tail_tol", "oracle_tol", "severity_tol",
-        "normalization_max_seconds", "ks_max_seconds", "total_budget_seconds"])
+        "normalization_max_seconds", "ks_max_seconds", "total_budget_seconds",
+        # the figure-trend check simulates nothing, so no horizon or replication count sizes it
+        "trend_horizon", "trend_replications"])
     def test_fixed_tolerance_is_not_a_validate_key(self, tmp_path, capsys, key):
-        cfg = write_config(tmp_path, {"validate": {key: getattr(cli.val, key.upper())}})
+        # each key at its value in the code; trend_horizon's is its old default
+        value = 60.0 if key == "trend_horizon" else getattr(cli.val, key.upper())
+        cfg = write_config(tmp_path, {"validate": {key: value}})
         with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
             assert cli.main(["validate", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3

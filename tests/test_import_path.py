@@ -64,8 +64,7 @@ def test_analytic_never_imports_scipy(tmp_path):
 
 def test_validate_never_imports_scipy(tmp_path):
     # the whole suite, quadrature checks included, at shortened simulator horizons
-    cfg = {"validate": {"severity_horizon": 20000.0, "e2e_horizon": 300.0,
-                        "trend_horizon": 25.0, "trend_replications": 1}}
+    cfg = {"validate": {"severity_horizon": 20000.0, "e2e_horizon": 300.0}}
     assert run_fresh(tmp_path, "validate", cfg) == {"rc": 0, "scipy": []}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] and len(report["checks"]) == 11
