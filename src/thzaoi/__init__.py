@@ -10,7 +10,7 @@ from .aoi_analytic import (  # noqa: F401
 )
 from .queue_sim import (  # noqa: F401
     ComputeFeed, EmptyDataError, PaoiSamples, QueueConfig, Stage,
-    empirical_cdf, estimate_avg, excursion_severity, ks_distance, run,
+    empirical_cdf, estimate_avg, excursion_severity, ks_distance, run, stage_series,
 )
 from .scenario import (  # noqa: F401
     ArrivalRateMode, ConfigError, Room, Scenario, Sweep, SweepVariable,

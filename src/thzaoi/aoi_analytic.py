@@ -269,9 +269,10 @@ def _quad_pdf(law: StageLaw, grid, moment: int = 0) -> np.ndarray:
     lo, hi = float(grid[0]), float(grid[-1])
     first = 1.0 / (64.0 * max(r, mu))
     steps = math.ceil(math.log(hi / first, 1.5)) if hi > first else 0
-    edges = np.unique(np.concatenate(
+    edges = np.sort(np.concatenate(
         (grid, [1.0 / (r + mu), 1.0 / r, 1.0 / mu, 3.0 / mu], first * 1.5 ** np.arange(steps))))
-    edges = edges[(edges >= lo) & (edges <= hi)]
+    # repeats dropped by hand: np.unique would load numpy.ma on first use
+    edges = edges[(edges >= lo) & (edges <= hi) & np.append(True, edges[1:] != edges[:-1])]
     nodes, weights = _gauss_legendre()
 
     def cumulative(edges):

@@ -4,7 +4,8 @@ Per-user capacity-2 stage queues (drop-on-full FCFS or replace-the-waiter
 LCFS) feed a shared infinite-buffer FCFS compute queue.  The stage queues
 have no feedback from the compute queue, so each user's stage is simulated
 independently and the merged departure stream then drives the compute
-queue; event ties are broken by (time, merge sequence) order.
+queue; event ties are broken by (time, merge sequence) order.  For checks
+that read one stage only, ``stage_series`` simulates that stage alone.
 
 Each stage is simulated as a sequence of i.i.d. service cycles, which is
 exact in distribution: with capacity 2, every service starts with the
@@ -161,33 +162,36 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
     # the throughput is below min(rate, mu), so one block of cycles usually
     # spans the horizon; at least one is drawn, and more while it falls short
     block = int(1.1 * min(rate, mu) * horizon) + 64
-    starts, cycles = [np.array([rng.exponential(1.0 / rate)])], []
-    while not cycles or starts[-1][-1] <= horizon:
+    start, cycles = np.array([rng.exponential(1.0 / rate)]), []
+    while not cycles or start[-1] <= horizon:
         s = rng.exponential(1.0 / mu, block)
         e = rng.exponential(1.0 / rate, block)
         n = rng.poisson(rate * np.maximum(s - e, 0.0))
-        # LCFS keeps the latest of the n arrivals behind the waiter: (s - e) U^(1/n) past it
-        u = rng.random(block) ** (1.0 / np.maximum(n, 1)) if lcfs else np.zeros(block)
-        cycles.append((s, e, n, np.where(n > 0, u, 0.0)))
+        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
+        cycles.append((s, e, n, rng.random(block)) if lcfs else (s, e, n))
         # a sequential sum, so a departure start + s is the next start bit for bit
-        starts.append(np.cumsum(np.concatenate((starts[-1][-1:], np.where(e < s, s, e))))[1:])
-    start = np.concatenate(starts)
+        steps = np.cumsum(np.concatenate((start[-1:], np.maximum(s, e))))
+        start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
     k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
     start = start[:k]
-    s, e, n, u = (np.concatenate(c)[:k] for c in zip(*cycles))
+    # one block, the usual case, is sliced rather than copied
+    s, e, n, *u = (c[0][:k] if len(c) == 1 else np.concatenate(c)[:k] for c in zip(*cycles))
     done = start + s
-    queued = e < s              # the next arrival comes during this service and waits
-    arrived = start + e
-    gens = start.copy()         # a service begun empty carries its own arrival
-    carried = np.flatnonzero(queued[:-1])
-    gens[carried + 1] = (arrived + (s - e) * u)[carried]
+    queued = np.flatnonzero(e < s)   # the next arrival comes during this service and waits
+    arrived = start[queued] + e[queued]
+    carried = queued[queued < k - 1]
+    gens = start                # a service begun empty carries its own arrival
+    gens[carried + 1] = arrived[:carried.size]
+    if lcfs:                    # the survivor came (s - e) U^(1/n) after the waiter
+        w = carried[n[carried] > 0]
+        gens[w + 1] += (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
 
     d = k - int(k > 0 and done[-1] > horizon)   # only the last service can straddle it
-    waiting = int(d < k and queued[-1] and arrived[-1] <= horizon)
+    waiting = int(d < k and carried.size < queued.size and arrived[-1] <= horizon)
     # behind the straddling service's waiter, arrivals count up to the horizon only
     lost = int(n[:d].sum()) + (int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0)
     # services begun empty, plus the waiters that came by the horizon
-    arrivals = k - carried.size + int(np.count_nonzero(queued & (arrived <= horizon)))
+    arrivals = k - carried.size + int(np.count_nonzero(arrived <= horizon))
     counters = UserCounters(
         arrivals=arrivals + lost, deliveries=d,
         drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
@@ -238,6 +242,15 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     n_post = int(np.count_nonzero(times >= warmup))
     out.compute_arrival_rate = n_post / window if window > 0 else 0.0
     return out
+
+
+def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
+                 seed: int) -> StageSeries:
+    """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for bit."""
+    if min(rate, mu, horizon) <= 0:
+        raise ValueError("rates and horizon must be strictly positive")
+    times, gens, _ = _simulate_stage(rate, mu, horizon, _rng(seed, _ARRIVAL_TAG, 0), discipline)
+    return _freshness_series(times, gens, WARMUP_FRACTION * horizon)
 
 
 def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,

@@ -239,9 +239,8 @@ def check_stage_ks(cfg: ValidationConfig):
             case_start = time.perf_counter()
             law = an.StageLaw(rate, 1.0, disc)
             horizon = 1.05 * cfg.ks_deliveries / an.stage_throughput(rate, 1.0)
-            out = qs.run(qs.QueueConfig(disc, 1.0, 50.0), [rate], horizon,
-                         cfg.master_seed + int(10 * rate))
-            ecdf = qs.empirical_cdf(out, 0, qs.Stage.STAGE1)
+            series = qs.stage_series(disc, rate, 1.0, horizon, cfg.master_seed + int(10 * rate))
+            ecdf = qs.EmpiricalCdf(series.peaks)
             d = qs.ks_distance(ecdf, an.cdf_reference(law))
             case_s = time.perf_counter() - case_start
             good = d <= cfg.ks_tolerance and ecdf.n >= cfg.ks_deliveries \
@@ -305,9 +304,9 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
                 and written.validity is an.Validity.INVALID
                 and survival.validity is an.Validity.INVALID)
 
-    out = qs.run(qs.QueueConfig(an.Discipline.FCFS_MM12, 1.0, 50.0),
-                 [2.0], cfg.severity_horizon, cfg.master_seed + 7)
-    stats = qs.excursion_severity(out.stage1[0], 1.0)
+    series = qs.stage_series(an.Discipline.FCFS_MM12, 2.0, 1.0, cfg.severity_horizon,
+                             cfg.master_seed + 7)
+    stats = qs.excursion_severity(series, 1.0)
     z_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     rows = []
     for z in z_grid:
@@ -329,13 +328,15 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
         f"{len(rows)} deviation rows persisted")
 
 
-def _trend_series(base: sc.Scenario, variable: sc.SweepVariable, values, disc) -> list[float]:
-    """Each value's corrected ``avg_analytic_per_user``, meaned over its placements."""
+def _trend_series(base: sc.Scenario, variable: sc.SweepVariable, values):
+    """Per discipline, each value's corrected ``avg_analytic_per_user``, meaned over placements."""
     mu_u, mu_c = base.queue.stage_service_rate, base.queue.compute_service_rate
-    series = []
+    series = {disc: [] for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)}
     for value in values:
-        reps = (sc.cell_rates(base, variable, value, rep) for rep in range(TREND_REPLICATIONS))
-        series.append(float(np.mean([_corrected_e2e(r, mu_u, mu_c, disc) / len(r) for r in reps])))
+        reps = [sc.cell_rates(base, variable, value, rep) for rep in range(TREND_REPLICATIONS)]
+        for disc, means in series.items():
+            per_user = [_corrected_e2e(r, mu_u, mu_c, disc) / len(r) for r in reps]
+            means.append(float(np.mean(per_user)))
     return series
 
 
@@ -347,8 +348,7 @@ def check_trends():
              sc.SweepVariable.NUM_USERS, (5.0, 10.0, 15.0, 20.0, 25.0, 30.0)),
             ("bandwidth", _reference_scenario(mu_c=100.0, meta_surfaces=1, image_bits=2e10),
              sc.SweepVariable.BANDWIDTH, (1e10, 2e10, 4e10))):
-        for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
-            series = _trend_series(base, variable, values, disc)
+        for disc, series in _trend_series(base, variable, values).items():
             monotone.append(all(b <= a + 1e-12 for a, b in zip(series, series[1:])))
             verdict = "non-increasing" if monotone[-1] else f"VIOLATION {series}"
             lines.append(f"{label}/{disc.value}: {verdict}")

@@ -109,6 +109,19 @@ def test_c07_severity_modes_and_excursion_report(report):
     assert all(b >= a for a, b in zip(emp, emp[1:]))
 
 
+def test_c05_c07_stage_checks_never_reach_the_compute_queue(monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the KS and excursion checks read the stage queue only")
+
+    monkeypatch.setattr(val.qs, "run", no_compute)
+    monkeypatch.setattr(val.qs, "_simulate_compute", no_compute)
+    cfg = val.ValidationConfig()
+    report = val.ValidationReport()
+    for check in (val.check_stage_ks(cfg), val.check_severity(cfg, report)):
+        assert check.passed, check.details
+    assert len(report.artifacts["severity_deviation"]) == 6
+
+
 def test_c08_figure_trends(report):
     check = _check(report, "figure_trends_corrected_average")
     _emit(8, check)
@@ -161,7 +174,7 @@ def test_c08_trend_series_is_the_sweeps_column(variable, values):
         column = [float(np.mean([r["avg_analytic_per_user"] for r in rows
                                  if r["value"] == v and r["discipline"] == disc.value]))
                   for v in values]
-        assert val._trend_series(base, variable, values, disc) == column
+        assert val._trend_series(base, variable, values)[disc] == column
 
 
 def test_c09_sweep_cli_byte_identical(tmp_path):

@@ -1,4 +1,4 @@
-"""scipy stays out of the runtime.
+"""scipy and numpy.ma stay out of the runtime.
 
 The quadrature oracle is a numpy Gauss-Legendre rule and Student-t quantiles
 come from a literal table, or from mpmath above it, so no command loads
@@ -31,15 +31,19 @@ print(json.dumps({"rc": rc, "scipy": loaded}))
 """
 
 
+def fresh_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_fresh(tmp_path, command: str, cfg: dict) -> dict:
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(cfg))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", CLI_IN_FRESH_INTERPRETER,
          command, "--config", str(config), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=fresh_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -68,6 +72,18 @@ def test_validate_never_imports_scipy(tmp_path):
     assert run_fresh(tmp_path, "validate", cfg) == {"rc": 0, "scipy": []}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] and len(report["checks"]) == 11
+
+
+def test_quadrature_never_imports_numpy_ma():
+    # np.unique loads numpy.ma on first use (about 13 ms); the grid's 1.0 and
+    # 3.0 repeat the edges 1/mu and 3/mu, so repeats are dropped here
+    code = ("import sys\nfrom thzaoi import aoi_analytic as an\n"
+            "an._quad_pdf(an.StageLaw(2.0, 1.0), [0.0, 1.0, 3.0])\n"
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=fresh_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("dof", range(1, 31))

@@ -1,5 +1,7 @@
 """Simulator tests: exactness against the closed forms, bookkeeping, estimators."""
 
+import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -51,6 +53,65 @@ class TestDeterminismAndDomain:
             qs.run(config(), [1.0], 0.0, 0)
         with pytest.raises(ValueError):
             qs.run(config(), [0.0], 10.0, 0)
+
+
+class TestStageOnly:
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, 4000.0])
+    def test_stage_series_is_the_networks_stage1(self, disc, ratio):
+        horizon = 30.0 if ratio > 100 else 400.0
+        alone = qs.stage_series(disc, 2.0 * ratio, 2.0, horizon, 5)
+        full = qs.run(config(disc, mu_u=2.0), [2.0 * ratio], horizon, 5).stage1[0]
+        assert len(alone) > 0
+        for name in ("times", "peaks", "post_ages"):
+            assert np.array_equal(getattr(alone, name), getattr(full, name))
+
+    @pytest.mark.parametrize("rate,mu,horizon", [(0.0, 1.0, 10.0), (1.0, 0.0, 10.0),
+                                                 (1.0, 1.0, 0.0)])
+    def test_stage_series_domain_errors(self, rate, mu, horizon):
+        with pytest.raises(ValueError):
+            qs.stage_series(FCFS, rate, mu, horizon, 0)
+
+
+# sha256 of _simulate_stage's (departures, generation times) bytes and its
+# counters (arrivals, deliveries, drops, preemptions, in system) at mu = 1,
+# seed 17, as the simulator drew them before its temporaries were trimmed
+GOLDEN_STAGE = {
+    (FCFS, 0.5): ("1daea6ffb8c8fddf0ae0da2eac7b55e51d8c25d3bb4882dc633db4563352ffa5",
+                  (2390, 2046, 343, 0, 1)),
+    (FCFS, 2.0): ("522102af01ed304e0769557c2bc814157651be2e7e5e86f888ae6c20e5d672b1",
+                  (10011, 4159, 5850, 0, 2)),
+    (FCFS, 4000.0): ("24533e3ebedd1d1a9456fa9bd1ef4d24aa59e715d28f7e6c9960f7041a798ab3",
+                     (8004797, 1932, 8002863, 0, 2)),
+    (LCFS, 0.5): ("8a38f17c4175e10f4e5bbd2962b7dbbebdc2469782566621f11422e3303f64fe",
+                  (2390, 2046, 0, 343, 1)),
+    (LCFS, 2.0): ("35da4ff757e9fe5772e467e5a002d67efab5aad245a7b99241a66b5adc332a10",
+                  (10011, 4159, 0, 5850, 2)),
+    (LCFS, 4000.0): ("f02e99d62ce48f085bbb8c2fc65f366df10dcd537b7a74d994a0f3a99de22146",
+                     (8004733, 1932, 0, 8002799, 2)),
+}
+# LCFS generation times take U ** (1/n) through numpy's float64 power, whose
+# last bit depends on the CPU's SIMD loop (AVX-512 uses its own pow); this is
+# the digest of a fixed power table on the CPU the LCFS digests were taken on
+POW_TABLE_SHA256 = "779b1e849ace70ce6a65ab5fa619ca8e5d9839a9fe7661b80ed9364f126b2548"
+
+
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("disc,ratio", list(GOLDEN_STAGE))
+def test_stage_draws_are_pinned(disc, ratio):
+    # the sweep CSVs stay byte-identical only while every draw and its order do
+    horizon = 2000.0 if ratio > 100 else 5000.0
+    done, gens, counters = qs._simulate_stage(ratio, 1.0, horizon,
+                                              qs._rng(17, qs._ARRIVAL_TAG, 0), disc)
+    digest, expected = GOLDEN_STAGE[disc, ratio]
+    assert astuple(counters) == expected
+    table = np.linspace(0.01, 0.99, 4096) ** (1.0 / np.arange(1, 4097))
+    if disc is LCFS and _sha256(table) != POW_TABLE_SHA256:
+        pytest.skip("numpy's float64 power rounds differently on this CPU")
+    assert _sha256(done, gens) == digest
 
 
 class TestConservation:
