@@ -1,8 +1,10 @@
 """Command-line front end: analytic tables, sweeps, and the validation suite.
 
 Every invocation writes a manifest (command, config digest, master seed)
-next to its outputs so any CSV can be regenerated bit-for-bit.  Numeric
-cells are written with ``repr`` so no precision is lost in files.
+next to its outputs so any CSV can be regenerated bit-for-bit on the same
+machine and numpy build: LCFS survivors are placed with numpy's SIMD
+``U ** (1/n)``, which differs from libm on AVX-512 CPUs.  Numeric cells are
+written with ``repr`` so no precision is lost in files.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error.
 """
@@ -234,9 +236,9 @@ def _render_sweep_svg(out: Path, agg, sweep) -> str:
 # validate command
 
 def cmd_validate(args) -> int:
-    vcfg = val.parse_validation_config(_load(args).get("validate", {}))
+    seed = val.parse_seed(_load(args).get("validate", {}))
     out = _out_dir(args)
-    report = val.run_validation(vcfg, out_dir=out)
+    report = val.run_validation(seed, out_dir=out)
     for check in report.checks:
         print(val.format_check_line(check))
     payload = {
@@ -247,7 +249,7 @@ def cmd_validate(args) -> int:
     }
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2)
-    _write_manifest(args, out, vcfg.master_seed,
+    _write_manifest(args, out, seed,
                     ["report.json"] + [f"{k}.csv" for k in report.artifacts])
     print(f"suite {'PASSED' if report.passed else 'FAILED'} "
           f"in {report.total_duration_s:.1f}s; report at {out / 'report.json'}")

@@ -28,9 +28,8 @@ from . import thz_link as link
 
 _PLACEMENT_TAG = 7
 
-# the most users, stages, replications, validate samples or stage services per
-# user a config may ask for: sizes past it are typos that end in a memory error,
-# not in a result
+# the most users, stages, replications or stage services per user a config may
+# ask for: sizes past it are typos that end in a memory error, not in a result
 MOST = 1_000_000
 
 
@@ -199,7 +198,7 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     for vi, value in enumerate(sweep.values):
         for rep in range(sweep.replications):
             rates = cell_rates(sweep.base, sweep.variable, value, rep)
-            for di, disc in enumerate((an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)):
+            for di, disc in enumerate(an.Discipline):
                 seed = _derived_seed(sweep.master_seed, vi, rep, di)
                 rows.extend(_run_cell(sweep, rates, value, rep, disc, seed, sample_sink))
     return rows

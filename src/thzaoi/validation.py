@@ -6,9 +6,9 @@ the quadrature against a 30-digit mpmath evaluation, the reference CDFs against
 the discrete-event simulator, the published-but-inconsistent expressions
 against their flagged reproductions.  The figure trends read the analytic means
 alone, over fixed user placements.  The same suite backs the ``validate`` CLI
-command and the acceptance tests.  Its fixed tolerances and time budgets are
-module constants, so a corrupted tolerance demonstrably fails;
-``ValidationConfig`` holds only what runs change.
+command and the acceptance tests.  Its simulator sizes, tolerances and time
+budgets are module constants, so a corrupted tolerance demonstrably fails; a
+run's one setting is its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import io
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,20 +43,12 @@ NORMALIZATION_MAX_SECONDS = 10.0
 KS_MAX_SECONDS = 60.0
 TOTAL_BUDGET_SECONDS = 300.0
 TREND_REPLICATIONS = 2
-# the stage service rate each check runs its horizon at
-_HORIZON_STAGE_RATE = {"e2e_horizon": 5.0, "severity_horizon": 1.0}
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    """What runs change: the simulator sizes, the seed and the tolerances that scale with them."""
-
-    ks_tolerance: float = 0.01
-    ks_deliveries: int = 100_000
-    e2e_rel_tol: float = 0.02
-    e2e_horizon: float = 800.0
-    severity_horizon: float = 420_000.0
-    master_seed: int = 20260810
+KS_DELIVERIES = 100_000
+KS_TOLERANCE = 0.01
+E2E_HORIZON = 800.0
+E2E_REL_TOL = 0.02
+SEVERITY_HORIZON = 420_000.0
+MASTER_SEED = 20260810
 
 
 @dataclass
@@ -83,22 +75,10 @@ def format_check_line(check: CheckResult) -> str:
     return f"[{tag}] {check.name} ({check.duration_s:.1f}s): {check.details}"
 
 
-def parse_validation_config(d: dict, path: str = "validate") -> ValidationConfig:
-    """Counts in [1, sc.MOST] (seed >= 0), horizons > 0 of at most sc.MOST stage
-    services, tolerances >= 0 (0 fails a check)."""
-    defaults = ValidationConfig()
-    sc.check_keys(d, set(), {f.name for f in fields(ValidationConfig)}, path)
-
-    def read(key, value, field):
-        if key.endswith("_horizon"):
-            return sc.horizon(value, field, _HORIZON_STAGE_RATE[key])
-        if isinstance(getattr(defaults, key), int):
-            if key == "master_seed":
-                return sc.count(value, field, least=0)
-            return sc.count(value, field, least=1, most=sc.MOST)
-        return sc.number(value, field, least=0)
-
-    return replace(defaults, **{k: read(k, v, f"{path}.{k}") for k, v in d.items()})
+def parse_seed(d: dict) -> int:
+    """The ``validate`` section's one key, ``master_seed``: a whole number >= 0."""
+    sc.check_keys(d, set(), {"master_seed"}, "validate")
+    return sc.count(d.get("master_seed", MASTER_SEED), "validate.master_seed", least=0)
 
 
 def _grid_laws(disc):
@@ -115,7 +95,7 @@ def _grid_laws(disc):
 def _worst_moment_gap(moment: int, expected) -> float:
     """Largest |integral of a^moment pdf - expected(law)| over both disciplines' grid laws."""
     return max(abs(an._quad_pdf(law, [0.0, an.support_bound(law)], moment)[-1] - expected(law))
-               for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)
+               for disc in an.Discipline
                for law in _grid_laws(disc))
 
 
@@ -205,7 +185,7 @@ def _mpmath_stage_cdf(law: an.StageLaw, a: float):
 @_timed_check("stage_cdf_vs_mpmath")
 def check_stage_cdf_vs_mpmath():
     worst_ref = worst_quad = 0.0
-    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+    for disc in an.Discipline:
         for mu in ORACLE_MU:
             for ratio in ORACLE_RATIOS:
                 law = an.StageLaw(ratio * mu, mu, disc)
@@ -231,19 +211,19 @@ def check_moment_consistency():
 
 
 @_timed_check("simulator_vs_analytic_ks")
-def check_stage_ks(cfg: ValidationConfig):
+def check_stage_ks(seed: int):
     lines = []
     ok = True
-    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+    for disc in an.Discipline:
         for rate in (0.5, 2.0, 10.0):
             case_start = time.perf_counter()
             law = an.StageLaw(rate, 1.0, disc)
-            horizon = 1.05 * cfg.ks_deliveries / an.stage_throughput(rate, 1.0)
-            series = qs.stage_series(disc, rate, 1.0, horizon, cfg.master_seed + int(10 * rate))
+            horizon = 1.05 * KS_DELIVERIES / an.stage_throughput(rate, 1.0)
+            series = qs.stage_series(disc, rate, 1.0, horizon, seed + int(10 * rate))
             ecdf = qs.EmpiricalCdf(series.peaks)
             d = qs.ks_distance(ecdf, an.cdf_reference(law))
             case_s = time.perf_counter() - case_start
-            good = d <= cfg.ks_tolerance and ecdf.n >= cfg.ks_deliveries \
+            good = d <= KS_TOLERANCE and ecdf.n >= KS_DELIVERIES \
                 and case_s < KS_MAX_SECONDS
             ok = ok and good
             lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={ecdf.n} ({case_s:.1f}s)")
@@ -268,18 +248,18 @@ def _corrected_e2e(rates, mu_u: float, mu_c: float, disc) -> float:
 
 
 @_timed_check("e2e_average_vs_simulator")
-def check_e2e_average(cfg: ValidationConfig):
+def check_e2e_average(seed: int):
     rates = sc.realize_rates(_reference_scenario(mu_c=100.0))
     lam_c = sc.compute_arrival_rate(rates, 5.0, sc.ArrivalRateMode.BURKE)
     lines = []
     ok = True
-    for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR):
+    for disc in an.Discipline:
         analytic = _corrected_e2e(rates, 5.0, 100.0, disc)
-        out = qs.run(qs.QueueConfig(disc, 5.0, 100.0), rates, cfg.e2e_horizon, cfg.master_seed + 5)
+        out = qs.run(qs.QueueConfig(disc, 5.0, 100.0), rates, E2E_HORIZON, seed + 5)
         est = qs.e2e_average_estimate(out)
         rel = abs(est.mean - analytic) / analytic
         gap = lam_c - out.compute_arrival_rate
-        good = rel <= cfg.e2e_rel_tol and est.halfwidth <= cfg.e2e_rel_tol * analytic
+        good = rel <= E2E_REL_TOL and est.halfwidth <= E2E_REL_TOL * analytic
         ok = ok and good
         lines.append(f"{disc.value}: sim={est.mean:.4f}+-{est.halfwidth:.4f} "
                      f"analytic={analytic:.4f} rel={rel:.4%} burke_gap={gap:+.3f}/s")
@@ -293,7 +273,7 @@ def check_e2e_average(cfg: ValidationConfig):
 
 
 @_timed_check("severity_modes_and_excursions")
-def check_severity(cfg: ValidationConfig, report: ValidationReport):
+def check_severity(seed: int, report: ValidationReport):
     law = an.StageLaw(2.0, 1.0, an.Discipline.FCFS_MM12)
     sys_law = an.SystemLaw((law,))
     pair = an.severity_both_modes(sys_law, 1.0, 1.0)
@@ -304,8 +284,7 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
                 and written.validity is an.Validity.INVALID
                 and survival.validity is an.Validity.INVALID)
 
-    series = qs.stage_series(an.Discipline.FCFS_MM12, 2.0, 1.0, cfg.severity_horizon,
-                             cfg.master_seed + 7)
+    series = qs.stage_series(an.Discipline.FCFS_MM12, 2.0, 1.0, SEVERITY_HORIZON, seed + 7)
     stats = qs.excursion_severity(series, 1.0)
     z_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     rows = []
@@ -331,7 +310,7 @@ def check_severity(cfg: ValidationConfig, report: ValidationReport):
 def _trend_series(base: sc.Scenario, variable: sc.SweepVariable, values):
     """Per discipline, each value's corrected ``avg_analytic_per_user``, meaned over placements."""
     mu_u, mu_c = base.queue.stage_service_rate, base.queue.compute_service_rate
-    series = {disc: [] for disc in (an.Discipline.FCFS_MM12, an.Discipline.LCFS_MM12_STAR)}
+    series = {disc: [] for disc in an.Discipline}
     for value in values:
         reps = [sc.cell_rates(base, variable, value, rep) for rep in range(TREND_REPLICATIONS)]
         for disc, means in series.items():
@@ -356,9 +335,9 @@ def check_trends():
 
 
 @_timed_check("sweep_determinism")
-def check_sweep_determinism(cfg: ValidationConfig):
+def check_sweep_determinism(seed: int):
     sweep = sc.Sweep(sc.SweepVariable.NUM_USERS, (3.0, 4.0), 1, _reference_scenario(mu_c=1000.0),
-                     1.0, 3.0, 30.0, cfg.master_seed + 13)
+                     1.0, 3.0, 30.0, seed + 13)
     blobs = []
     for _ in range(2):
         rows = sc.run_sweep(sweep)
@@ -386,9 +365,7 @@ def write_rows_csv(fh, columns, rows):
 # ---------------------------------------------------------------------------
 # suite driver
 
-def run_validation(cfg: ValidationConfig | None = None,
-                   out_dir=None) -> ValidationReport:
-    cfg = cfg or ValidationConfig()
+def run_validation(seed: int = MASTER_SEED, out_dir=None) -> ValidationReport:
     report = ValidationReport()
     start = time.perf_counter()
     report.checks.append(check_normalization())
@@ -396,11 +373,11 @@ def run_validation(cfg: ValidationConfig | None = None,
     report.checks.append(check_lcfs_discrepancy(report))
     report.checks.append(check_stage_cdf_vs_mpmath())
     report.checks.append(check_moment_consistency())
-    report.checks.append(check_stage_ks(cfg))
-    report.checks.append(check_e2e_average(cfg))
-    report.checks.append(check_severity(cfg, report))
+    report.checks.append(check_stage_ks(seed))
+    report.checks.append(check_e2e_average(seed))
+    report.checks.append(check_severity(seed, report))
     report.checks.append(check_trends())
-    report.checks.append(check_sweep_determinism(cfg))
+    report.checks.append(check_sweep_determinism(seed))
     report.total_duration_s = time.perf_counter() - start
     report.checks.append(CheckResult(
         "total_runtime_budget",

@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -224,10 +223,8 @@ class TestSweepCommand:
 
 
 class TestValidateCommand:
-    REDUCED = {"severity_horizon": 20000.0, "e2e_horizon": 300.0}
-
     def test_reduced_suite_passes(self, tmp_path):
-        cfg = write_config(tmp_path, {"validate": dict(self.REDUCED)})
+        cfg = write_config(tmp_path, {"validate": {}})
         rc = cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -246,14 +243,13 @@ class TestValidateCommand:
                                return_value=cli.val.ValidationReport()) as suite:
             assert cli.main(["validate", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 0
-        assert suite.call_args.args[0].master_seed == 3
+        assert suite.call_args.args[0] == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["master_seed"] == 3
 
-    def test_corrupted_tolerance_fails_with_report(self, tmp_path):
-        corrupted = dict(self.REDUCED)
-        corrupted["ks_tolerance"] = 0.0
-        cfg = write_config(tmp_path, {"validate": corrupted})
+    def test_corrupted_tolerance_fails_with_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.val, "KS_TOLERANCE", 0.0)
+        cfg = write_config(tmp_path, {"validate": {}})
         rc = cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -311,7 +307,7 @@ class TestReadme:
 
     def test_validate_keys_are_the_config_fields(self):
         documented = set(re.findall(r"`validate\.(\w+)`", self.TEXT))
-        assert documented == {f.name for f in dataclasses.fields(cli.val.ValidationConfig)}
+        assert documented == {"master_seed"}
 
 
 class TestExitCodes:
@@ -436,29 +432,42 @@ class TestExitCodes:
             assert cli.main(argv) == 3
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("ks_deliveries", 2.5), ("ks_tolerance", float("nan")),
-                                           ("master_seed", True), ("ks_deliveries", 0),
-                                           ("e2e_horizon", 0.0), ("severity_horizon", -1.0),
-                                           pytest.param("ks_deliveries", 1e18,
-                                                        id="huge-ks_deliveries"),
-                                           pytest.param("severity_horizon", 1e12,
-                                                        id="huge-severity_horizon"),
-                                           pytest.param("e2e_horizon", 1e12,
-                                                        id="huge-e2e_horizon")])
-    def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key,value,message", [
+        pytest.param("master_seed", True, "validate.master_seed", id="master_seed-True"),
+        # the simulator sizes are fixed in the code now: a value for one, bad or not,
+        # is an unknown key and still stops `validate` as a usage error
+        pytest.param("ks_deliveries", 2.5, "validate: unknown keys ['ks_deliveries']",
+                     id="ks_deliveries-2.5"),
+        pytest.param("ks_tolerance", float("nan"), "validate: unknown keys ['ks_tolerance']",
+                     id="ks_tolerance-nan"),
+        pytest.param("ks_deliveries", 0, "validate: unknown keys ['ks_deliveries']",
+                     id="ks_deliveries-0"),
+        pytest.param("e2e_horizon", 0.0, "validate: unknown keys ['e2e_horizon']",
+                     id="e2e_horizon-0.0"),
+        pytest.param("severity_horizon", -1.0, "validate: unknown keys ['severity_horizon']",
+                     id="severity_horizon--1.0"),
+        pytest.param("ks_deliveries", 1e18, "validate: unknown keys ['ks_deliveries']",
+                     id="huge-ks_deliveries"),
+        pytest.param("severity_horizon", 1e12, "validate: unknown keys ['severity_horizon']",
+                     id="huge-severity_horizon"),
+        pytest.param("e2e_horizon", 1e12, "validate: unknown keys ['e2e_horizon']",
+                     id="huge-e2e_horizon")])
+    def test_bad_validate_number_is_usage_error(self, tmp_path, capsys, key, value, message):
         cfg = write_config(tmp_path, {"validate": {key: value}})
-        # a bad bound must stop `validate` before the suite runs
+        # a bad value must stop `validate` before the suite runs
         with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
             assert cli.main(["validate", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3
-        assert f"validate.{key}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", [
         "normalization_tol", "closed_vs_quad_tol", "moment_tol", "cdf_spot_tol",
         "published_origin_tol", "lcfs_tail_tol", "oracle_tol", "severity_tol",
         "normalization_max_seconds", "ks_max_seconds", "total_budget_seconds",
         # the figure-trend check simulates nothing, so no horizon or replication count sizes it
-        "trend_horizon", "trend_replications"])
+        "trend_horizon", "trend_replications",
+        # the simulator sizes and the tolerances that scale with them
+        "ks_deliveries", "ks_tolerance", "e2e_horizon", "e2e_rel_tol", "severity_horizon"])
     def test_fixed_tolerance_is_not_a_validate_key(self, tmp_path, capsys, key):
         # each key at its value in the code; trend_horizon's is its old default
         value = 60.0 if key == "trend_horizon" else getattr(cli.val, key.upper())
@@ -466,7 +475,7 @@ class TestExitCodes:
         with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
             assert cli.main(["validate", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3
-        assert "validate: unknown keys" in capsys.readouterr().err
+        assert f"validate: unknown keys ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,field", [
         (lambda s: s["laws"][0].update(update_rate=True), "analytic.laws[0].update_rate"),

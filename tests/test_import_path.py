@@ -67,8 +67,8 @@ def test_analytic_never_imports_scipy(tmp_path):
 
 
 def test_validate_never_imports_scipy(tmp_path):
-    # the whole suite, quadrature checks included, at shortened simulator horizons
-    cfg = {"validate": {"severity_horizon": 20000.0, "e2e_horizon": 300.0}}
+    # the whole suite, quadrature checks included
+    cfg = {"validate": {}}
     assert run_fresh(tmp_path, "validate", cfg) == {"rc": 0, "scipy": []}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] and len(report["checks"]) == 11

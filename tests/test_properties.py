@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from thzaoi import aoi_analytic as an
@@ -79,6 +79,54 @@ def test_negative_float_age_is_rejected():
 @given(RATIO, MU)
 def test_throughput_is_positive_and_below_the_service_rate(ratio, mu):
     assert 0.0 < an.stage_throughput(ratio * mu, mu) < mu
+
+
+# the stage laws of the two paper-claims identities below: r/mu from lightly loaded
+# to THz-saturated stages, service rates around the shipped 5/s
+CLAIM_RATIO = log_uniform(1e-3, 1e4)
+CLAIM_MU = log_uniform(1e-1, 1e1)
+
+
+@PROPERTY
+@given(CLAIM_RATIO, CLAIM_MU)
+def test_fcfs_mean_exceeds_lcfs_by_the_closed_gap(ratio, mu):
+    # the two closed means differ by r^2 / (mu (r + mu)^2) >= 0: LCFS has the lower
+    # average peak age at every load
+    r = ratio * mu
+    fcfs = an.avg_paoi_stage(an.StageLaw(r, mu))
+    lcfs = an.avg_paoi_stage(an.StageLaw(r, mu, an.Discipline.LCFS_MM12_STAR))
+    gap_err = abs(fcfs - lcfs - r * r / (mu * (r + mu) ** 2)) / fcfs
+    target(gap_err, label="relative gap error")
+    assert fcfs >= lcfs and gap_err <= 1e-12
+
+
+SYSTEMS = st.sampled_from([1, 3]).flatmap(lambda n: st.lists(
+    st.builds(lambda ratio, mu, disc: an.StageLaw(ratio * mu, mu, disc),
+              CLAIM_RATIO, CLAIM_MU, DISCIPLINE), min_size=n, max_size=n))
+
+
+@PROPERTY
+@given(SYSTEMS, log_uniform(1e-6, 1e3), log_uniform(1e-6, 1e3))
+def test_published_severity_readings_leave_the_unit_interval(stages, a, z):
+    sys_law = an.SystemLaw(tuple(stages))
+    # a and z in units of the slowest stage's time scale
+    scale = max(1.0 / min(s.update_rate, s.service_rate) for s in stages)
+    a, z = a * scale, z * scale
+    f_a, f_z = (an.system_cdf(sys_law, x).value for x in (a, z))
+    assume(1.0 - f_a >= 1e-6 and f_z >= 1e-6)
+    pair = an.severity_both_modes(sys_law, a, z)
+    # survival J = G_a(z) / F(z), G_a(z) = [F(a+z) - F(a)] / [1 - F(a)], is at least 1:
+    # both stage laws, and so their maximum, are new-better-than-used
+    survival = pair[an.PsiMode.SURVIVAL].value
+    target(-survival, label="survival J, negated")
+    assert survival >= 1.0 - 1e-6
+    # as-written J = [F(a) - F(a+z)] / [F(a) (1 - F(z))] <= 0 for any CDF, read where
+    # its denominator's factors are at least 1e-6 too, as the survival ones are: the
+    # reference CDF rounds to 0 or -2e-16 where the true one is below 1e-16, and to 1
+    if f_a >= 1e-6 and 1.0 - f_z >= 1e-6:
+        written = pair[an.PsiMode.AS_WRITTEN_CDF].value
+        target(written, label="as-written J")
+        assert written <= 0.0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
