@@ -17,7 +17,10 @@ a U^(1/N) quantile of the window).  The next service starts S after this
 one if E < S and E after it otherwise, so the start times are one
 cumulative sum over the cycles, and the cost is a few array operations
 per service whatever the update rate -- four orders of magnitude above
-the service rate for THz link budgets.
+the service rate for THz link budgets.  The cycles come in blocks, one of
+which usually spans the horizon; the working set peaks at four block-length
+arrays at the Poisson draw (S, E, the Poisson means and N), and later steps
+reuse those buffers in place.  LCFS adds its U draws and survivors' shifts.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -150,6 +153,11 @@ def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # stage simulation
 
+def _block_size(rate: float, mu: float, horizon: float) -> int:
+    # the throughput is below min(rate, mu), so one block of cycles usually spans the horizon
+    return int(1.1 * min(rate, mu) * horizon) + 64
+
+
 def _simulate_stage(rate: float, mu: float, horizon: float,
                     rng: np.random.Generator, discipline: Discipline):
     """One user's stage queue over [0, horizon], one service cycle at a time.
@@ -159,39 +167,51 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
     departure refreshes the stage observer.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
-    # the throughput is below min(rate, mu), so one block of cycles usually
-    # spans the horizon; at least one is drawn, and more while it falls short
-    block = int(1.1 * min(rate, mu) * horizon) + 64
+    # at least one block is drawn, and more while it falls short of the horizon
+    block = _block_size(rate, mu, horizon)
     start, cycles = np.array([rng.exponential(1.0 / rate)]), []
     while not cycles or start[-1] <= horizon:
         s = rng.exponential(1.0 / mu, block)
         e = rng.exponential(1.0 / rate, block)
-        n = rng.poisson(rate * np.maximum(s - e, 0.0))
+        lam = s - e             # the Poisson means, rate * max(s - e, 0), in place
+        n = rng.poisson(np.multiply(np.maximum(lam, 0.0, out=lam), rate, out=lam))
+        del lam                 # the peak was there: s, e, lam and n
         # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
         cycles.append((s, e, n, rng.random(block)) if lcfs else (s, e, n))
         # a sequential sum, so a departure start + s is the next start bit for bit
-        steps = np.cumsum(np.concatenate((start[-1:], np.maximum(s, e))))
+        steps = np.empty(block + 1)
+        steps[0] = start[-1]
+        np.maximum(s, e, out=steps[1:])
+        np.cumsum(steps, out=steps)
         start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
     k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
     start = start[:k]
     # one block, the usual case, is sliced rather than copied
     s, e, n, *u = (c[0][:k] if len(c) == 1 else np.concatenate(c)[:k] for c in zip(*cycles))
-    done = start + s
-    queued = np.flatnonzero(e < s)   # the next arrival comes during this service and waits
-    arrived = start[queued] + e[queued]
-    carried = queued[queued < k - 1]
-    gens = start                # a service begun empty carries its own arrival
-    gens[carried + 1] = arrived[:carried.size]
+    del cycles
+    d = k - int(k > 0 and start[-1] + s[-1] > horizon)   # only the last service can straddle it
+    lost = int(n[:d].sum())
+    queued = e < s              # the next arrival comes during this service and waits
     if lcfs:                    # the survivor came (s - e) U^(1/n) after the waiter
-        w = carried[n[carried] > 0]
-        gens[w + 1] += (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
+        w = np.flatnonzero(n[:-1])   # n > 0 only behind a waiter, and the last one is not carried
+        shift = (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
+    del n, u
+    # IEEE + commutes, so these are start + e and start + s element for element
+    arrived = np.add(e, start, out=e)[queued]
+    del e
+    done = np.add(s, start, out=s)
+    carried = queued[:-1]       # the last service begun has no next one to carry to
+    n_carried = int(np.count_nonzero(carried))
+    gens = start                # a service begun empty carries its own arrival
+    gens[1:][carried] = arrived[:n_carried]
+    if lcfs:
+        gens[w + 1] += shift
 
-    d = k - int(k > 0 and done[-1] > horizon)   # only the last service can straddle it
-    waiting = int(d < k and carried.size < queued.size and arrived[-1] <= horizon)
+    waiting = int(d < k and n_carried < arrived.size and arrived[-1] <= horizon)
     # behind the straddling service's waiter, arrivals count up to the horizon only
-    lost = int(n[:d].sum()) + (int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0)
+    lost += int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0
     # services begun empty, plus the waiters that came by the horizon
-    arrivals = k - carried.size + int(np.count_nonzero(arrived <= horizon))
+    arrivals = k - n_carried + int(np.count_nonzero(arrived <= horizon))
     counters = UserCounters(
         arrivals=arrivals + lost, deliveries=d,
         drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
@@ -200,10 +220,11 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
 
 def _freshness_series(times: np.ndarray, arrived: np.ndarray, warmup: float) -> StageSeries:
     """Ages at deliveries ``times`` that each refresh the observer to ``arrived``;
-    the first delivery only sets the age, and those before ``warmup`` are dropped."""
-    t = times[1:]
-    kept = t >= warmup
-    return StageSeries(t[kept], (t - arrived[:-1])[kept], (t - arrived[1:])[kept])
+    the first delivery only sets the age, and those before ``warmup`` are dropped.
+    Every caller's ``times`` never decrease, so the deliveries kept are a suffix."""
+    i = max(int(np.searchsorted(times, warmup)), 1)
+    t = times[i:]
+    return StageSeries(t, t - arrived[i - 1:-1], t - arrived[i:])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +254,9 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 
     times = np.concatenate([d[0] for d in dep_streams])
     gens = np.concatenate([d[1] for d in dep_streams])
-    users = np.concatenate([np.full(len(d[0]), u) for u, d in enumerate(dep_streams)])
+    # the narrowest index type, so the compute queue's stable sort on it is a radix sort
+    users = np.repeat(np.arange(len(rates), dtype=np.min_scalar_type(len(rates) - 1)),
+                      [len(d[0]) for d in dep_streams])
     order = np.argsort(times, kind="stable")
     times, gens, users = times[order], gens[order], users[order]
 

@@ -221,12 +221,12 @@ def check_stage_ks(seed: int):
             horizon = 1.05 * KS_DELIVERIES / an.stage_throughput(rate, 1.0)
             series = qs.stage_series(disc, rate, 1.0, horizon, seed + int(10 * rate))
             ecdf = qs.EmpiricalCdf(series.peaks)
-            d = qs.ks_distance(ecdf, an.cdf_reference(law))
+            d, n = qs.ks_distance(ecdf, an.cdf_reference(law)), ecdf.n
+            del series, ecdf    # freed before the next case simulates
             case_s = time.perf_counter() - case_start
-            good = d <= KS_TOLERANCE and ecdf.n >= KS_DELIVERIES \
-                and case_s < KS_MAX_SECONDS
+            good = d <= KS_TOLERANCE and n >= KS_DELIVERIES and case_s < KS_MAX_SECONDS
             ok = ok and good
-            lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={ecdf.n} ({case_s:.1f}s)")
+            lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={n} ({case_s:.1f}s)")
     return ok, "; ".join(lines)
 
 

@@ -8,6 +8,11 @@ only.  The compute-queue loop, the freshness triples and the excursion
 loop are deterministic given the departure streams, and must be reproduced
 exactly, array for array and counter for counter, when both simulators are
 fed the same streams (see ``test_sim_equivalence.py``).
+
+``_simulate_stage_blocks`` and ``_freshness_series_masked`` are frozen copies
+of the array stage simulator and freshness series as they were before they
+were rewritten to work in place; the rewrite must reproduce them bit for bit
+(see ``test_properties.py`` and ``test_sim_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import numpy as np
 
 from thzaoi.aoi_analytic import Discipline
+from thzaoi import queue_sim as qs
 from thzaoi.queue_sim import (
     _ARRIVAL_TAG, _COMPUTE_SVC_TAG, WARMUP_FRACTION,
     ExcursionStats, PaoiSamples, QueueConfig, StageSeries, UserCounters, _rng,
@@ -105,6 +111,52 @@ def _simulate_stage(rate: float, mu: float, horizon: float,
 
     counters.in_system = int(serving_gen is not None) + int(waiting_gen is not None)
     return dep_times, dep_gens, counters, samples
+
+
+def _simulate_stage_blocks(rate: float, mu: float, horizon: float,
+                           rng: np.random.Generator, discipline: Discipline):
+    """``queue_sim._simulate_stage`` before its in-place rewrite: the same draws
+    in the same order, from blocks of ``queue_sim._block_size`` cycles."""
+    lcfs = discipline is Discipline.LCFS_MM12_STAR
+    block = qs._block_size(rate, mu, horizon)
+    start, cycles = np.array([rng.exponential(1.0 / rate)]), []
+    while not cycles or start[-1] <= horizon:
+        s = rng.exponential(1.0 / mu, block)
+        e = rng.exponential(1.0 / rate, block)
+        n = rng.poisson(rate * np.maximum(s - e, 0.0))
+        cycles.append((s, e, n, rng.random(block)) if lcfs else (s, e, n))
+        steps = np.cumsum(np.concatenate((start[-1:], np.maximum(s, e))))
+        start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
+    k = int(np.searchsorted(start, horizon, side="right"))
+    start = start[:k]
+    s, e, n, *u = (c[0][:k] if len(c) == 1 else np.concatenate(c)[:k] for c in zip(*cycles))
+    done = start + s
+    queued = np.flatnonzero(e < s)
+    arrived = start[queued] + e[queued]
+    carried = queued[queued < k - 1]
+    gens = start
+    gens[carried + 1] = arrived[:carried.size]
+    if lcfs:
+        w = carried[n[carried] > 0]
+        gens[w + 1] += (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
+
+    d = k - int(k > 0 and done[-1] > horizon)
+    waiting = int(d < k and carried.size < queued.size and arrived[-1] <= horizon)
+    lost = int(n[:d].sum()) + (int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0)
+    arrivals = k - carried.size + int(np.count_nonzero(arrived <= horizon))
+    counters = UserCounters(
+        arrivals=arrivals + lost, deliveries=d,
+        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
+    return done[:d], gens[:d], counters
+
+
+def _freshness_series_masked(times: np.ndarray, arrived: np.ndarray,
+                             warmup: float) -> StageSeries:
+    """``queue_sim._freshness_series`` before its rewrite: the warmup filter as
+    a boolean mask, which needs no order in ``times``."""
+    t = times[1:]
+    kept = t >= warmup
+    return StageSeries(t[kept], (t - arrived[:-1])[kept], (t - arrived[1:])[kept])
 
 
 def _series_from_triples(triples, warmup: float) -> StageSeries:

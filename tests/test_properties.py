@@ -11,14 +11,17 @@ import io
 import json
 import math
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
+from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
+import sim_reference as ref
 from thzaoi import aoi_analytic as an
 from thzaoi import cli
 from thzaoi import queue_sim as qs
@@ -144,6 +147,23 @@ def test_simulator_accounts_for_every_packet(ratios, disc, horizon, seed):
         for a, b in ((again.stage1[u], out.stage1[u]), (again.e2e[u], out.e2e[u])):
             assert all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
                        for f in ("times", "peaks", "post_ages"))
+
+
+@PROPERTY
+@given(CLAIM_RATIO, CLAIM_MU, DISCIPLINE, log_uniform(1e-1, 2e3),
+       st.one_of(st.none(), st.integers(1, 400)), st.integers(0, 2 ** 32 - 1))
+def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, services,
+                                                         block, seed):
+    # horizons from a tenth of a service to 2,000 of them; a patched block size of
+    # a few cycles makes both simulators concatenate many blocks
+    rate, horizon = ratio * mu, services / min(ratio * mu, mu)
+    with mock.patch.object(qs, "_block_size", lambda *_: block) if block else nullcontext():
+        got = qs._simulate_stage(rate, mu, horizon, qs._rng(seed, qs._ARRIVAL_TAG, 0), disc)
+        want = ref._simulate_stage_blocks(rate, mu, horizon,
+                                          qs._rng(seed, qs._ARRIVAL_TAG, 0), disc)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert astuple(got[2]) == astuple(want[2])
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

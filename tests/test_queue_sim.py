@@ -1,6 +1,7 @@
 """Simulator tests: exactness against the closed forms, bookkeeping, estimators."""
 
 import hashlib
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -112,6 +113,23 @@ def test_stage_draws_are_pinned(disc, ratio):
     if disc is LCFS and _sha256(table) != POW_TABLE_SHA256:
         pytest.skip("numpy's float64 power rounds differently on this CPU")
     assert _sha256(done, gens) == digest
+
+
+# validate's severity run, FCFS at r = 2, mu = 1 over 420,000 s, is one block of
+# 462,064 cycles, 3.5 MiB per array; the stage simulator holds four block arrays
+# at its peak (the Poisson draw) and LCFS adds its U draws and the survivors' shifts
+@pytest.mark.parametrize("disc,limit_mib", [(FCFS, 16), (LCFS, 26)])
+def test_severity_size_stage_run_peak_memory(disc, limit_mib):
+    # tracemalloc sees numpy's buffers
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        qs.stage_series(disc, 2.0, 1.0, 420_000.0, 7)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 class TestConservation:

@@ -151,6 +151,27 @@ def test_delivery_at_the_warmup_instant_is_kept():
     assert got.times[0] == warmup
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_fewer_than_two_deliveries_give_an_empty_series(size):
+    got = qs._freshness_series(np.arange(size, dtype=float), np.zeros(size), 0.0)
+    assert len(got) == 0
+    assert_series_equal(got, ref._freshness_series_masked(np.arange(size, dtype=float),
+                                                          np.zeros(size), 0.0))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_freshness_series_is_the_masked_form(seed):
+    # sorted times on a coarse grid, so ties and deliveries exactly at the
+    # warmup instant are common; some warmups fall before or after them all
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 60))
+    times = np.sort(rng.integers(0, 20, size)).astype(float)
+    arrived = times - rng.random(size)
+    warmup = float(rng.integers(-2, 23))
+    assert_series_equal(qs._freshness_series(times, arrived, warmup),
+                        ref._freshness_series_masked(times, arrived, warmup))
+
+
 def series(peaks, post_ages):
     peaks = np.asarray(peaks, dtype=float)
     return qs.StageSeries(np.arange(peaks.size, dtype=float), peaks,
