@@ -84,7 +84,7 @@ def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(f"out-{args.command}")
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:   # a file is in the way
+    except OSError as exc:   # a file in the way, a name too long, ...
         raise sc.ConfigError(f"--out: cannot make directory {out} ({exc.strerror})") from exc
     return out
 
@@ -129,15 +129,13 @@ def cmd_analytic(args) -> int:
             for i, a in enumerate(sc.entries(section.get("ages", []), "analytic.ages"))]
 
     severity = section.get("severity")
-    ruin, z_grid, n_stages = None, [], 1
+    ruin, z_grid = None, []
     if severity is not None:
-        sc.check_keys(severity, {"ruin_level_s"}, {"z_grid", "stages"}, "analytic.severity")
+        sc.check_keys(severity, {"ruin_level_s"}, {"z_grid"}, "analytic.severity")
         ruin = sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s", least=0)
         z_grid = [sc.number(z, f"analytic.severity.z_grid[{i}]", least=0)
                   for i, z in enumerate(sc.entries(severity.get("z_grid", []),
                                                    "analytic.severity.z_grid"))]
-        n_stages = sc.count(severity.get("stages", 1), "analytic.severity.stages",
-                            least=1, most=sc.MOST)
 
     rows = []
     for law in laws:
@@ -154,7 +152,7 @@ def cmd_analytic(args) -> int:
                              "validity_flag": got.validity.value})
         rows.append({**base, "a_or_z": "", "quantity": "avg_stage", "mode": "",
                      "value": an.avg_paoi_stage(law), "validity_flag": "valid"})
-        sys_law = an.SystemLaw((law,) * n_stages)
+        sys_law = an.SystemLaw((law,))   # each law as a one-stage system
         for z in z_grid:
             pair = an.severity_both_modes(sys_law, ruin, z)
             for mode, got in pair.items():

@@ -53,6 +53,8 @@ import numpy as np
 from .aoi_analytic import Discipline
 
 WARMUP_FRACTION = 0.01
+# batch count of the batch-means confidence intervals
+BATCHES = 20
 
 # spawn-key tags for substream derivation
 _ARRIVAL_TAG = 0
@@ -134,16 +136,11 @@ class ExcursionStats:
     ruin_level: float
     exceedances: np.ndarray
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.exceedances) == 0
-
 
 @dataclass(frozen=True)
 class AvgEstimate:
     mean: float
     halfwidth: float
-    n: int
 
 
 def _rng(seed: int, tag: int, index: int) -> np.random.Generator:
@@ -439,18 +436,18 @@ def student_t_975(dof: int) -> float:
             nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) - mp.mpf(1) / 20, 2))
 
 
-def estimate_avg(values: Sequence[float], batches: int = 20) -> AvgEstimate:
-    """Sample mean with a batch-means 95% confidence half-width."""
+def estimate_avg(values: Sequence[float]) -> AvgEstimate:
+    """Sample mean with a 95% confidence half-width from ``BATCHES`` batch means."""
     arr = np.asarray(values, dtype=float)
     n = arr.size
     if n < 2:
         raise EmptyDataError("need at least two samples")
-    b = max(2, min(batches, n // 2))
+    b = max(2, min(BATCHES, n // 2))
     usable = (n // b) * b
     means = arr[:usable].reshape(b, -1).mean(axis=1)
     spread = float(np.std(means, ddof=1))
     hw = student_t_975(b - 1) * spread / math.sqrt(b)
-    return AvgEstimate(float(arr.mean()), hw, n)
+    return AvgEstimate(float(arr.mean()), hw)
 
 
 def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
@@ -459,19 +456,16 @@ def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
     end-to-end expression; half-widths combine in quadrature."""
     total = 0.0
     var = 0.0
-    n_min = math.inf
     for u in range(len(samples.rates)):
         est = estimate_avg(samples.series(u, Stage.STAGE1).peaks)
         total += est.mean
         var += est.halfwidth ** 2
-        n_min = min(n_min, est.n)
     if samples.compute_agg is None or len(samples.compute_agg) < 2:
         raise EmptyDataError("no compute-queue samples")
     est_c = estimate_avg(samples.compute_agg.peaks)
     total += est_c.mean
     var += est_c.halfwidth ** 2
-    n_min = min(n_min, est_c.n)
-    return AvgEstimate(total, math.sqrt(var), int(n_min))
+    return AvgEstimate(total, math.sqrt(var))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import thz_link as link
 
 _PLACEMENT_TAG = 7
 
-# the most users, stages, replications or stage services per user a config may
+# the most users, replications or stage services per user a config may
 # ask for: sizes past it are typos that end in a memory error, not in a result
 MOST = 1_000_000
 

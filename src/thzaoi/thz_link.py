@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import BOLTZMANN, SPEED_OF_LIGHT
+# CODATA 2018 exact values
+SPEED_OF_LIGHT = 299792458.0        # m/s
+BOLTZMANN = 1.380649e-23            # J/K
 
 
 @dataclass(frozen=True)

@@ -289,7 +289,7 @@ def check_severity(seed: int, report: ValidationReport):
     z_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     rows = []
     for z in z_grid:
-        emp = float(np.mean(stats.exceedances <= z)) if not stats.is_empty else math.nan
+        emp = float(np.mean(stats.exceedances <= z)) if stats.exceedances.size else math.nan
         zp = an.severity_both_modes(sys_law, 1.0, z)
         w, s = zp[an.PsiMode.AS_WRITTEN_CDF], zp[an.PsiMode.SURVIVAL]
         rows.append({
@@ -300,7 +300,7 @@ def check_severity(seed: int, report: ValidationReport):
             "deviation_survival": s.value - emp,
         })
     report.artifacts["severity_deviation"] = rows
-    des_ok = (not stats.is_empty) and len(rows) == len(z_grid)
+    des_ok = stats.exceedances.size > 0 and len(rows) == len(z_grid)
     return point_ok and des_ok, (
         f"worked point: {written.value:.4f}/{survival.value:.4f} "
         f"(both {written.validity.value}); {len(stats.exceedances)} excursions, "

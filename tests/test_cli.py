@@ -44,7 +44,7 @@ class TestAnalyticCommand:
                     {"discipline": "lcfs", "update_rate": 2.0, "service_rate": 1.0},
                 ],
                 "ages": list(ages),
-                "severity": {"ruin_level_s": 1.0, "z_grid": [1.0], "stages": 1},
+                "severity": {"ruin_level_s": 1.0, "z_grid": [1.0]},
             }})
 
     def test_reference_rows(self, tmp_path):
@@ -95,7 +95,7 @@ class TestAnalyticCommand:
             "laws": [{"discipline": d, "update_rate": 0.01, "service_rate": 1.0}
                      for d in ("fcfs", "lcfs")],
             "ages": [1000.0],
-            "severity": {"ruin_level_s": 800.0, "z_grid": [300.0], "stages": 1}}})
+            "severity": {"ruin_level_s": 800.0, "z_grid": [300.0]}}})
         assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         rows = read_csv(tmp_path / "out" / "analytic.csv")
         # pdf, closed-form and quadrature CDF, stage mean, J(z) as written and as survival
@@ -283,7 +283,7 @@ class TestShippedConfigs:
 
 
 class TestReadme:
-    """The README's config example, flag table and validate keys must match the code."""
+    """The README's config example, flag table and config keys must match the code."""
 
     TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -308,6 +308,15 @@ class TestReadme:
     def test_validate_keys_are_the_config_fields(self):
         documented = set(re.findall(r"`validate\.(\w+)`", self.TEXT))
         assert documented == {"master_seed"}
+
+    def test_analytic_severity_keys_are_the_parsers(self, tmp_path):
+        documented = set(re.findall(r"`analytic\.severity\.(\w+)`", self.TEXT))
+        cfg = write_config(tmp_path, {"analytic": {"laws": [], "severity": {"ruin_level_s": 1.0}}})
+        with mock.patch.object(cli.sc, "check_keys", wraps=cli.sc.check_keys) as spy:
+            assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        accepted = [required | optional for _, required, optional, path
+                    in (c.args for c in spy.call_args_list) if path == "analytic.severity"]
+        assert accepted == [documented] == [{"ruin_level_s", "z_grid"}]
 
 
 class TestExitCodes:
@@ -480,15 +489,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("edit,field", [
         (lambda s: s["laws"][0].update(update_rate=True), "analytic.laws[0].update_rate"),
         (lambda s: s.update(ages=[0.5, float("nan")]), "analytic.ages[1]"),
-        (lambda s: s["severity"].update(stages=1.5), "analytic.severity.stages"),
         (lambda s: s["severity"].update(z_grid=["1"]), "analytic.severity.z_grid[0]"),
-        pytest.param(lambda s: s["severity"].update(stages=0), "analytic.severity.stages",
-                     id="zero-stages"),
+        # each law is evaluated as a one-stage system; there is no stage count to set
+        pytest.param(lambda s: s["severity"].update(stages=1),
+                     "analytic.severity: unknown keys ['stages']", id="stages-is-unknown"),
         pytest.param(lambda s: s.update(ages=[-1.0]), "analytic.ages[0]", id="negative-age"),
         pytest.param(lambda s: s["severity"].update(ruin_level_s=-1.0),
                      "analytic.severity.ruin_level_s", id="negative-ruin-level"),
-        pytest.param(lambda s: s["severity"].update(stages=1e12), "analytic.severity.stages",
-                     id="huge-stages"),
         pytest.param(lambda s: s.update(ages=5), "analytic.ages: expected a list",
                      id="number-ages"),
         pytest.param(lambda s: s.update(laws=5), "analytic.laws: expected a list",
@@ -508,9 +515,15 @@ class TestExitCodes:
         assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
-    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys, out):
+    @pytest.mark.parametrize("out,reason", [
+        pytest.param("taken", "File exists", id="taken"),
+        pytest.param("taken/sub", "Not a directory", id="taken/sub"),
+        # a path component over the file system's 255-byte limit
+        pytest.param("x" * 300, "File name too long", id="name-too-long"),
+    ])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys, out, reason):
         (tmp_path / "taken").write_text("")
         cfg = write_config(tmp_path, {"analytic": {"laws": [], "ages": []}})
         assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
-        assert "--out" in capsys.readouterr().err
+        assert f"--out: cannot make directory {tmp_path / out} ({reason})" \
+            in capsys.readouterr().err

@@ -9,6 +9,8 @@ import pytest
 
 from thzaoi import aoi_analytic as an
 from thzaoi import queue_sim as qs
+from thzaoi import scenario as sc
+from thzaoi import validation as val
 
 FCFS = an.Discipline.FCFS_MM12
 LCFS = an.Discipline.LCFS_MM12_STAR
@@ -239,6 +241,20 @@ class TestEndToEnd:
             + float(np.mean(out.compute_agg.peaks))
         assert est.mean == pytest.approx(manual, rel=1e-12)
 
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_each_users_e2e_mean_is_stage_mean_plus_compute_sojourn(self, disc):
+        # a user's end-to-end peak is its inter-delivery time plus the compute
+        # sojourn of its previous update; stage departures leave in generation
+        # order and the compute queue is FCFS, so by renewal-reward the mean is
+        # the stage mean plus E[T_c] = 1 / (mu_c - lambda_c) (Burke's M/M/1)
+        rates = sc.realize_rates(val._reference_scenario(mu_c=100.0))   # rho 0.75
+        out = qs.run(config(disc, mu_u=5.0, mu_c=100.0), rates, 4000.0, 1)
+        sojourn = 1.0 / (100.0 - sum(an.stage_throughput(float(r), 5.0) for r in rates))
+        for u, r in enumerate(rates):
+            est = qs.estimate_avg(out.e2e[u].peaks)
+            formula = an.avg_paoi_stage(an.StageLaw(float(r), 5.0, disc)) + sojourn
+            assert abs(est.mean - formula) <= 2.0 * est.halfwidth, (u, est, formula)
+
 
 class TestEstimators:
     def test_empirical_cdf_single_point(self):
@@ -295,7 +311,7 @@ class TestExcursions:
     def test_level_above_all_peaks_is_empty(self):
         tr = self.series([1, 2, 3], [0.5, 1.0, 1.2], [0.2, 0.3, 0.2])
         stats = qs.excursion_severity(tr, 5.0)
-        assert stats.is_empty
+        assert stats.exceedances.size == 0
 
     def test_single_peak_exceedance(self):
         tr = self.series([1.0, 4.0, 5.0], [0.5, 5.0, 1.0], [0.4, 0.5, 0.3])
@@ -313,12 +329,12 @@ class TestExcursions:
     def test_open_excursion_is_censored(self):
         tr = self.series([1.0, 2.0], [0.5, 9.0], [0.4, 8.0])
         stats = qs.excursion_severity(tr, 3.0)
-        assert stats.is_empty
+        assert stats.exceedances.size == 0
 
     def test_simulated_excursions_positive(self):
         out = single_user_run(FCFS, 2.0, 1.0, 20000.0, seed=31)
         stats = qs.excursion_severity(out.stage1[0], 1.0)
-        assert not stats.is_empty
+        assert stats.exceedances.size > 0
         assert np.all(stats.exceedances > 0)
 
     def test_invalid_level_rejected(self):
