@@ -123,20 +123,24 @@ def _h2(x):
     return np.where(np.abs(x) < 1e-4, series, (np.expm1(x) - x) / (x * x))
 
 
-# every kernel runs without numpy's overflow and invalid-value warnings: what raises
-# them is the overflow _tail_where_overflowed replaces, or the 0 / 0 of _phi1 and _h2
-# at x = 0, where the series is taken
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# every kernel runs without numpy's overflow, invalid-value and division warnings: what
+# raises them is the overflow _tail_where_overflowed replaces, the 0 / 0 of _phi1 and
+# _h2 at x = 0, where the series is taken, or, with one rate per age, the tail's
+# 1 / (mu - r) at the ages of a rate r = mu, whose finite values are kept
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: int,
                            base: float = 0.0):
     """``value`` where finite, else the exp(-r a) tail base + coef exp(-r a) / (mu - r)^power.
 
-    The kernels overflow only once (mu - r) a > 709, where exp(-mu a) < 1e-308."""
+    The kernels overflow only once (mu - r) a > 709, where exp(-mu a) < 1e-308.
+    The power is libm's ``pow`` whether ``r`` is one rate or one per age: numpy
+    squares an array exactly, which rounds apart from ``pow`` for some (mu - r)."""
     if np.isfinite(value).all():
         return value
-    return np.where(np.isfinite(value), value, base + coef * np.exp(-r * a) / (mu - r) ** power)
+    return np.where(np.isfinite(value), value,
+                    base + coef * np.exp(-r * a) / np.float_power(mu - r, power))
 
 
 def _check_age(a):

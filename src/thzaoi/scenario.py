@@ -227,8 +227,7 @@ def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
         exceed = np.concatenate([e.exceedances for e in excursions])
         sev_below = float(np.mean(exceed <= sweep.threshold_z)) if exceed.size else math.nan
         # every user has samples here: the estimate above needs two peaks from each
-        ks = max(qs.ks_distance(qs.empirical_cdf(samples, u, qs.Stage.STAGE1),
-                                an.cdf_reference(law)) for u, law in enumerate(stages))
+        ks = stage_ks([samples.stage1[u].peaks for u in range(len(rates))], stages)
         drops = sum(c.drops for c in samples.stage_counters.values())
         preempts = sum(c.preemptions for c in samples.stage_counters.values())
         burke_gap = mu_u * len(rates) - samples.compute_arrival_rate
@@ -268,6 +267,22 @@ def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
     return out
 
 
+def stage_ks(peaks: Sequence[np.ndarray], stages: Sequence[an.StageLaw]) -> float:
+    """The largest of the users' KS distances between ``peaks[u]`` and the reference
+    CDF of ``stages[u]``, the stages of one cell (one discipline and service rate).
+
+    The users' sorted peaks are one array, and the reference kernel reads it with
+    each user's update rate repeated per point: the kernels are elementwise in
+    (r, a), so every value is the one a user's own ``cdf_reference`` gives."""
+    points = np.concatenate([np.sort(p) for p in peaks])
+    lengths = [len(p) for p in peaks]
+    rates = np.repeat([law.update_rate for law in stages], lengths)
+    kernel = an._cdf_kernel(stages[0], an.CdfSource.REFERENCE)
+    mu = stages[0].service_rate
+    return float(qs.ks_segments(points, lengths,
+                                lambda lo, hi: kernel(rates[lo:hi], mu, points[lo:hi])).max())
+
+
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
     """Replication means and 95% half-widths per (value, discipline, modes)."""
     groups: dict[tuple, list[dict]] = {}
@@ -282,17 +297,22 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
                "avg_sim_per_user", "j_z", "ks_stage", "sim_severity_below_z"]
     for key in sorted(groups):
         members = groups[key]
+        n = len(members)
+        # one row per metric: each reduction runs along a contiguous row, so it sums
+        # as the one-dimensional call on that metric's replications would
+        vals = np.array([[r[m] for r in members] for m in metrics], dtype=float)
+        means = np.full(len(metrics), math.nan)
+        some = ~np.isnan(vals).all(axis=1)
+        means[some] = np.nanmean(vals[some], axis=1)
+        hws = np.zeros(len(metrics))
+        if n > 1:
+            finite = np.isfinite(vals).all(axis=1)
+            hws[finite] = (qs.student_t_975(n - 1)
+                           * np.std(vals[finite], axis=1, ddof=1) / math.sqrt(n))
         agg = {"sweep_var": key[0], "value": key[1], "discipline": key[2],
-               "avg_analytic_mode": key[3], "severity_mode": key[4],
-               "replications": len(members)}
-        for m in metrics:
-            vals = np.asarray([r[m] for r in members], dtype=float)
-            agg[f"{m}_mean"] = math.nan if np.isnan(vals).all() else float(np.nanmean(vals))
-            if vals.size > 1 and np.all(np.isfinite(vals)):
-                hw = float(qs.student_t_975(vals.size - 1)
-                           * np.std(vals, ddof=1) / math.sqrt(vals.size))
-            else:
-                hw = 0.0
+               "avg_analytic_mode": key[3], "severity_mode": key[4], "replications": n}
+        for m, mean, hw in zip(metrics, means.tolist(), hws.tolist()):
+            agg[f"{m}_mean"] = mean
             agg[f"{m}_hw"] = hw
         out.append(agg)
     return out

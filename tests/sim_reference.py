@@ -13,6 +13,11 @@ fed the same streams (see ``test_sim_equivalence.py``).
 of the array stage simulator and freshness series as they were before they
 were rewritten to work in place; the rewrite must reproduce them bit for bit
 (see ``test_properties.py`` and ``test_sim_equivalence.py``).
+
+``ks_distance`` and ``aggregate_sweep`` are frozen copies of the one-pass KS
+distance and the per-metric sweep aggregation as they were before both became
+array passes over many segments or metrics at once; the passes must reproduce
+them bit for bit (see ``test_properties.py``).
 """
 
 from __future__ import annotations
@@ -257,3 +262,43 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
             exceedances.append(cur_max - ruin_level)
             in_exc = False
     return ExcursionStats(ruin_level, np.asarray(exceedances, dtype=float))
+
+
+def ks_distance(empirical: qs.EmpiricalCdf, analytic) -> float:
+    """``queue_sim.ks_distance`` before the chunked pass: the CDF at every point at once."""
+    x = empirical.points
+    g = np.asarray(analytic(x), dtype=float)
+    i = np.arange(1, empirical.n + 1)
+    d_plus = np.max(i / empirical.n - g)
+    d_minus = np.max(g - (i - 1) / empirical.n)
+    return float(max(d_plus, d_minus))
+
+
+def aggregate_sweep(rows) -> list[dict]:
+    """``scenario.aggregate_sweep`` before its array pass: one metric at a time."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        if row.get("error"):
+            continue
+        key = (row["sweep_var"], row["value"], row["discipline"],
+               row["avg_analytic_mode"], row["severity_mode"])
+        groups.setdefault(key, []).append(row)
+    out = []
+    metrics = ["avg_analytic", "avg_sim", "avg_analytic_per_user",
+               "avg_sim_per_user", "j_z", "ks_stage", "sim_severity_below_z"]
+    for key in sorted(groups):
+        members = groups[key]
+        agg = {"sweep_var": key[0], "value": key[1], "discipline": key[2],
+               "avg_analytic_mode": key[3], "severity_mode": key[4],
+               "replications": len(members)}
+        for m in metrics:
+            vals = np.asarray([r[m] for r in members], dtype=float)
+            agg[f"{m}_mean"] = math.nan if np.isnan(vals).all() else float(np.nanmean(vals))
+            if vals.size > 1 and np.all(np.isfinite(vals)):
+                hw = float(qs.student_t_975(vals.size - 1)
+                           * np.std(vals, ddof=1) / math.sqrt(vals.size))
+            else:
+                hw = 0.0
+            agg[f"{m}_hw"] = hw
+        out.append(agg)
+    return out

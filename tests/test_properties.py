@@ -25,6 +25,7 @@ import sim_reference as ref
 from thzaoi import aoi_analytic as an
 from thzaoi import cli
 from thzaoi import queue_sim as qs
+from thzaoi import scenario as sc
 
 
 def log_uniform(lo, hi):
@@ -164,6 +165,98 @@ def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, servic
     for a, b in zip(got[:2], want[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert astuple(got[2]) == astuple(want[2])
+
+
+def cell_peaks(rng, law, n, ties):
+    """``n`` peak ages for ``law``: 1e-4 to 1e3 of its slower time scale, half of them
+    past (mu - r) a = 709 when r < mu, where the kernels take their exp(-r a) tail,
+    and with ``ties`` drawn with replacement from an eighth of them."""
+    r, mu = law.update_rate, law.service_rate
+    a = 10.0 ** rng.uniform(-4.0, 3.0, n) / min(r, mu)
+    if r < mu:
+        tail = rng.random(n) < 0.5
+        a[tail] = 709.0 / (mu - r) * (1.0 + 3.0 * rng.random(np.count_nonzero(tail)))
+    return rng.choice(a[:max(1, n // 8)], n) if ties else a
+
+
+# 1 point to more than two KS chunks per user, so segments straddle the chunk edges
+CELL_USERS = st.lists(st.tuples(CLAIM_RATIO, log_uniform(1, 2.5 * qs._KS_CHUNK).map(round)),
+                      min_size=1, max_size=40)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(CELL_USERS, CLAIM_MU, DISCIPLINE, st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(users=[(1e4, qs._KS_CHUNK - 1), (0.5, 3), (2.0, qs._KS_CHUNK + 2), (1e-3, 1)],
+         mu=5.0, disc=an.Discipline.LCFS_MM12_STAR, ties=True, seed=1)
+# a tail age where numpy's exact square of an array (mu - r) and libm's pow of a
+# scalar one round apart
+@example(users=[(0.0015, 1)], mu=0.344, disc=an.Discipline.FCFS_MM12, ties=False, seed=16)
+def test_cell_ks_is_the_largest_user_ks_bit_for_bit(users, mu, disc, ties, seed):
+    rng = np.random.default_rng(seed)
+    laws = [an.StageLaw(ratio * mu, mu, disc) for ratio, _ in users]
+    peaks = [cell_peaks(rng, law, n, ties) for law, (_, n) in zip(laws, users)]
+    per_user = [qs.ks_distance(qs.EmpiricalCdf(p), an.cdf_reference(law))
+                for p, law in zip(peaks, laws)]
+    assert per_user == [ref.ks_distance(qs.EmpiricalCdf(p), an.cdf_reference(law))
+                        for p, law in zip(peaks, laws)]
+    assert sc.stage_ks(peaks, laws) == max(per_user)
+
+
+AGG_METRICS = ["avg_analytic", "avg_sim", "avg_analytic_per_user", "avg_sim_per_user",
+               "j_z", "ks_stage", "sim_severity_below_z"]
+# how a metric's replications are drawn: finite, partly NaN, all NaN, partly
+# infinite, or any mixture of the four
+METRIC_KIND = st.sampled_from(["finite", "nan", "all-nan", "inf", "-inf", "mixed"])
+# (value, discipline, replications); a group of 9 or more sums pairwise
+AGG_GROUPS = st.lists(st.tuples(st.sampled_from([5.0, 10.0, 2e10]),
+                                st.sampled_from(["fcfs", "lcfs"]), st.integers(1, 150)),
+                      min_size=1, max_size=6)
+
+
+def metric_column(rng, kind, size):
+    """``size`` replications of a metric of ``kind``, the finite ones across six decades."""
+    x = rng.normal(1.0, 0.5, size) * 10.0 ** rng.integers(-3, 4, size)
+    odd = {"nan": [math.nan], "all-nan": [math.nan], "inf": [math.inf], "-inf": [-math.inf],
+           "mixed": [math.nan, math.inf, -math.inf]}.get(kind)
+    if odd:
+        hit = np.full(size, True) if kind == "all-nan" else rng.random(size) < 0.3
+        x[hit] = rng.choice(odd, np.count_nonzero(hit))
+    return x.tolist()
+
+
+MODES = [(a, p) for a in ("corrected", "as-written") for p in ("as-written", "survival")]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(AGG_GROUPS, st.lists(METRIC_KIND, min_size=len(AGG_METRICS), max_size=len(AGG_METRICS)),
+       st.integers(0, 2 ** 32 - 1))
+# one replication, the pairwise sums' first regime and their recursion, with every kind
+@example(groups=[(5.0, "fcfs", 1), (10.0, "lcfs", 9), (2e10, "fcfs", 140), (10.0, "lcfs", 3)],
+         kinds=["finite", "nan", "all-nan", "inf", "-inf", "mixed", "finite"], seed=0)
+def test_aggregate_sweep_matches_the_per_metric_loop(groups, kinds, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for value, disc, reps in groups:
+        # a replication is a cell of one row per mode pair, or a failed cell's one
+        # error row, which has no modes and no metrics
+        failed = rng.random(reps) < 0.1
+        columns = [metric_column(rng, kind, len(MODES) * reps) for kind in kinds]
+        for rep in range(reps):
+            base = {"sweep_var": "num_users", "value": value, "replication": rep,
+                    "discipline": disc, "error": ""}
+            if failed[rep]:
+                rows.append(dict(base, error="no samples"))
+                continue
+            for j, (avg_mode, psi_mode) in enumerate(MODES, start=len(MODES) * rep):
+                row = dict(base, avg_analytic_mode=avg_mode, severity_mode=psi_mode)
+                row.update((m, c[j]) for m, c in zip(AGG_METRICS, columns))
+                rows.append(row)
+    rng.shuffle(rows)
+    # +inf and -inf in one metric make an inf - inf in both sums
+    with np.errstate(invalid="ignore"):
+        got, want = sc.aggregate_sweep(rows), ref.aggregate_sweep(rows)
+    assert [[(k, repr(v)) for k, v in agg.items()] for agg in got] == \
+        [[(k, repr(v)) for k, v in agg.items()] for agg in want]
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -134,6 +134,23 @@ def test_severity_size_stage_run_peak_memory(disc, limit_mib):
     assert peak <= limit_mib * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
+# a 100,000-point sample is 0.76 MiB per array; the KS pass holds a few arrays of
+# _KS_CHUNK points, and the reference kernel's temporaries over one chunk, at once
+@pytest.mark.parametrize("disc", [FCFS, LCFS])
+def test_ks_distance_peak_memory_is_a_few_chunks(disc):
+    ecdf = qs.EmpiricalCdf(np.random.default_rng(3).exponential(0.6, 100_000))
+    cdf = an.cdf_reference(an.StageLaw(20_000.0, 5.0, disc))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        qs.ks_distance(ecdf, cdf)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
 class TestConservation:
     @pytest.mark.parametrize("disc", [FCFS, LCFS])
     @pytest.mark.parametrize("rate", [0.5, 2.0, 20.0])

@@ -245,6 +245,22 @@ class TestSweep:
             cell = [r for r in rows if r["discipline"] == out.config.discipline.value]
             assert len(cell) == 4 and all(r["ks_stage"] == ks[1] for r in cell)
 
+    @pytest.mark.parametrize("users", [2, 3])
+    def test_ks_stage_reads_the_reference_kernel_once_per_cell(self, monkeypatch, users):
+        # severity reads the kernels one age at a time; the KS column reads them
+        # over the whole cell's peaks, so a per-user loop would call them per user
+        calls = []
+        for name in ("_cdf_fcfs_closed", "_cdf_lcfs_integrated"):
+            def spy(r, mu, a, kernel=getattr(an, name)):
+                if isinstance(a, np.ndarray):
+                    calls.append(a.size)
+                return kernel(r, mu, a)
+            monkeypatch.setattr(an, name, spy)
+        rows = sc.run_sweep(self.small_sweep(values=(float(users),), reps=2))
+        assert not any(r["error"] for r in rows)
+        # 2 replications x 2 disciplines, each cell's few hundred peaks inside one KS chunk
+        assert len(calls) == 4
+
     def test_zero_update_rate_is_an_error_row(self):
         # an absorption this high underflows every user's SNR to a zero Shannon rate
         sweep = self.small_sweep(values=(2.0,), absorption_per_m=2.5)
