@@ -52,6 +52,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -436,7 +437,9 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     excursion above the level is a run of consecutive peaks whose
     post-delivery ages stay above it; the excursion closes at the first
     delivery that resets the age below the level.  An excursion still open
-    at the end of the trace is censored and discarded.
+    at the end of the trace is censored and discarded; one already open at
+    its start (``post_ages[0]`` above the level) is kept but counted from
+    delivery 1, so its maximum can be understated.
     """
     if ruin_level <= 0:
         raise ValueError("ruin level must be strictly positive")
@@ -516,20 +519,21 @@ def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
 def write_samples_csv(path, tagged_samples: Sequence[tuple[int, PaoiSamples]]):
     """CSV export: (replication, user, stage, delivery_time, paoi_seconds).
 
-    Aggregate compute-queue rows use user = -1 and stage = "compute".
+    Aggregate compute-queue rows use user = -1 and stage = "compute".  The
+    columns go in as Python floats, which the csv module writes as their repr.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["replication", "user", "stage", "delivery_time", "paoi_seconds"])
         for rep, samples in tagged_samples:
-            for stage, table in ((Stage.STAGE1, samples.stage1), (Stage.E2E, samples.e2e)):
-                for u in sorted(table):
-                    s = table[u]
-                    for t, p in zip(s.times, s.peaks):
-                        w.writerow([rep, u, stage.value, repr(float(t)), repr(float(p))])
+            tagged = [(u, stage.value, table[u])
+                      for stage, table in ((Stage.STAGE1, samples.stage1), (Stage.E2E, samples.e2e))
+                      for u in sorted(table)]
             if samples.compute_agg is not None:
-                for t, p in zip(samples.compute_agg.times, samples.compute_agg.peaks):
-                    w.writerow([rep, -1, "compute", repr(float(t)), repr(float(p))])
+                tagged.append((-1, "compute", samples.compute_agg))
+            for u, stage, s in tagged:
+                w.writerows(zip(repeat(rep), repeat(u), repeat(stage),
+                                s.times.tolist(), s.peaks.tolist()))
 
 
 def write_excursions_csv(path, tagged_stats: Sequence[tuple[int, ExcursionStats]]):
@@ -538,5 +542,5 @@ def write_excursions_csv(path, tagged_stats: Sequence[tuple[int, ExcursionStats]
         w = csv.writer(fh)
         w.writerow(["replication", "ruin_level", "exceedance"])
         for rep, stats_ in tagged_stats:
-            for x in stats_.exceedances:
-                w.writerow([rep, repr(float(stats_.ruin_level)), repr(float(x))])
+            w.writerows(zip(repeat(rep), repeat(float(stats_.ruin_level)),
+                            stats_.exceedances.tolist()))

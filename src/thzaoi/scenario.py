@@ -52,25 +52,16 @@ class ArrivalRateMode(enum.Enum):
 @dataclass(frozen=True)
 class Room:
     side_length: float = 50.0
-    ris_positions: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         if self.side_length <= 0:
             raise ValueError("side_length must be strictly positive")
-        if not self.ris_positions:
-            object.__setattr__(self, "ris_positions", wall_midpoints(self.side_length))
-        for i, (x, y) in enumerate(self.ris_positions):
-            on_x = math.isclose(x, 0.0, abs_tol=1e-9) or math.isclose(x, self.side_length, abs_tol=1e-9)
-            on_y = math.isclose(y, 0.0, abs_tol=1e-9) or math.isclose(y, self.side_length, abs_tol=1e-9)
-            inside = -1e-9 <= x <= self.side_length + 1e-9 and -1e-9 <= y <= self.side_length + 1e-9
-            if not inside or not (on_x or on_y):
-                raise ValueError(f"ris_positions[{i}] must lie on the room boundary")
 
-
-def wall_midpoints(side: float) -> tuple[tuple[float, float], ...]:
-    """Default surface placement: the midpoint of each of the four walls."""
-    h = side / 2.0
-    return ((h, 0.0), (side, h), (h, side), (0.0, h))
+    @property
+    def ris_positions(self) -> tuple[tuple[float, float], ...]:
+        """The reflecting surfaces: the midpoint of each of the four walls."""
+        side, h = self.side_length, self.side_length / 2.0
+        return ((h, 0.0), (side, h), (h, side), (0.0, h))
 
 
 @dataclass(frozen=True)
@@ -407,17 +398,8 @@ def parse_link(d: dict, path: str = "link") -> link.LinkParams:
 
 
 def parse_room(d: dict, path: str = "room") -> Room:
-    check_keys(d, {"side_length"}, {"ris_positions"}, path)
-    field = f"{path}.ris_positions"
-    pos = entries(d["ris_positions"], field, least=1) if "ris_positions" in d else []
-    for i, xy in enumerate(pos):
-        if not (isinstance(xy, list) and len(xy) == 2):
-            raise ConfigError(f"{field}[{i}]: expected an [x, y] pair, got {xy!r}")
-    with config_errors(path):
-        pos = tuple((number(x, f"{field}[{i}]"), number(y, f"{field}[{i}]"))
-                    for i, (x, y) in enumerate(pos))
-        return Room(side_length=positive(d["side_length"], f"{path}.side_length"),
-                    ris_positions=pos)
+    check_keys(d, {"side_length"}, set(), path)
+    return Room(side_length=positive(d["side_length"], f"{path}.side_length"))
 
 
 def parse_queue(d: dict, path: str = "queue") -> qs.QueueConfig:

@@ -6,9 +6,9 @@ the quadrature against a 30-digit mpmath evaluation, the reference CDFs against
 the discrete-event simulator, the published-but-inconsistent expressions
 against their flagged reproductions.  The figure trends read the analytic means
 alone, over fixed user placements.  The same suite backs the ``validate`` CLI
-command and the acceptance tests.  Its simulator sizes, tolerances and time
-budgets are module constants, so a corrupted tolerance demonstrably fails; a
-run's one setting is its seed.
+command and the acceptance tests.  Its simulator sizes and tolerances are
+module constants, so a corrupted tolerance demonstrably fails; a run's one
+setting is its seed, and no verdict reads a clock.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ PUBLISHED_ORIGIN_TOL = 1e-9
 LCFS_TAIL_TOL = 1e-6
 ORACLE_TOL = 1e-12
 SEVERITY_TOL = 1e-6
-NORMALIZATION_MAX_SECONDS = 10.0
-KS_MAX_SECONDS = 60.0
-TOTAL_BUDGET_SECONDS = 300.0
 TREND_REPLICATIONS = 2
 KS_DELIVERIES = 100_000
 KS_TOLERANCE = 0.01
@@ -116,12 +113,8 @@ def _timed_check(name: str):
 
 @_timed_check("density_normalization")
 def check_normalization():
-    start = time.perf_counter()
     worst = _worst_moment_gap(0, lambda law: 1.0)
-    details = f"max |mass - 1| = {worst:.3e}"
-    if time.perf_counter() - start >= NORMALIZATION_MAX_SECONDS:
-        return False, details + f"; exceeded {NORMALIZATION_MAX_SECONDS}s budget"
-    return worst <= NORMALIZATION_TOL, details
+    return worst <= NORMALIZATION_TOL, f"max |mass - 1| = {worst:.3e}"
 
 
 @_timed_check("fcfs_closed_vs_quadrature")
@@ -224,8 +217,7 @@ def check_stage_ks(seed: int):
             d, n = qs.ks_distance(ecdf, an.cdf_reference(law)), ecdf.n
             del series, ecdf    # freed before the next case simulates
             case_s = time.perf_counter() - case_start
-            good = d <= KS_TOLERANCE and n >= KS_DELIVERIES and case_s < KS_MAX_SECONDS
-            ok = ok and good
+            ok = ok and d <= KS_TOLERANCE and n >= KS_DELIVERIES
             lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={n} ({case_s:.1f}s)")
     return ok, "; ".join(lines)
 
@@ -379,11 +371,6 @@ def run_validation(seed: int = MASTER_SEED, out_dir=None) -> ValidationReport:
     report.checks.append(check_trends())
     report.checks.append(check_sweep_determinism(seed))
     report.total_duration_s = time.perf_counter() - start
-    report.checks.append(CheckResult(
-        "total_runtime_budget",
-        report.total_duration_s < TOTAL_BUDGET_SECONDS,
-        f"suite took {report.total_duration_s:.1f}s of {TOTAL_BUDGET_SECONDS:.0f}s",
-        0.0))
     if out_dir is not None:
         persist_artifacts(report, out_dir)
     return report

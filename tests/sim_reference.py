@@ -246,7 +246,9 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     excursion above the level is a run of consecutive peaks whose
     post-delivery ages stay above it; the excursion closes at the first
     delivery that resets the age below the level.  An excursion still open
-    at the end of the trace is censored and discarded.
+    at the end of the trace is censored and discarded; one already open at
+    its start (``post_ages[0]`` above the level) is kept but counted from
+    delivery 1, so its maximum can be understated.
     """
     if ruin_level <= 0:
         raise ValueError("ruin level must be strictly positive")

@@ -377,7 +377,6 @@ class TestExitCodes:
         pytest.param(("sweep", "values"), [2, 1e18], id="huge-user-count-value"),
         pytest.param(("sweep", "replications"), 1e18, id="huge-replications"),
         pytest.param(("sweep", "horizon_s"), 1e12, id="huge-horizon"),
-        pytest.param(("scenario", "room", "ris_positions"), [], id="no-ris-positions"),
         pytest.param(("sweep", "values"), [], id="no-sweep-values"),
         pytest.param(("sweep", "values"), [3, 2], id="decreasing-sweep-values"),
     ])
@@ -396,17 +395,17 @@ class TestExitCodes:
                              "--out", str(tmp_path / "out")]) == 3
         assert ".".join(where) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("position", [[1, 2, 3], [5], 5])
-    def test_malformed_ris_position_is_usage_error_with_its_index(self, tmp_path, capsys,
-                                                                  position):
+    def test_ris_positions_is_an_unknown_room_key(self, tmp_path, capsys):
+        # the surfaces sit at the wall midpoints; not even that layout may be spelled out
         payload = {"scenario": scenario_section(), "sweep": {
             "variable": "num_users", "values": [2], "replications": 1,
             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
-        payload["scenario"]["room"]["ris_positions"] = [position]
+        payload["scenario"]["room"]["ris_positions"] = [[25, 0], [50, 25], [25, 50], [0, 25]]
         cfg = write_config(tmp_path, payload)
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
-        assert "scenario.room.ris_positions[0]: expected an [x, y] pair" \
-            in capsys.readouterr().err
+        with mock.patch.object(cli.sc, "run_sweep", side_effect=AssertionError):
+            assert cli.main(["sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 3
+        assert "scenario.room: unknown keys ['ris_positions']" in capsys.readouterr().err
 
     def test_zero_users_in_the_sweep_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": scenario_section(), "sweep": {
@@ -478,8 +477,10 @@ class TestExitCodes:
         # the simulator sizes and the tolerances that scale with them
         "ks_deliveries", "ks_tolerance", "e2e_horizon", "e2e_rel_tol", "severity_horizon"])
     def test_fixed_tolerance_is_not_a_validate_key(self, tmp_path, capsys, key):
-        # each key at its value in the code; trend_horizon's is its old default
-        value = 60.0 if key == "trend_horizon" else getattr(cli.val, key.upper())
+        # each key at its value in the code, or at its old one where the code has none
+        old = {"trend_horizon": 60.0, "normalization_max_seconds": 10.0,
+               "ks_max_seconds": 60.0, "total_budget_seconds": 300.0}
+        value = old[key] if key in old else getattr(cli.val, key.upper())
         cfg = write_config(tmp_path, {"validate": {key: value}})
         with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):
             assert cli.main(["validate", "--config", str(cfg),

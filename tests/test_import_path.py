@@ -71,7 +71,7 @@ def test_validate_never_imports_scipy(tmp_path):
     cfg = {"validate": {}}
     assert run_fresh(tmp_path, "validate", cfg) == {"rc": 0, "scipy": []}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["passed"] and len(report["checks"]) == 11
+    assert report["passed"] and len(report["checks"]) == 10
 
 
 def test_quadrature_never_imports_numpy_ma():

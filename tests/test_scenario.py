@@ -36,13 +36,6 @@ class TestRoom:
         room = sc.Room(side_length=50.0)
         assert room.ris_positions == ((25.0, 0.0), (50.0, 25.0), (25.0, 50.0), (0.0, 25.0))
 
-    def test_interior_surface_rejected(self):
-        with pytest.raises(ValueError):
-            sc.Room(ris_positions=((10.0, 10.0),))
-
-    def test_boundary_surface_accepted(self):
-        sc.Room(ris_positions=((0.0, 13.0), (50.0, 50.0)))
-
 
 class TestPlacement:
     def test_zero_users_empty(self):
@@ -83,16 +76,6 @@ class TestAssociation:
         _, geoms = sc.associate(pts, sc.Room())
         for g in geoms:
             assert g.serving_distance_m == min(g.ris_distances_m)
-
-    def test_permuting_surfaces_leaves_serving_distance_invariant(self):
-        pts = sc.place_users(scenario(num_users=30))
-        room = sc.Room()
-        permuted = sc.Room(ris_positions=room.ris_positions[::-1])
-        _, g1 = sc.associate(pts, room)
-        _, g2 = sc.associate(pts, permuted)
-        for a, b in zip(g1, g2):
-            assert a.serving_distance_m == pytest.approx(b.serving_distance_m)
-            assert sorted(a.ris_distances_m) == pytest.approx(sorted(b.ris_distances_m))
 
     def test_association_idempotent(self):
         pts = sc.place_users(scenario(num_users=20))
