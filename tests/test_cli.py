@@ -377,6 +377,7 @@ class TestExitCodes:
         pytest.param(("sweep", "values"), [2, 1e18], id="huge-user-count-value"),
         pytest.param(("sweep", "replications"), 1e18, id="huge-replications"),
         pytest.param(("sweep", "horizon_s"), 1e12, id="huge-horizon"),
+        pytest.param(("scenario", "room", "ris_positions"), [], id="no-ris-positions"),
         pytest.param(("sweep", "values"), [], id="no-sweep-values"),
         pytest.param(("sweep", "values"), [3, 2], id="decreasing-sweep-values"),
     ])
@@ -393,7 +394,25 @@ class TestExitCodes:
         with mock.patch.object(cli.sc, "run_sweep", side_effect=AssertionError):
             assert cli.main(["sweep", "--config", str(cfg),
                              "--out", str(tmp_path / "out")]) == 3
-        assert ".".join(where) in capsys.readouterr().err
+        expected = ".".join(where)
+        if where == ("scenario", "room", "ris_positions"):
+            # the key itself is gone: the surfaces sit at the wall midpoints
+            expected = "scenario.room: unknown keys ['ris_positions']"
+        assert expected in capsys.readouterr().err
+
+    @pytest.mark.parametrize("position", [[1, 2, 3], [5], 5])
+    def test_malformed_ris_position_is_usage_error_with_its_index(self, tmp_path, capsys,
+                                                                  position):
+        # no position is parsed any more, so the key is unknown before any index is read
+        payload = {"scenario": scenario_section(), "sweep": {
+            "variable": "num_users", "values": [2], "replications": 1,
+            "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
+        payload["scenario"]["room"]["ris_positions"] = [position]
+        cfg = write_config(tmp_path, payload)
+        with mock.patch.object(cli.sc, "run_sweep", side_effect=AssertionError):
+            assert cli.main(["sweep", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 3
+        assert "scenario.room: unknown keys ['ris_positions']" in capsys.readouterr().err
 
     def test_ris_positions_is_an_unknown_room_key(self, tmp_path, capsys):
         # the surfaces sit at the wall midpoints; not even that layout may be spelled out
