@@ -75,7 +75,7 @@ class StageLaw:
     discipline: Discipline = Discipline.FCFS_MM12
 
     def __post_init__(self):
-        if self.update_rate <= 0 or self.service_rate <= 0:
+        if not (self.update_rate > 0 and self.service_rate > 0):
             raise ValueError("rates must be strictly positive")
 
 
@@ -99,7 +99,7 @@ class ComputeQueueLaw:
     formula_mode: AvgMode = AvgMode.CORRECTED
 
     def __post_init__(self):
-        if self.arrival_rate <= 0 or self.service_rate <= 0:
+        if not (self.arrival_rate > 0 and self.service_rate > 0):
             raise ValueError("rates must be strictly positive")
 
 

@@ -90,7 +90,7 @@ class QueueConfig:
     compute_feed: ComputeFeed = ComputeFeed.TANDEM
 
     def __post_init__(self):
-        if self.stage_service_rate <= 0 or self.compute_service_rate <= 0:
+        if not (self.stage_service_rate > 0 and self.compute_service_rate > 0):
             raise ValueError("service rates must be strictly positive")
 
 
@@ -240,9 +240,9 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     rates = tuple(float(r) for r in per_user_rates)
     if not rates:
         raise ValueError("need at least one user")
-    if any(r <= 0 for r in rates):
+    if not all(r > 0 for r in rates):
         raise ValueError("update rates must be strictly positive")
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be strictly positive")
 
     warmup = WARMUP_FRACTION * horizon
@@ -274,7 +274,7 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
                  seed: int) -> StageSeries:
     """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for bit."""
-    if min(rate, mu, horizon) <= 0:
+    if not (rate > 0 and mu > 0 and horizon > 0):
         raise ValueError("rates and horizon must be strictly positive")
     times, gens, _ = _simulate_stage(rate, mu, horizon, _rng(seed, _ARRIVAL_TAG, 0), discipline)
     return _freshness_series(times, gens, WARMUP_FRACTION * horizon)
@@ -441,7 +441,7 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     its start (``post_ages[0]`` above the level) is kept but counted from
     delivery 1, so its maximum can be understated.
     """
-    if ruin_level <= 0:
+    if not ruin_level > 0:
         raise ValueError("ruin level must be strictly positive")
     # segments end at each later delivery whose post-age is below the level; a
     # segment whose highest peak is above it is one completed excursion, and

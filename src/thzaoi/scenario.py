@@ -1,10 +1,10 @@
 """Physical scenarios and parameter sweeps.
 
 A scenario is a square room with reflecting surfaces on its walls, a user
-population placed uniformly at random, nearest-surface association, and
-the link/queue parameters needed to turn geometry into per-user update
-rates.  Sweeps vary user count or bandwidth over a value ladder with
-replications; every cell is reproducible from the master seed.
+population placed uniformly at random, and the link/queue parameters that
+turn each user's row of distances to the surfaces into an update rate, the
+nearest surface serving.  Sweeps vary user count or bandwidth over a value
+ladder with replications; every cell is reproducible from the master seed.
 
 User placement uses one substream per user index, so growing the
 population extends the placement instead of reshuffling it, and the same
@@ -54,7 +54,7 @@ class Room:
     side_length: float = 50.0
 
     def __post_init__(self):
-        if self.side_length <= 0:
+        if not self.side_length > 0:
             raise ValueError("side_length must be strictly positive")
 
     @property
@@ -94,9 +94,9 @@ class Sweep:
             raise ValueError("replications must be >= 1")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("sweep values must be strictly increasing")
-        if self.ruin_level <= 0:
+        if not self.ruin_level > 0:
             raise ValueError("ruin_level must be strictly positive")
-        if self.threshold_z <= 0 or self.horizon <= 0:
+        if not (self.threshold_z > 0 and self.horizon > 0):
             raise ValueError("threshold and horizon must be strictly positive")
 
 
@@ -117,29 +117,20 @@ def place_users(scenario: Scenario) -> np.ndarray:
     return pts
 
 
-def associate(users: np.ndarray, room: Room) -> tuple[np.ndarray, list[link.LinkGeometry]]:
-    """Nearest-surface assignment (Euclidean, ties to the lowest index)."""
+def surface_distances(users: np.ndarray, room: Room) -> np.ndarray:
+    """(N, 4) Euclidean distances from each user, a row of the (N, 2) ``users``, to each surface."""
     ris = np.asarray(room.ris_positions, dtype=float)
-    geoms = []
-    serving = np.empty(len(users), dtype=int)
-    for u, pos in enumerate(np.atleast_2d(users)):
-        dists = np.hypot(ris[:, 0] - pos[0], ris[:, 1] - pos[1])
-        b = int(np.argmin(dists))
-        serving[u] = b
-        geoms.append(link.LinkGeometry(float(dists[b]), tuple(float(d) for d in dists)))
-    return serving, geoms
+    return np.hypot(ris[:, 0] - users[:, :1], ris[:, 1] - users[:, 1:])
 
 
 def realize_rates(scenario: Scenario, positions: np.ndarray | None = None) -> np.ndarray:
-    """Per-user update rates from the link-budget chain."""
+    """Per-user update rates from the link-budget chain, run on Python floats: libm's
+    ``exp`` and ``log2``, whose last bits numpy's vectorized ones need not match."""
     if positions is None:
         positions = place_users(scenario)
-    _, geoms = associate(positions, scenario.room)
-    rates = np.empty(len(geoms))
-    for u, geom in enumerate(geoms):
-        r_bits = link.rate_bps(geom, scenario.link_params)
-        rates[u] = link.update_rate(r_bits, scenario.link_params)
-    return rates
+    rows = surface_distances(positions, scenario.room).tolist()
+    p = scenario.link_params
+    return np.array([link.update_rate(link.rate_bps(d, p), p) for d in rows], dtype=float)
 
 
 def compute_arrival_rate(rates: Sequence[float], mu_u: float,

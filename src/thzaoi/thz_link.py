@@ -1,15 +1,16 @@
 """THz link budget for RIS-served uplink users.
 
-Converts a user--RIS geometry plus physical-layer parameters into a
-packetized update rate: free-space + molecular-absorption channel gain,
-phase-aligned array gain, noise-plus-interference floor, Shannon rate,
-and rate-per-image division.
+Converts one user's row of distances to every reflecting surface into a
+packetized update rate: the nearest surface serves, with free-space +
+molecular-absorption channel gain and phase-aligned array gain, over the
+noise-plus-interference of the whole row; Shannon rate; rate per image.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 # CODATA 2018 exact values
 SPEED_OF_LIGHT = 299792458.0        # m/s
@@ -37,9 +38,9 @@ class LinkParams:
     def __post_init__(self):
         for name in ("bandwidth_hz", "carrier_hz", "tx_power_w",
                      "absorption_per_m", "temperature_k", "image_size_bits"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.meta_surfaces < 1:
+        if not self.meta_surfaces >= 1:
             raise ValueError("meta_surfaces must be a positive count")
 
     @property
@@ -47,29 +48,9 @@ class LinkParams:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Distances from one user to every reflecting surface.
-
-    ``serving_distance_m`` must be one of ``ris_distances_m`` (the user is
-    served by one of the listed surfaces).
-    """
-
-    serving_distance_m: float
-    ris_distances_m: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.ris_distances_m:
-            raise ValueError("ris_distances_m must be non-empty")
-        if any(d <= 0 for d in self.ris_distances_m):
-            raise ValueError("all distances must be strictly positive")
-        if self.serving_distance_m not in self.ris_distances_m:
-            raise ValueError("serving distance must be one of the listed distances")
-
-
 def channel_gain(distance_m: float, params: LinkParams) -> float:
     """Line-of-sight power gain (lambda/4 pi d)^2 * exp(-2 k d)."""
-    if distance_m <= 0:
+    if not distance_m > 0:
         raise ValueError("distance must be strictly positive")
     lam = params.wavelength_m
     spreading = (lam / (4.0 * math.pi * distance_m)) ** 2
@@ -90,26 +71,27 @@ def thermal_noise_w(params: LinkParams) -> float:
         * BOLTZMANN * params.temperature_k
 
 
-def noise_plus_interference(geom: LinkGeometry, params: LinkParams) -> float:
+def noise_plus_interference(distances_m: Sequence[float], params: LinkParams) -> float:
     """Noise floor plus absorption-scattered power from every surface.
 
-    The sum runs over all listed surfaces, serving one included, matching
-    the link model's unrestricted sum.
+    The sum runs over one user's distances to all surfaces, serving one
+    included, matching the link model's unrestricted sum.
     """
     n0 = thermal_noise_w(params)
     a0 = SPEED_OF_LIGHT ** 2 / (16.0 * math.pi ** 2 * params.carrier_hz ** 2)
     k = params.absorption_per_m
     total = n0
-    for d in geom.ris_distances_m:
+    for d in distances_m:
         total += params.tx_power_w * a0 / d ** 2 * (1.0 - math.exp(-k * d))
     return total
 
 
-def rate_bps(geom: LinkGeometry, params: LinkParams) -> float:
-    """Uplink Shannon rate W log2(1 + p h N^2 / noise)."""
-    h = channel_gain(geom.serving_distance_m, params)
+def rate_bps(distances_m: Sequence[float], params: LinkParams) -> float:
+    """Uplink Shannon rate W log2(1 + p h N^2 / noise), served by the nearest
+    surface; an empty row (no minimum) or a non-positive distance raises ValueError."""
+    h = channel_gain(min(distances_m), params)
     gain = ris_array_gain(params.meta_surfaces)
-    noise = noise_plus_interference(geom, params)
+    noise = noise_plus_interference(distances_m, params)
     snr = params.tx_power_w * h * gain / noise
     return params.bandwidth_hz * math.log2(1.0 + snr)
 

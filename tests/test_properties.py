@@ -1,5 +1,5 @@
 """Property tests: stage kernels and simulator bookkeeping over wide rate ranges,
-and the config boundary over malformed numbers.
+the config boundary over malformed numbers, and NaN at every positivity check.
 
 r/mu is drawn log-uniformly over [1e-3, 1e5], from lightly loaded stages to
 the saturated ones the THz link budget produces.  Examples are derandomized
@@ -26,6 +26,7 @@ from thzaoi import aoi_analytic as an
 from thzaoi import cli
 from thzaoi import queue_sim as qs
 from thzaoi import scenario as sc
+from thzaoi import thz_link as tl
 
 
 def log_uniform(lo, hi):
@@ -77,6 +78,51 @@ def test_negative_float_age_is_rejected():
         an._check_age(-1.0)
     with pytest.raises(ValueError):
         an.pdf_paoi(an.StageLaw(2.0, 1.0), -1.0)
+
+
+NAN = math.nan
+FCFS = an.Discipline.FCFS_MM12
+LINK = dict(bandwidth_hz=1e10, carrier_hz=1e12, tx_power_w=1.0, absorption_per_m=0.0016,
+            temperature_k=300.0, meta_surfaces=100, image_size_bits=1e7)
+
+
+def sweep(ruin=1.0, z=3.0, horizon=100.0):
+    base = sc.Scenario(sc.Room(), 1, tl.LinkParams(**LINK), qs.QueueConfig(FCFS, 5.0, 100.0), 0)
+    return sc.Sweep(sc.SweepVariable.NUM_USERS, (1.0,), 1, base, ruin, z, horizon, 0)
+
+
+# NaN compares false, so `x <= 0` lets it through; each site's own message must
+# name the rejection, not a later failure such as a NaN-to-integer conversion
+@pytest.mark.parametrize("build,message", [
+    (lambda: an.StageLaw(NAN, 1.0), "rates must be strictly positive"),
+    (lambda: an.StageLaw(2.0, NAN), "rates must be strictly positive"),
+    (lambda: an.ComputeQueueLaw(NAN, 1.0), "rates must be strictly positive"),
+    (lambda: an.ComputeQueueLaw(1.0, NAN), "rates must be strictly positive"),
+    (lambda: qs.QueueConfig(FCFS, NAN, 1.0), "service rates must be strictly positive"),
+    (lambda: qs.QueueConfig(FCFS, 1.0, NAN), "service rates must be strictly positive"),
+    (lambda: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0, NAN], 100.0, 0),
+     "update rates must be strictly positive"),
+    (lambda: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0], NAN, 0),
+     "horizon must be strictly positive"),
+    (lambda: qs.stage_series(FCFS, NAN, 1.0, 100.0, 0), "rates and horizon must be"),
+    (lambda: qs.stage_series(FCFS, 2.0, NAN, 100.0, 0), "rates and horizon must be"),
+    (lambda: qs.stage_series(FCFS, 2.0, 1.0, NAN, 0), "rates and horizon must be"),
+    (lambda: qs.excursion_severity(qs.stage_series(FCFS, 2.0, 1.0, 100.0, 0), NAN),
+     "ruin level must be strictly positive"),
+    (lambda: sc.Room(NAN), "side_length must be strictly positive"),
+    (lambda: sweep(ruin=NAN), "ruin_level must be strictly positive"),
+    (lambda: sweep(z=NAN), "threshold and horizon must be strictly positive"),
+    (lambda: sweep(horizon=NAN), "threshold and horizon must be strictly positive"),
+    (lambda: tl.LinkParams(**{**LINK, "carrier_hz": NAN}), "carrier_hz must be strictly positive"),
+    (lambda: tl.LinkParams(**{**LINK, "meta_surfaces": NAN}), "meta_surfaces must be a positive"),
+    (lambda: tl.channel_gain(NAN, tl.LinkParams(**LINK)), "distance must be strictly positive"),
+], ids=["stage-rate", "stage-mu", "compute-lambda", "compute-mu", "queue-mu-u", "queue-mu-c",
+        "run-rate", "run-horizon", "series-rate", "series-mu", "series-horizon", "excursion",
+        "room", "sweep-ruin", "sweep-z", "sweep-horizon", "link-carrier", "link-surfaces",
+        "channel-gain"])
+def test_nan_fails_each_positivity_check(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @PROPERTY

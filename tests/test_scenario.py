@@ -1,4 +1,4 @@
-"""Scenario, placement, association, rate realization, and sweep tests."""
+"""Scenario, placement, distance rows, rate realization, and sweep tests."""
 
 import json
 import math
@@ -62,26 +62,25 @@ class TestPlacement:
 
 
 class TestAssociation:
-    def test_center_tie_breaks_to_lowest_index(self):
-        serving, geoms = sc.associate(np.array([[25.0, 25.0]]), sc.Room())
-        assert serving[0] == 0
-        assert geoms[0].serving_distance_m == pytest.approx(25.0)
+    def test_center_is_equidistant(self):
+        dists = sc.surface_distances(np.array([[25.0, 25.0]]), sc.Room())
+        assert dists.tolist() == [[25.0] * 4]
 
     def test_near_first_wall_midpoint(self):
-        serving, _ = sc.associate(np.array([[25.0, 0.5]]), sc.Room())
-        assert serving[0] == 0
+        dists = sc.surface_distances(np.array([[25.0, 0.5]]), sc.Room())
+        assert dists[0, 0] == 0.5 and dists[0].argmin() == 0
 
-    def test_serving_distance_is_minimum(self):
+    def test_rows_are_each_users_distances(self):
         pts = sc.place_users(scenario(num_users=50))
-        _, geoms = sc.associate(pts, sc.Room())
-        for g in geoms:
-            assert g.serving_distance_m == min(g.ris_distances_m)
+        ris = np.asarray(sc.Room().ris_positions)
+        expect = [np.hypot(ris[:, 0] - x, ris[:, 1] - y) for x, y in pts]
+        dists = sc.surface_distances(pts, sc.Room())
+        assert dists.shape == (50, 4) and np.array_equal(dists, expect)
 
     def test_association_idempotent(self):
         pts = sc.place_users(scenario(num_users=20))
-        first = sc.associate(pts, sc.Room())
-        second = sc.associate(pts, sc.Room())
-        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(sc.surface_distances(pts, sc.Room()),
+                              sc.surface_distances(pts, sc.Room()))
 
 
 class TestRates:
@@ -99,12 +98,17 @@ class TestRates:
         assert np.allclose(r2, r1 / 2.0)
 
     def test_matches_link_budget_composition(self):
-        scen = scenario(num_users=3)
-        pts = sc.place_users(scen)
-        _, geoms = sc.associate(pts, scen.room)
-        expect = [tl.update_rate(tl.rate_bps(g, scen.link_params), scen.link_params)
-                  for g in geoms]
-        assert np.allclose(sc.realize_rates(scen, pts), expect, rtol=1e-14)
+        # each user's distances as a 4-element np.hypot, the link chain on Python
+        # floats: the rates must match bit for bit, the four-way tie included
+        scen = scenario(num_users=50)
+        pts = np.vstack([sc.place_users(scen), [[25.0, 25.0]]])
+        ris = np.asarray(scen.room.ris_positions)
+        p = scen.link_params
+        expect = []
+        for x, y in pts:
+            dists = tuple(float(d) for d in np.hypot(ris[:, 0] - x, ris[:, 1] - y))
+            expect.append(tl.update_rate(tl.rate_bps(dists, p), p))
+        assert sc.realize_rates(scen, pts).tolist() == expect
 
     def test_monotone_in_surfaces_and_power(self):
         pts = sc.place_users(scenario(num_users=6))
