@@ -319,7 +319,9 @@ def cdf_paoi(law: StageLaw, a, source: CdfSource = CdfSource.REFERENCE) -> Flagg
     expression verbatim (for LCFS known-invalid near zero: flagged, never
     clamped); QUADRATURE integrates the density (``_quad_pdf``), an oracle.
     """
-    a = _check_age(float(a))
+    a = float(a)
+    if a < 0:   # NaN passes, as it does through _check_age
+        raise ValueError("age must be non-negative")
     if source is CdfSource.QUADRATURE:
         val = float(_quad_pdf(law, [0.0, a])[-1])
     else:

@@ -18,9 +18,19 @@ one if E < S and E after it otherwise, so the start times are one
 cumulative sum over the cycles, and the cost is a few array operations
 per service whatever the update rate -- four orders of magnitude above
 the service rate for THz link budgets.  The cycles come in blocks, one of
-which usually spans the horizon; the working set peaks at four block-length
-arrays at the Poisson draw (S, E, the Poisson means and N), and later steps
-reuse those buffers in place.  LCFS adds its U draws and survivors' shifts.
+which usually spans the horizon.
+
+All users of a ``run`` are simulated together as one stack: (users x cycles)
+arrays, a row per user, each user's draws going straight into its row and
+the row zero past them.  Only the draws are made user by user; the sums,
+masks, counters and generation times are passes over the whole stack, and
+the freshness series, the merge of the departures, the batch-means spread
+and the excursions are passes over a cell's users together, each user's
+series a view into them.  ``stage_series`` is the stack of one row, and
+``excursion_severity`` and ``estimate_avg`` the passes over one sample.  The
+working set peaks at four (users x block) arrays at the Poisson draw (S, E,
+the Poisson means and N), and later steps reuse those buffers in place.
+LCFS adds its U draws and survivors' shifts.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -31,7 +41,8 @@ which rounds differently, and checked against the exact completions.
 
 Randomness: one independent substream per user for its stage cycles, drawn
 in blocks, and one for the compute queue's service times, all derived from
-the master seed, so adding users never perturbs existing streams.  The
+the master seed, so adding users never perturbs existing streams; stacking
+the users changes no draw and no draw's order within its substream.  The
 stage paths match the event loops in ``tests/sim_reference.py`` in
 distribution, not draw for draw; the compute queue, the freshness series
 and the excursions match them bit for bit when both are fed the same
@@ -162,73 +173,133 @@ def _block_size(rate: float, mu: float, horizon: float) -> int:
     return int(1.1 * min(rate, mu) * horizon) + 64
 
 
-def _simulate_stage(rate: float, mu: float, horizon: float,
-                    rng: np.random.Generator, discipline: Discipline):
-    """One user's stage queue over [0, horizon], one service cycle at a time.
+def _starts(first: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Service start times per row: ``first``, then max(S, E) on per cycle, one
+    sequential sum per row, so a block's sum continued from the last start of the
+    one before is the sum over both bit for bit.  A zero past a row's cycles
+    repeats the start after its last one."""
+    start = np.empty(s.shape)
+    start[:, 0] = first
+    np.maximum(s[:, :-1], e[:, :-1], out=start[:, 1:])
+    return np.cumsum(start, axis=1, out=start)
 
-    Returns (departure times, departure generation times, counters).
-    Departures are in generation order for both disciplines, so every
+
+def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
+                     rngs: Sequence[np.random.Generator], discipline: Discipline):
+    """Every user's stage queue over [0, horizon], one service cycle at a time,
+    user ``i`` drawing from ``rngs[i]``, as (users x cycles) arrays.
+
+    Returns (departure times, departure generation times, counters): user
+    ``i``'s departures are the first ``counters[i].deliveries`` entries of row
+    ``i``.  Departures are in generation order for both disciplines, so every
     departure refreshes the stage observer.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
-    # at least one block is drawn, and more while it falls short of the horizon
-    block = _block_size(rate, mu, horizon)
-    start, cycles = np.array([rng.exponential(1.0 / rate)]), []
-    while not cycles or start[-1] <= horizon:
-        s = rng.exponential(1.0 / mu, block)
-        e = rng.exponential(1.0 / rate, block)
-        lam = s - e             # the Poisson means, rate * max(s - e, 0), in place
-        n = rng.poisson(np.multiply(np.maximum(lam, 0.0, out=lam), rate, out=lam))
-        del lam                 # the peak was there: s, e, lam and n
-        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
-        cycles.append((s, e, n, rng.random(block)) if lcfs else (s, e, n))
-        # a sequential sum, so a departure start + s is the next start bit for bit
-        steps = np.empty(block + 1)
-        steps[0] = start[-1]
-        np.maximum(s, e, out=steps[1:])
-        np.cumsum(steps, out=steps)
-        start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
-    k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
-    start = start[:k]
-    # one block, the usual case, is sliced rather than copied
-    s, e, n, *u = (c[0][:k] if len(c) == 1 else np.concatenate(c)[:k] for c in zip(*cycles))
+    rates = np.array(rates, dtype=float)
+    blocks = np.array([_block_size(r, mu, horizon) for r in rates.tolist()])
+    first = np.array([rng.exponential(1.0 / r) for rng, r in zip(rngs, rates.tolist())])
+    # every user draws one block, and more while its cycles fall short of the horizon;
+    # a row is zero past its user's block, so a step there is max(0, 0) = 0
+    rounds, rows, last = [], np.arange(rates.size), first.copy()
+    while rows.size:
+        size = blocks[rows]
+        s, e = np.zeros((rows.size, size.max())), np.zeros((rows.size, size.max()))
+        # indexed, not iterated: a row view left bound after a loop keeps its array alive
+        users = list(enumerate(zip(rows.tolist(), size.tolist())))
+        for row, (i, b) in users:
+            rngs[i].standard_exponential(out=s[row, :b])   # times the scale below, these
+            rngs[i].standard_exponential(out=e[row, :b])   # are exponential(scale, b) bit for bit
+        s *= 1.0 / mu
+        e *= 1.0 / rates[rows, None]
+        n = np.subtract(s, e)   # the Poisson means, rate * max(s - e, 0), and then N, in place
+        np.maximum(n, 0.0, out=n)
+        n *= rates[rows, None]
+        for row, (i, b) in users:
+            n[row, :b] = rngs[i].poisson(n[row, :b])   # the peak is here: s, e, n and the draw
+        cycles = [s, e, n]
+        if lcfs:   # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
+            u = np.zeros(s.shape)
+            for row, (i, b) in users:
+                rngs[i].random(out=u[row, :b])
+            cycles.append(u)
+        start = _starts(last[rows], s, e)
+        r, end = np.arange(rows.size), size - 1
+        last[rows] = start[r, end] + np.maximum(s[r, end], e[r, end])   # the start after the block
+        rounds.append((rows, size, cycles))
+        rows = rows[last[rows] <= horizon]
+    if len(rounds) > 1:   # a user's blocks go end to end along its row, block t at t sizes in
+        width = max(((t + 1) * size).max() for t, (_, size, _) in enumerate(rounds))
+        cycles = [np.zeros((rates.size, width)) for _ in cycles]
+        for t, (rows, size, parts) in enumerate(rounds):
+            row, col = np.nonzero(np.arange(size.max()) < size[:, None])
+            for dst, src in zip(cycles, parts):
+                dst[rows[row], t * size[row] + col] = src[row, col]
+        start = _starts(first, cycles[0], cycles[1])
+    del rounds
+    s, e, n, *u = cycles
     del cycles
-    d = k - int(k > 0 and start[-1] + s[-1] > horizon)   # only the last service can straddle it
-    lost = int(n[:d].sum())
-    queued = e < s              # the next arrival comes during this service and waits
-    if lcfs:                    # the survivor came (s - e) U^(1/n) after the waiter
-        w = np.flatnonzero(n[:-1])   # n > 0 only behind a waiter, and the last one is not carried
-        shift = (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
-    del n, u
-    # IEEE + commutes, so these are start + e and start + s element for element
-    arrived = np.add(e, start, out=e)[queued]
-    del e
+
+    begun = start <= horizon   # the start times never decrease along a row
+    k = np.count_nonzero(begun, axis=1)
+    # a service not begun by the horizon takes no time here, so nothing waits behind it
+    np.multiply(s, begun, out=s)
+    del begun
+    queued = np.less(e, s)     # the next arrival comes during this service and waits
+    np.multiply(n, queued, out=n)   # and n more come behind it
+    r, j = np.arange(rates.size), np.maximum(k - 1, 0)   # j: the last service begun
+    if lcfs:   # the survivor came (s - e) U^(1/n) after the waiter
+        behind = n > 0
+        behind[r, j] = False   # the last service begun has no next one to carry it to
+        w = np.flatnonzero(behind)
+        del behind
+        shift = (s.ravel()[w] - e.ravel()[w]) * u[0].ravel()[w] ** (1.0 / n.ravel()[w])
+        del u
+    # only the last service begun can straddle the horizon: one begun before it
+    # ends by the next start
+    straddles = (k > 0) & (s[r, j] + start[r, j] > horizon)
+    d = k - straddles
+    # the arrivals lost behind each delivered service; whole numbers, so the sums are exact
+    lost = (n.sum(axis=1) - np.where(straddles, n[r, j], 0.0)).astype(np.int64)
+    del n
+    carried = queued.copy()    # the last service begun has no next one to carry to
+    carried[r, j] = False
+    carried = carried[:, :-1]
+    # IEEE + commutes, so these are start + s and start + e element for element
     done = np.add(s, start, out=s)
-    carried = queued[:-1]       # the last service begun has no next one to carry to
-    n_carried = int(np.count_nonzero(carried))
-    gens = start                # a service begun empty carries its own arrival
-    gens[1:][carried] = arrived[:n_carried]
+    arrived = np.add(e, start, out=e)
+    gens = start               # a service begun empty carries its own arrival
+    np.copyto(gens[:, 1:], arrived[:, :-1], where=carried)
     if lcfs:
-        gens[w + 1] += shift
+        gens.ravel()[w + 1] += shift
 
-    waiting = int(d < k and n_carried < arrived.size and arrived[-1] <= horizon)
+    waiting = (d < k) & queued[r, j] & (arrived[r, j] <= horizon)
     # behind the straddling service's waiter, arrivals count up to the horizon only
-    lost += int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0
+    for i in np.flatnonzero(waiting).tolist():
+        lost[i] += rngs[i].poisson(rates[i] * (horizon - arrived[i, j[i]]))
     # services begun empty, plus the waiters that came by the horizon
-    arrivals = k - n_carried + int(np.count_nonzero(arrived <= horizon))
-    counters = UserCounters(
-        arrivals=arrivals + lost, deliveries=d,
-        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
-    return done[:d], gens[:d], counters
+    arrivals = (k - np.count_nonzero(carried, axis=1)
+                + np.count_nonzero(queued & (arrived <= horizon), axis=1))
+    counters = [UserCounters(arrivals=a + x, deliveries=dd, drops=0 if lcfs else x,
+                             preemptions=x if lcfs else 0, in_system=kk - dd + wt)
+                for a, x, dd, kk, wt in zip(arrivals.tolist(), lost.tolist(), d.tolist(),
+                                            k.tolist(), waiting.tolist())]
+    return done, gens, counters
 
 
-def _freshness_series(times: np.ndarray, arrived: np.ndarray, warmup: float) -> StageSeries:
-    """Ages at deliveries ``times`` that each refresh the observer to ``arrived``;
-    the first delivery only sets the age, and those before ``warmup`` are dropped.
-    Every caller's ``times`` never decrease, so the deliveries kept are a suffix."""
-    i = max(int(np.searchsorted(times, warmup)), 1)
-    t = times[i:]
-    return StageSeries(t, t - arrived[i - 1:-1], t - arrived[i:])
+def _freshness_series(times: np.ndarray, arrived: np.ndarray, lo: Sequence[int],
+                      hi: Sequence[int], warmup: float) -> list[StageSeries]:
+    """Ages at the deliveries ``times[lo[j]:hi[j]]`` of each segment ``j``, each
+    refreshing the observer to its ``arrived``; a segment's first delivery only
+    sets the age, and those before ``warmup`` are dropped.  Every segment's times
+    never decrease, so the deliveries kept are a suffix of it."""
+    peaks = np.empty_like(times)   # peaks[0] is never read: no segment keeps its first
+    np.subtract(times[1:], arrived[:-1], out=peaks[1:])
+    post = times - arrived
+    out = []
+    for a, b in zip(lo, hi):
+        i = a + max(int(np.searchsorted(times[a:b], warmup)), 1)
+        out.append(StageSeries(times[i:b], peaks[i:b], post[i:b]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +319,22 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     warmup = WARMUP_FRACTION * horizon
     out = PaoiSamples(config=config, rates=rates, horizon=horizon,
                       warmup=warmup, seed=seed)
-    mu_u = config.stage_service_rate
-    dep_streams = []
-    for u, rate in enumerate(rates):
-        dep_t, dep_g, out.stage_counters[u] = _simulate_stage(
-            rate, mu_u, horizon, _rng(seed, _ARRIVAL_TAG, u), config.discipline)
-        out.stage1[u] = _freshness_series(dep_t, dep_g, warmup)
-        dep_streams.append((dep_t, dep_g))
-
-    times = np.concatenate([d[0] for d in dep_streams])
-    gens = np.concatenate([d[1] for d in dep_streams])
-    # the narrowest index type, so the compute queue's stable sort on it is a radix sort
-    users = np.repeat(np.arange(len(rates), dtype=np.min_scalar_type(len(rates) - 1)),
-                      [len(d[0]) for d in dep_streams])
+    n_users = len(rates)
+    done, gens, counters = _simulate_stages(
+        rates, config.stage_service_rate, horizon,
+        [_rng(seed, _ARRIVAL_TAG, u) for u in range(n_users)], config.discipline)
+    out.stage_counters = dict(enumerate(counters))
+    # every delivery, users in order: a user's own deliveries are one segment
+    d = np.array([c.deliveries for c in counters])
+    delivered = np.arange(done.shape[1]) < d[:, None]
+    times, gens = done[delivered], gens[delivered]
+    del done, delivered
+    hi = np.cumsum(d)
+    out.stage1 = dict(enumerate(_freshness_series(times, gens, (hi - d).tolist(),
+                                                  hi.tolist(), warmup)))
+    # and then in time order; the narrowest index type, so the compute queue's
+    # stable sort on it is a radix sort
+    users = np.repeat(np.arange(n_users, dtype=np.min_scalar_type(n_users - 1)), d)
     order = np.argsort(times, kind="stable")
     times, gens, users = times[order], gens[order], users[order]
 
@@ -276,8 +350,10 @@ def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
     """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for bit."""
     if not (rate > 0 and mu > 0 and horizon > 0):
         raise ValueError("rates and horizon must be strictly positive")
-    times, gens, _ = _simulate_stage(rate, mu, horizon, _rng(seed, _ARRIVAL_TAG, 0), discipline)
-    return _freshness_series(times, gens, WARMUP_FRACTION * horizon)
+    done, gens, (counters,) = _simulate_stages(
+        (rate,), mu, horizon, (_rng(seed, _ARRIVAL_TAG, 0),), discipline)
+    d = counters.deliveries
+    return _freshness_series(done[0, :d], gens[0, :d], (0,), (d,), WARMUP_FRACTION * horizon)[0]
 
 
 def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
@@ -294,12 +370,13 @@ def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
     out.compute_arrivals = n
     out.compute_delivered = k
     out.compute_in_system = n - k
-    out.compute_agg = _freshness_series(d, times[:k], warmup)
+    out.compute_agg, = _freshness_series(d, times[:k], (0,), (k,), warmup)
     # each user's deliveries in time order: a stable sort on the user index
     order = np.argsort(users[:k], kind="stable")
-    counts = np.bincount(users[:k], minlength=len(out.rates))
-    for u, idx in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-        out.e2e[u] = _freshness_series(d[idx], gens[idx], warmup)
+    hi = np.cumsum(np.bincount(users[:k], minlength=len(out.rates)))
+    lo = np.concatenate(([0], hi[:-1]))
+    out.e2e = dict(enumerate(_freshness_series(d[order], gens[order], lo.tolist(),
+                                               hi.tolist(), warmup)))
 
 
 # busy periods of at most this many jobs advance together, one position per
@@ -441,17 +518,43 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     its start (``post_ages[0]`` above the level) is kept but counted from
     delivery 1, so its maximum can be understated.
     """
+    return ExcursionStats(ruin_level, exceedances([trace], ruin_level)[0])
+
+
+def exceedances(traces: Sequence[StageSeries], ruin_level: float):
+    """``excursion_severity``'s exceedances of every trace, end to end in trace
+    order, and how many of them each trace has."""
     if not ruin_level > 0:
         raise ValueError("ruin level must be strictly positive")
-    # segments end at each later delivery whose post-age is below the level; a
-    # segment whose highest peak is above it is one completed excursion, and
-    # the tail after the last close is censored
-    closes = np.flatnonzero(trace.post_ages[1:] < ruin_level) + 1
+    lengths = np.array([len(t) for t in traces], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    firsts = (ends - lengths)[lengths > 0]
+    # an excursion closes at each later delivery whose post-age is below the level
+    below = _joined([t.post_ages < ruin_level for t in traces])
+    below[firsts] = False      # a trace's first delivery closes nothing
+    closes = np.flatnonzero(below)
     if closes.size == 0:
-        return ExcursionStats(ruin_level, np.empty(0))
-    starts = np.concatenate(([1], closes[:-1] + 1))
-    highest = np.maximum.reduceat(trace.peaks[:closes[-1] + 1], starts)
-    return ExcursionStats(ruin_level, highest[highest > ruin_level] - ruin_level)
+        return np.empty(0), np.zeros(len(traces), dtype=np.intp)
+    # runs open after each close and at each trace's delivery 1, and each run
+    # to a close whose highest peak is above the level is one completed
+    # excursion; a run from a trace's last close to the next trace is its
+    # censored tail, and so are the runs after the last close, not reduced
+    at, last = np.searchsorted(closes, firsts), int(closes[-1])
+    closes += 1
+    opens = np.insert(closes, at, firsts + 1)
+    del closes
+    opens = opens[:np.searchsorted(opens, last, side="right")]
+    highest = np.maximum.reduceat(_joined([t.peaks for t in traces])[:last + 1], opens)
+    tails = at + np.arange(at.size) - 1   # the run before each trace's first one
+    completed = highest > ruin_level
+    completed[tails[(tails >= 0) & (tails < opens.size)]] = False
+    trace = np.searchsorted(ends, opens[completed], side="right")
+    return highest[completed] - ruin_level, np.bincount(trace, minlength=len(traces))
+
+
+def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a single array as it is, not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # scipy.stats.t.ppf(0.975, dof) for dof = 1..30: batch means use at most 19,
@@ -483,16 +586,28 @@ def student_t_975(dof: int) -> float:
 
 def estimate_avg(values: Sequence[float]) -> AvgEstimate:
     """Sample mean with a 95% confidence half-width from ``BATCHES`` batch means."""
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    if n < 2:
+    return _estimate_avgs([np.asarray(values, dtype=float)])[0]
+
+
+def _estimate_avgs(samples: Sequence[np.ndarray]) -> list[AvgEstimate]:
+    """``estimate_avg`` of each sample: one batch-means row per sample, and one
+    spread over the rows of each batch count."""
+    n = np.array([v.size for v in samples])
+    if n.min() < 2:
         raise EmptyDataError("need at least two samples")
-    b = max(2, min(BATCHES, n // 2))
-    usable = (n // b) * b
-    means = arr[:usable].reshape(b, -1).mean(axis=1)
-    spread = float(np.std(means, ddof=1))
-    hw = student_t_975(b - 1) * spread / math.sqrt(b)
-    return AvgEstimate(float(arr.mean()), hw)
+    b = np.clip(n // 2, 2, BATCHES)
+    # np.add.reduce, then a division, is what .mean() does, without its Python layer
+    means = np.empty((len(samples), BATCHES))
+    for v, row, bi in zip(samples, means, b.tolist()):
+        np.add.reduce(v[:v.size // bi * bi].reshape(bi, -1), axis=1, out=row[:bi])
+        row[:bi] /= v.size // bi
+    spread = np.empty(len(samples))
+    for bi in set(b.tolist()):   # one count, BATCHES, once samples have 40 points
+        rows = b == bi
+        spread[rows] = np.std(means[rows, :bi], axis=1, ddof=1)
+    t = np.array([student_t_975(bi - 1) for bi in b.tolist()])
+    hw = t * spread / np.sqrt(b)
+    return [AvgEstimate(float(np.add.reduce(v)) / v.size, h) for v, h in zip(samples, hw.tolist())]
 
 
 def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
@@ -501,8 +616,8 @@ def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
     end-to-end expression; half-widths combine in quadrature."""
     total = 0.0
     var = 0.0
-    for u in range(len(samples.rates)):
-        est = estimate_avg(samples.series(u, Stage.STAGE1).peaks)
+    for est in _estimate_avgs([samples.series(u, Stage.STAGE1).peaks
+                               for u in range(len(samples.rates))]):
         total += est.mean
         var += est.halfwidth ** 2
     if samples.compute_agg is None or len(samples.compute_agg) < 2:

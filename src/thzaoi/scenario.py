@@ -200,13 +200,14 @@ def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
         sys_law = an.SystemLaw(stages)
 
         samples = qs.run(qs.QueueConfig(disc, mu_u, mu_c), rates, sweep.horizon, seed)
-        excursions = [qs.excursion_severity(samples.series(u, qs.Stage.STAGE1), sweep.ruin_level)
-                      for u in range(len(rates))]
+        # completed excursions pooled across users; empirical P(M - a <= z)
+        exceed, counts = qs.exceedances([samples.stage1[u] for u in range(len(rates))],
+                                        sweep.ruin_level)
         if sample_sink is not None:
+            excursions = [qs.ExcursionStats(sweep.ruin_level, e)
+                          for e in np.split(exceed, np.cumsum(counts)[:-1])]
             sample_sink(value, rep, disc, samples, excursions)
         sim_avg = qs.e2e_average_estimate(samples)
-        # completed excursions pooled across users; empirical P(M - a <= z)
-        exceed = np.concatenate([e.exceedances for e in excursions])
         sev_below = float(np.mean(exceed <= sweep.threshold_z)) if exceed.size else math.nan
         # every user has samples here: the estimate above needs two peaks from each
         ks = stage_ks([samples.stage1[u].peaks for u in range(len(rates))], stages)

@@ -88,7 +88,10 @@ def noise_plus_interference(distances_m: Sequence[float], params: LinkParams) ->
 
 def rate_bps(distances_m: Sequence[float], params: LinkParams) -> float:
     """Uplink Shannon rate W log2(1 + p h N^2 / noise), served by the nearest
-    surface; an empty row (no minimum) or a non-positive distance raises ValueError."""
+    surface; an empty row (no minimum) or a non-positive or NaN distance anywhere
+    in it raises ValueError."""
+    if not all(d > 0 for d in distances_m):   # min() skips a NaN that is not first
+        raise ValueError("distance must be strictly positive")
     h = channel_gain(min(distances_m), params)
     gain = ris_array_gain(params.meta_surfaces)
     noise = noise_plus_interference(distances_m, params)

@@ -13,11 +13,15 @@ fed the same streams (see ``test_sim_equivalence.py``).
 of the array stage simulator and freshness series as they were before they
 were rewritten to work in place; the rewrite must reproduce them bit for bit
 (see ``test_properties.py`` and ``test_sim_equivalence.py``).
+``_simulate_stage_one_user`` is the in-place stage simulator as it was before
+it stacked a cell's users into (users x cycles) arrays; the stack must
+reproduce it user for user, bit for bit (see ``test_properties.py``).
 
-``ks_distance`` and ``aggregate_sweep`` are frozen copies of the one-pass KS
-distance and the per-metric sweep aggregation as they were before both became
-array passes over many segments or metrics at once; the passes must reproduce
-them bit for bit (see ``test_properties.py``).
+``ks_distance``, ``aggregate_sweep`` and ``estimate_avg`` are frozen copies of
+the one-pass KS distance, the per-metric sweep aggregation and the one-sample
+batch means as they were before they became array passes over many segments,
+metrics or samples at once; the passes must reproduce them bit for bit (see
+``test_properties.py``).
 """
 
 from __future__ import annotations
@@ -155,6 +159,65 @@ def _simulate_stage_blocks(rate: float, mu: float, horizon: float,
     return done[:d], gens[:d], counters
 
 
+def _simulate_stage_one_user(rate: float, mu: float, horizon: float,
+                             rng: np.random.Generator, discipline: Discipline):
+    """``queue_sim._simulate_stages`` for one user, as it was before it stacked a
+    cell's users: the same draws in the same order, and in-place block arrays.
+
+    Returns (departure times, departure generation times, counters).
+    """
+    lcfs = discipline is Discipline.LCFS_MM12_STAR
+    # at least one block is drawn, and more while it falls short of the horizon
+    block = qs._block_size(rate, mu, horizon)
+    start, cycles = np.array([rng.exponential(1.0 / rate)]), []
+    while not cycles or start[-1] <= horizon:
+        s = rng.exponential(1.0 / mu, block)
+        e = rng.exponential(1.0 / rate, block)
+        lam = s - e             # the Poisson means, rate * max(s - e, 0), in place
+        n = rng.poisson(np.multiply(np.maximum(lam, 0.0, out=lam), rate, out=lam))
+        del lam                 # the peak was there: s, e, lam and n
+        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
+        cycles.append((s, e, n, rng.random(block)) if lcfs else (s, e, n))
+        # a sequential sum, so a departure start + s is the next start bit for bit
+        steps = np.empty(block + 1)
+        steps[0] = start[-1]
+        np.maximum(s, e, out=steps[1:])
+        np.cumsum(steps, out=steps)
+        start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
+    k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
+    start = start[:k]
+    # one block, the usual case, is sliced rather than copied
+    s, e, n, *u = (c[0][:k] if len(c) == 1 else np.concatenate(c)[:k] for c in zip(*cycles))
+    del cycles
+    d = k - int(k > 0 and start[-1] + s[-1] > horizon)   # only the last service can straddle it
+    lost = int(n[:d].sum())
+    queued = e < s              # the next arrival comes during this service and waits
+    if lcfs:                    # the survivor came (s - e) U^(1/n) after the waiter
+        w = np.flatnonzero(n[:-1])   # n > 0 only behind a waiter, and the last one is not carried
+        shift = (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
+    del n, u
+    # IEEE + commutes, so these are start + e and start + s element for element
+    arrived = np.add(e, start, out=e)[queued]
+    del e
+    done = np.add(s, start, out=s)
+    carried = queued[:-1]       # the last service begun has no next one to carry to
+    n_carried = int(np.count_nonzero(carried))
+    gens = start                # a service begun empty carries its own arrival
+    gens[1:][carried] = arrived[:n_carried]
+    if lcfs:
+        gens[w + 1] += shift
+
+    waiting = int(d < k and n_carried < arrived.size and arrived[-1] <= horizon)
+    # behind the straddling service's waiter, arrivals count up to the horizon only
+    lost += int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0
+    # services begun empty, plus the waiters that came by the horizon
+    arrivals = k - n_carried + int(np.count_nonzero(arrived <= horizon))
+    counters = UserCounters(
+        arrivals=arrivals + lost, deliveries=d,
+        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
+    return done[:d], gens[:d], counters
+
+
 def _freshness_series_masked(times: np.ndarray, arrived: np.ndarray,
                              warmup: float) -> StageSeries:
     """``queue_sim._freshness_series`` before its rewrite: the warmup filter as
@@ -264,6 +327,21 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
             exceedances.append(cur_max - ruin_level)
             in_exc = False
     return ExcursionStats(ruin_level, np.asarray(exceedances, dtype=float))
+
+
+def estimate_avg(values) -> qs.AvgEstimate:
+    """``queue_sim.estimate_avg`` before the batch-means spread became one
+    reduction over many samples: one sample at a time."""
+    arr = np.asarray(values, dtype=float)
+    n = arr.size
+    if n < 2:
+        raise qs.EmptyDataError("need at least two samples")
+    b = max(2, min(qs.BATCHES, n // 2))
+    usable = (n // b) * b
+    means = arr[:usable].reshape(b, -1).mean(axis=1)
+    spread = float(np.std(means, ddof=1))
+    hw = qs.student_t_975(b - 1) * spread / math.sqrt(b)
+    return qs.AvgEstimate(float(arr.mean()), hw)
 
 
 def ks_distance(empirical: qs.EmpiricalCdf, analytic) -> float:

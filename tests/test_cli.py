@@ -175,12 +175,11 @@ class TestSweepCommand:
 
     def test_exported_excursions_are_the_cells_excursions(self, tmp_path):
         out = tmp_path / "out"
-        with mock.patch.object(cli.qs, "excursion_severity",
-                               wraps=cli.qs.excursion_severity) as spy:
+        with mock.patch.object(cli.qs, "exceedances", wraps=cli.qs.exceedances) as spy:
             rc = cli.main(["sweep", "--config", str(self.config(tmp_path)),
                            "--out", str(out), "--export-samples"])
         assert rc == 0
-        assert spy.call_count == (2 + 3) * 2   # once per user per cell: users x disciplines
+        assert spy.call_count == 2 * 2   # once per cell, all its users: values x disciplines
         for row in read_csv(out / "sweep.csv"):
             name = f"excursions_{row['value']}_rep{row['replication']}_{row['discipline']}.csv"
             lines = (out / "samples" / name).read_text().splitlines()

@@ -205,12 +205,44 @@ def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, servic
     # a few cycles makes both simulators concatenate many blocks
     rate, horizon = ratio * mu, services / min(ratio * mu, mu)
     with mock.patch.object(qs, "_block_size", lambda *_: block) if block else nullcontext():
-        got = qs._simulate_stage(rate, mu, horizon, qs._rng(seed, qs._ARRIVAL_TAG, 0), disc)
+        done, gens, (counters,) = qs._simulate_stages(
+            (rate,), mu, horizon, (qs._rng(seed, qs._ARRIVAL_TAG, 0),), disc)
         want = ref._simulate_stage_blocks(rate, mu, horizon,
                                           qs._rng(seed, qs._ARRIVAL_TAG, 0), disc)
-    for a, b in zip(got[:2], want[:2]):
+    for a, b in zip((done[0, :counters.deliveries], gens[0, :counters.deliveries]), want[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert astuple(got[2]) == astuple(want[2])
+    assert astuple(counters) == astuple(want[2])
+
+
+# a user of a stack: its r/mu, and a block size patched over its own or None
+STACK_USERS = st.lists(st.tuples(log_uniform(1e-2, 1e4), st.one_of(st.none(), st.integers(1, 40))),
+                       min_size=1, max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(STACK_USERS, CLAIM_MU, DISCIPLINE, log_uniform(1e-2, 1e3), st.integers(0, 2 ** 32 - 1))
+# a user that begins no service, one that begins one, and one that needs many blocks
+@example(users=[(1e-2, None), (0.5, None), (1e4, 3), (2.0, None)], mu=1.0,
+         disc=an.Discipline.LCFS_MM12_STAR, services=2.0, seed=0)
+def test_stacked_stages_are_each_users_own_run(users, mu, disc, services, seed):
+    # horizons from a hundredth of a service to a thousand of them, so slow users may
+    # begin no service at all; a patched block of a few cycles makes its user draw
+    # more blocks than the others in its stack
+    rates = [ratio * mu for ratio, _ in users]
+    patched = {rate: block for rate, (_, block) in zip(rates, users) if block}
+    horizon, own = services / mu, qs._block_size
+    rngs = [qs._rng(seed, qs._ARRIVAL_TAG, u) for u in range(len(rates))]
+    with mock.patch.object(qs, "_block_size", lambda r, m, h: patched.get(r) or own(r, m, h)):
+        done, gens, counters = qs._simulate_stages(rates, mu, horizon, rngs, disc)
+        want = [ref._simulate_stage_one_user(rate, mu, horizon,
+                                             qs._rng(seed, qs._ARRIVAL_TAG, u), disc)
+                for u, rate in enumerate(rates)]
+    for u, (times, gen_times, c) in enumerate(want):
+        assert astuple(counters[u]) == astuple(c)
+        for a, b in ((done[u, :c.deliveries], times), (gens[u, :c.deliveries], gen_times)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    # a row is padded with finite numbers, so whole-stack differences raise no warning
+    assert np.isfinite(done).all() and np.isfinite(gens).all()
 
 
 def cell_peaks(rng, law, n, ties):
@@ -246,6 +278,15 @@ def test_cell_ks_is_the_largest_user_ks_bit_for_bit(users, mu, disc, ties, seed)
     assert per_user == [ref.ks_distance(qs.EmpiricalCdf(p), an.cdf_reference(law))
                         for p, law in zip(peaks, laws)]
     assert sc.stage_ks(peaks, laws) == max(per_user)
+
+
+# a cell's samples: 2 to 200 points each, so batch counts from 2 to 20 mix in one pass
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.integers(2, 200), min_size=1, max_size=12), st.integers(0, 2 ** 32 - 1))
+def test_cell_batch_means_are_each_samples_own(sizes, seed):
+    rng = np.random.default_rng(seed)
+    samples = [rng.exponential(10.0 ** rng.uniform(-3, 3), n) for n in sizes]
+    assert qs._estimate_avgs(samples) == [ref.estimate_avg(v) for v in samples]
 
 
 AGG_METRICS = ["avg_analytic", "avg_sim", "avg_analytic_per_user", "avg_sim_per_user",

@@ -76,7 +76,7 @@ class TestStageOnly:
             qs.stage_series(FCFS, rate, mu, horizon, 0)
 
 
-# sha256 of _simulate_stage's (departures, generation times) bytes and its
+# sha256 of _simulate_stages's (departures, generation times) bytes and its
 # counters (arrivals, deliveries, drops, preemptions, in system) at mu = 1,
 # seed 17, as the simulator drew them before its temporaries were trimmed
 GOLDEN_STAGE = {
@@ -107,8 +107,9 @@ def _sha256(*arrays) -> str:
 def test_stage_draws_are_pinned(disc, ratio):
     # the sweep CSVs stay byte-identical only while every draw and its order do
     horizon = 2000.0 if ratio > 100 else 5000.0
-    done, gens, counters = qs._simulate_stage(ratio, 1.0, horizon,
-                                              qs._rng(17, qs._ARRIVAL_TAG, 0), disc)
+    done, gens, (counters,) = qs._simulate_stages((ratio,), 1.0, horizon,
+                                                  (qs._rng(17, qs._ARRIVAL_TAG, 0),), disc)
+    done, gens = done[0, :counters.deliveries], gens[0, :counters.deliveries]
     digest, expected = GOLDEN_STAGE[disc, ratio]
     assert astuple(counters) == expected
     table = np.linspace(0.01, 0.99, 4096) ** (1.0 / np.arange(1, 4097))
@@ -132,6 +133,24 @@ def test_severity_size_stage_run_peak_memory(disc, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mib * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+# a reference-sweep cell: 30 users at r/mu 3,200-4,400 over 60 s stack into
+# (30 x 394)-cycle arrays, 92 KiB each; the whole run, compute queue included,
+# peaked at 1.12 MiB for both disciplines when this bound was set
+@pytest.mark.parametrize("disc", [FCFS, LCFS])
+def test_stacked_cell_run_peak_memory(disc):
+    config, rates = qs.QueueConfig(disc, 5.0, 1000.0), np.linspace(16_000.0, 22_000.0, 30)
+    qs.run(config, rates, 60.0, 11)   # first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        qs.run(config, rates, 60.0, 11)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 # a 100,000-point sample is 0.76 MiB per array; the KS pass holds a few arrays of

@@ -93,18 +93,22 @@ def test_stage_matches_the_reference_in_distribution(disc, r_over_mu):
 def both(monkeypatch, config, rates, horizon, seed):
     """Both simulators on the reference stage loop's departures.
 
-    ``qs.run`` hands each user's stage its arrival substream, users in
-    order; the stand-in adds that user's service substream and runs the
-    reference loop on the two, as ``ref.run`` does.
+    ``qs.run`` hands the stage stack every user's arrival substream, users
+    in order; the stand-in adds each user's service substream, runs the
+    reference loop on the two, as ``ref.run`` does, and lays the users'
+    departures out as the stack does, one zero-padded row per user.
     """
-    users = iter(range(len(rates)))
+    def reference_stages(rates, mu, horizon, arr_rngs, discipline):
+        runs = [ref._simulate_stage(rate, mu, horizon, arr_rng,
+                                    qs._rng(seed, ref._STAGE_SVC_TAG, u), discipline)
+                for u, (rate, arr_rng) in enumerate(zip(rates, arr_rngs))]
+        d = np.array([len(t) for t, *_ in runs])
+        done, gens = np.zeros((len(runs), d.max())), np.zeros((len(runs), d.max()))
+        for done_u, gens_u, (t, g, _, _) in zip(done, gens, runs):
+            done_u[:len(t)], gens_u[:len(g)] = t, g
+        return done, gens, [c for _, _, c, _ in runs]
 
-    def reference_stage(rate, mu, horizon, arr_rng, discipline):
-        svc_rng = qs._rng(seed, ref._STAGE_SVC_TAG, next(users))
-        t, g, counters, _ = ref._simulate_stage(rate, mu, horizon, arr_rng, svc_rng, discipline)
-        return np.asarray(t, dtype=float), np.asarray(g, dtype=float), counters
-
-    monkeypatch.setattr(qs, "_simulate_stage", reference_stage)
+    monkeypatch.setattr(qs, "_simulate_stages", reference_stages)
     return qs.run(config, rates, horizon, seed), ref.run(config, rates, horizon, seed)
 
 
@@ -146,14 +150,14 @@ def test_delivery_at_the_warmup_instant_is_kept():
     times = np.array([0.5, 1.5, 2.0, 3.5, 4.0])
     gens = np.array([0.1, 1.0, 1.25, 3.0, 3.75])
     triples = [(t, t - g0, t - g1) for t, g0, g1 in zip(times[1:], gens[:-1], gens[1:])]
-    got = qs._freshness_series(times, gens, warmup)
+    got, = qs._freshness_series(times, gens, (0,), (times.size,), warmup)
     assert_series_equal(got, ref._series_from_triples(triples, warmup))
     assert got.times[0] == warmup
 
 
 @pytest.mark.parametrize("size", [0, 1])
 def test_fewer_than_two_deliveries_give_an_empty_series(size):
-    got = qs._freshness_series(np.arange(size, dtype=float), np.zeros(size), 0.0)
+    got, = qs._freshness_series(np.arange(size, dtype=float), np.zeros(size), (0,), (size,), 0.0)
     assert len(got) == 0
     assert_series_equal(got, ref._freshness_series_masked(np.arange(size, dtype=float),
                                                           np.zeros(size), 0.0))
@@ -161,15 +165,23 @@ def test_fewer_than_two_deliveries_give_an_empty_series(size):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_freshness_series_is_the_masked_form(seed):
-    # sorted times on a coarse grid, so ties and deliveries exactly at the
-    # warmup instant are common; some warmups fall before or after them all
+    # segments of sorted times on a coarse grid, so ties and deliveries exactly at
+    # the warmup instant are common; some warmups fall before or after them all,
+    # and gaps between the segments hold numbers no segment reads
     rng = np.random.default_rng(seed)
-    size = int(rng.integers(0, 60))
-    times = np.sort(rng.integers(0, 20, size)).astype(float)
-    arrived = times - rng.random(size)
+    sizes = rng.integers(0, 60, int(rng.integers(1, 5)))
+    gaps = rng.integers(0, 3, sizes.size)
+    hi = np.cumsum(sizes + gaps)
+    lo = hi - sizes
+    times, arrived = rng.random(int(hi[-1])), rng.random(int(hi[-1]))
+    for a, b in zip(lo, hi):
+        times[a:b] = np.sort(rng.integers(0, 20, b - a)).astype(float)
+        arrived[a:b] = times[a:b] - rng.random(b - a)
     warmup = float(rng.integers(-2, 23))
-    assert_series_equal(qs._freshness_series(times, arrived, warmup),
-                        ref._freshness_series_masked(times, arrived, warmup))
+    got = qs._freshness_series(times, arrived, lo.tolist(), hi.tolist(), warmup)
+    assert len(got) == sizes.size
+    for series_, a, b in zip(got, lo, hi):
+        assert_series_equal(series_, ref._freshness_series_masked(times[a:b], arrived[a:b], warmup))
 
 
 def series(peaks, post_ages):
@@ -208,6 +220,19 @@ def test_excursions_on_coarse_grids_match():
         for level in (0.5, 1.0, 1.5, 2.5):
             got = qs.excursion_severity(trace, level).exceedances
             assert np.array_equal(got, ref.excursion_severity(trace, level).exceedances)
+
+
+def test_pooled_excursions_are_each_traces_own_end_to_end():
+    # several traces at once, some empty or of one delivery, on the coarse grid
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        traces = [series(rng.integers(0, 6, n) / 2.0, rng.integers(0, 6, n) / 2.0)
+                  for n in rng.integers(0, 30, int(rng.integers(1, 6)))]
+        for level in (0.5, 1.0, 2.5):
+            got, counts = qs.exceedances(traces, level)
+            want = [ref.excursion_severity(t, level).exceedances for t in traces]
+            assert counts.tolist() == [w.size for w in want]
+            assert got.dtype == np.float64 and np.array_equal(got, np.concatenate(want))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,14 @@ class TestRate:
         with pytest.raises(ValueError, match="distance must be strictly positive"):
             tl.rate_bps((25.0, 0.0, 30.0), params())
 
+    @pytest.mark.parametrize("at", range(4))
+    def test_nan_distance_rejected_anywhere_in_the_row(self, at):
+        # min() returns a NaN only when it comes first, so the check reads every distance
+        row = [25.0, 30.0, 20.0, 35.0]
+        row[at] = math.nan
+        with pytest.raises(ValueError, match="distance must be strictly positive"):
+            tl.rate_bps(row, params())
+
     def test_vanishing_gain_limit(self):
         assert tl.rate_bps((1e9,), params()) == pytest.approx(0.0, abs=1e-3)
 
