@@ -206,8 +206,7 @@ def _sample_sink(out: Path, written: list[str]):
     def sink(value, rep, disc, samples, excursions):
         tag = f"{value!r}_rep{rep}_{disc.value}"
         qs.write_samples_csv(samples_dir / f"paoi_{tag}.csv", [(rep, samples)])
-        qs.write_excursions_csv(samples_dir / f"excursions_{tag}.csv",
-                                [(rep, e) for e in excursions])
+        qs.write_excursions_csv(samples_dir / f"excursions_{tag}.csv", [(rep, excursions)])
         written.extend((f"samples/paoi_{tag}.csv", f"samples/excursions_{tag}.csv"))
 
     return sink

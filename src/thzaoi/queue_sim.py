@@ -25,8 +25,8 @@ arrays, a row per user, each user's draws going straight into its row and
 the row zero past them.  Only the draws are made user by user; the sums,
 masks, counters and generation times are passes over the whole stack, and
 the freshness series, the merge of the departures, the batch-means spread
-and the excursions are passes over a cell's users together, each user's
-series a view into them.  ``stage_series`` is the stack of one row, and
+and the excursions (one array, pooled through one boundary mask) are passes
+over a cell's users together.  ``stage_series`` is the stack of one row, and
 ``excursion_severity`` and ``estimate_avg`` the passes over one sample.  The
 working set peaks at four (users x block) arrays at the Poisson draw (S, E,
 the Poisson means and N), and later steps reuse those buffers in place.
@@ -214,14 +214,13 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
         n = np.subtract(s, e)   # the Poisson means, rate * max(s - e, 0), and then N, in place
         np.maximum(n, 0.0, out=n)
         n *= rates[rows, None]
+        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
+        u = np.zeros(s.shape) if lcfs else None
         for row, (i, b) in users:
-            n[row, :b] = rngs[i].poisson(n[row, :b])   # the peak is here: s, e, n and the draw
-        cycles = [s, e, n]
-        if lcfs:   # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
-            u = np.zeros(s.shape)
-            for row, (i, b) in users:
+            n[row, :b] = rngs[i].poisson(n[row, :b])   # the peak: s, e, n, LCFS's u and the draw
+            if lcfs:
                 rngs[i].random(out=u[row, :b])
-            cycles.append(u)
+        cycles = [s, e, n, u] if lcfs else [s, e, n]
         start = _starts(last[rows], s, e)
         r, end = np.arange(rows.size), size - 1
         last[rows] = start[r, end] + np.maximum(s[r, end], e[r, end])   # the start after the block
@@ -518,38 +517,29 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
     its start (``post_ages[0]`` above the level) is kept but counted from
     delivery 1, so its maximum can be understated.
     """
-    return ExcursionStats(ruin_level, exceedances([trace], ruin_level)[0])
+    return ExcursionStats(ruin_level, exceedances([trace], ruin_level))
 
 
-def exceedances(traces: Sequence[StageSeries], ruin_level: float):
-    """``excursion_severity``'s exceedances of every trace, end to end in trace
-    order, and how many of them each trace has."""
+def exceedances(traces: Sequence[StageSeries], ruin_level: float) -> np.ndarray:
+    """``excursion_severity``'s exceedances of every trace, end to end in trace order."""
     if not ruin_level > 0:
         raise ValueError("ruin level must be strictly positive")
     lengths = np.array([len(t) for t in traces], dtype=np.intp)
-    ends = np.cumsum(lengths)
-    firsts = (ends - lengths)[lengths > 0]
-    # an excursion closes at each later delivery whose post-age is below the level
-    below = _joined([t.post_ages < ruin_level for t in traces])
-    below[firsts] = False      # a trace's first delivery closes nothing
-    closes = np.flatnonzero(below)
-    if closes.size == 0:
-        return np.empty(0), np.zeros(len(traces), dtype=np.intp)
-    # runs open after each close and at each trace's delivery 1, and each run
-    # to a close whose highest peak is above the level is one completed
-    # excursion; a run from a trace's last close to the next trace is its
-    # censored tail, and so are the runs after the last close, not reduced
-    at, last = np.searchsorted(closes, firsts), int(closes[-1])
-    closes += 1
-    opens = np.insert(closes, at, firsts + 1)
-    del closes
-    opens = opens[:np.searchsorted(opens, last, side="right")]
-    highest = np.maximum.reduceat(_joined([t.peaks for t in traces])[:last + 1], opens)
-    tails = at + np.arange(at.size) - 1   # the run before each trace's first one
-    completed = highest > ruin_level
-    completed[tails[(tails >= 0) & (tails < opens.size)]] = False
-    trace = np.searchsorted(ends, opens[completed], side="right")
-    return highest[completed] - ruin_level, np.bincount(trace, minlength=len(traces))
+    firsts = (np.cumsum(lengths) - lengths)[lengths > 0]
+    # runs go from just after each boundary, a trace's first delivery or a close (a
+    # later delivery whose post-age is below the level), to the next one.  A run to a
+    # close whose highest peak is above the level is one completed excursion; a run to
+    # the next trace's first delivery, or after the last boundary, is censored.
+    closes = _joined([t.post_ages < ruin_level for t in traces])
+    closes[firsts] = True
+    bounds = np.flatnonzero(closes)
+    closes[firsts] = False     # a trace's first delivery closes nothing
+    if bounds.size < 2:
+        return np.empty(0)
+    highest = np.maximum.reduceat(_joined([t.peaks for t in traces])[:bounds[-1] + 1],
+                                  bounds[:-1] + 1)
+    completed = closes[bounds[1:]] & (highest > ruin_level)
+    return highest[completed] - ruin_level
 
 
 def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -601,12 +591,10 @@ def _estimate_avgs(samples: Sequence[np.ndarray]) -> list[AvgEstimate]:
     for v, row, bi in zip(samples, means, b.tolist()):
         np.add.reduce(v[:v.size // bi * bi].reshape(bi, -1), axis=1, out=row[:bi])
         row[:bi] /= v.size // bi
-    spread = np.empty(len(samples))
+    hw = np.empty(len(samples))
     for bi in set(b.tolist()):   # one count, BATCHES, once samples have 40 points
         rows = b == bi
-        spread[rows] = np.std(means[rows, :bi], axis=1, ddof=1)
-    t = np.array([student_t_975(bi - 1) for bi in b.tolist()])
-    hw = t * spread / np.sqrt(b)
+        hw[rows] = student_t_975(bi - 1) * np.std(means[rows, :bi], axis=1, ddof=1) / math.sqrt(bi)
     return [AvgEstimate(float(np.add.reduce(v)) / v.size, h) for v, h in zip(samples, hw.tolist())]
 
 

@@ -173,8 +173,9 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     samples, an unstable compute queue in corrected mode) are recorded in
     the row's ``error`` column; any other exception propagates.
     ``sample_sink(value, replication, discipline, samples, excursions)``
-    receives each cell's raw simulator output and each user's stage
-    excursions above the ruin level, e.g. for CSV export.
+    receives each cell's raw simulator output and one ``ExcursionStats``
+    pooling its users' stage excursions above the ruin level, in user
+    order, e.g. for CSV export.
     """
     rows: list[dict] = []
     for vi, value in enumerate(sweep.values):
@@ -201,12 +202,9 @@ def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
 
         samples = qs.run(qs.QueueConfig(disc, mu_u, mu_c), rates, sweep.horizon, seed)
         # completed excursions pooled across users; empirical P(M - a <= z)
-        exceed, counts = qs.exceedances([samples.stage1[u] for u in range(len(rates))],
-                                        sweep.ruin_level)
+        exceed = qs.exceedances([samples.stage1[u] for u in range(len(rates))], sweep.ruin_level)
         if sample_sink is not None:
-            excursions = [qs.ExcursionStats(sweep.ruin_level, e)
-                          for e in np.split(exceed, np.cumsum(counts)[:-1])]
-            sample_sink(value, rep, disc, samples, excursions)
+            sample_sink(value, rep, disc, samples, qs.ExcursionStats(sweep.ruin_level, exceed))
         sim_avg = qs.e2e_average_estimate(samples)
         sev_below = float(np.mean(exceed <= sweep.threshold_z)) if exceed.size else math.nan
         # every user has samples here: the estimate above needs two peaks from each

@@ -174,16 +174,26 @@ class TestSweepCommand:
         assert exc[0].read_text().splitlines()[0] == "replication,ruin_level,exceedance"
 
     def test_exported_excursions_are_the_cells_excursions(self, tmp_path):
-        out = tmp_path / "out"
-        with mock.patch.object(cli.qs, "exceedances", wraps=cli.qs.exceedances) as spy:
+        out, exceedances, returned = tmp_path / "out", cli.qs.exceedances, []
+
+        def record(*args):
+            returned.append(exceedances(*args))
+            return returned[-1]
+
+        with mock.patch.object(cli.qs, "exceedances", side_effect=record) as spy:
             rc = cli.main(["sweep", "--config", str(self.config(tmp_path)),
                            "--out", str(out), "--export-samples"])
         assert rc == 0
         assert spy.call_count == 2 * 2   # once per cell, all its users: values x disciplines
-        for row in read_csv(out / "sweep.csv"):
-            name = f"excursions_{row['value']}_rep{row['replication']}_{row['discipline']}.csv"
-            lines = (out / "samples" / name).read_text().splitlines()
-            assert len(lines) - 1 == int(row["sim_excursions"])
+        rows = read_csv(out / "sweep.csv")
+        cells = list(dict.fromkeys((r["value"], r["replication"], r["discipline"]) for r in rows))
+        assert len(cells) == len(returned)   # the cells run in the order of their rows
+        exceed = dict(zip(cells, returned))
+        for row in rows:
+            cell = (row["value"], row["replication"], row["discipline"])
+            exported = read_csv(out / "samples" / "excursions_{}_rep{}_{}.csv".format(*cell))
+            assert len(exported) == int(row["sim_excursions"])
+            assert [float(e["exceedance"]) for e in exported] == exceed[cell].tolist()
 
     def test_manifest_lists_the_exported_samples(self, tmp_path):
         out = tmp_path / "out"

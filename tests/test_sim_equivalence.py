@@ -222,17 +222,39 @@ def test_excursions_on_coarse_grids_match():
             assert np.array_equal(got, ref.excursion_severity(trace, level).exceedances)
 
 
+OPEN_TAIL = ([0.5, 3.0, 0.5, 5.0], [0.2, 0.5, 0.2, 3.0])   # one excursion, then censored
+POOLED_CASES = [
+    # the open tail does not close at the next trace's first delivery, nor in it
+    ([OPEN_TAIL, ([9.0, 0.5], [0.2, 0.1])], [2.0]),
+    ([OPEN_TAIL, ([9.0, 4.0, 0.5], [5.0, 2.0, 0.1])], [2.0, 3.0]),
+    # a first post-age below the level opens a trace, closing nothing before it
+    ([OPEN_TAIL, ([9.0, 3.0, 0.5], [0.2, 2.0, 0.1])], [2.0, 2.0]),
+    # empty and one-delivery traces between others
+    ([OPEN_TAIL, ([], []), ([7.0], [0.1]), ([], []), ([0.5, 2.5, 0.5], [0.2, 2.0, 0.3])],
+     [2.0, 1.5]),
+    ([([], []), ([7.0], [0.1]), ([6.0], [5.0]), ([0.5, 2.5, 0.5], [0.2, 2.0, 0.3]), ([], [])],
+     [1.5]),
+    ([([], []), ([7.0], [0.1])], []),
+]
+
+
+def assert_pooled_excursions(traces, level):
+    got = qs.exceedances(traces, level)
+    want = [ref.excursion_severity(t, level).exceedances for t in traces]
+    assert got.dtype == np.float64 and np.array_equal(got, np.concatenate(want))
+    return got.tolist()
+
+
 def test_pooled_excursions_are_each_traces_own_end_to_end():
+    for traces, expected in POOLED_CASES:
+        assert assert_pooled_excursions([series(*t) for t in traces], 1.0) == expected
     # several traces at once, some empty or of one delivery, on the coarse grid
     rng = np.random.default_rng(9)
     for _ in range(50):
         traces = [series(rng.integers(0, 6, n) / 2.0, rng.integers(0, 6, n) / 2.0)
                   for n in rng.integers(0, 30, int(rng.integers(1, 6)))]
         for level in (0.5, 1.0, 2.5):
-            got, counts = qs.exceedances(traces, level)
-            want = [ref.excursion_severity(t, level).exceedances for t in traces]
-            assert counts.tolist() == [w.size for w in want]
-            assert got.dtype == np.float64 and np.array_equal(got, np.concatenate(want))
+            assert_pooled_excursions(traces, level)
 
 
 # ---------------------------------------------------------------------------
