@@ -23,7 +23,6 @@ Gauss-Legendre quadrature of the density (``CdfSource.QUADRATURE``, see
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -112,15 +111,29 @@ class FlaggedValue:
 # ---------------------------------------------------------------------------
 # stable kernels
 
+def _any(mask) -> bool:
+    """Whether any of ``mask`` is set; on the numpy scalar of one age this skips
+    the 2 us that ``mask.any()`` costs there."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
+# each kernel builds its series only when some x falls inside the cutoff: np.where
+# alone would build both branches at every x, 1-3 us on the numpy scalar of one age
 def _phi1(x):
     """(exp(x) - 1) / x, continuous through x = 0."""
-    return np.where(np.abs(x) < 1e-12, 1.0 + x / 2.0, np.expm1(x) / x)
+    out = np.expm1(x) / x
+    small = np.abs(x) < 1e-12
+    return np.where(small, 1.0 + x / 2.0, out) if _any(small) else out
 
 
 def _h2(x):
     """(exp(x) - 1 - x) / x^2, continuous through x = 0."""
+    out = (np.expm1(x) - x) / (x * x)
+    small = np.abs(x) < 1e-4
+    if not _any(small):
+        return out
     series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
-    return np.where(np.abs(x) < 1e-4, series, (np.expm1(x) - x) / (x * x))
+    return np.where(small, series, out)
 
 
 # every kernel runs without numpy's overflow, invalid-value and division warnings: what
@@ -137,9 +150,10 @@ def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: in
     The kernels overflow only once (mu - r) a > 709, where exp(-mu a) < 1e-308.
     The power is libm's ``pow`` whether ``r`` is one rate or one per age: numpy
     squares an array exactly, which rounds apart from ``pow`` for some (mu - r)."""
-    if np.isfinite(value).all():
+    finite = np.isfinite(value)
+    if not _any(~finite):
         return value
-    return np.where(np.isfinite(value), value,
+    return np.where(finite, value,
                     base + coef * np.exp(-r * a) / np.float_power(mu - r, power))
 
 
@@ -254,10 +268,19 @@ def support_bound(law: StageLaw) -> float:
     raise RuntimeError("tail mass did not fall below target")
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # numpy.polynomial loads here, off the sweep's import path
-    return np.polynomial.legendre.leggauss(20)
+# the 20-point Gauss-Legendre rule on [-1, 1], bit for bit numpy.polynomial's
+# leggauss(20), which would load numpy.polynomial (about 5 ms) on first use; the
+# rule is symmetric, so its nodes in (0, 1) and their weights give all of it
+_GL_HALF_NODES = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+                  0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+                  0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+                  0.993128599185095)
+_GL_HALF_WEIGHTS = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+                    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+                    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+                    0.017614007139150893)
+_GL_NODES = np.concatenate((-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
 def _quad_pdf(law: StageLaw, grid, moment: int = 0) -> np.ndarray:
@@ -277,12 +300,11 @@ def _quad_pdf(law: StageLaw, grid, moment: int = 0) -> np.ndarray:
         (grid, [1.0 / (r + mu), 1.0 / r, 1.0 / mu, 3.0 / mu], first * 1.5 ** np.arange(steps))))
     # repeats dropped by hand: np.unique would load numpy.ma on first use
     edges = edges[(edges >= lo) & (edges <= hi) & np.append(True, edges[1:] != edges[:-1])]
-    nodes, weights = _gauss_legendre()
 
     def cumulative(edges):
         half = 0.5 * np.diff(edges)
-        t = (edges[:-1] + half)[:, None] + half[:, None] * nodes
-        panels = half * ((pdf_paoi(law, t) * t ** moment) @ weights)
+        t = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+        panels = half * ((pdf_paoi(law, t) * t ** moment) @ _GL_WEIGHTS)
         return np.cumsum(np.concatenate(([0.0], panels)))
 
     at = np.searchsorted(edges, grid)
@@ -332,7 +354,7 @@ def cdf_paoi(law: StageLaw, a, source: CdfSource = CdfSource.REFERENCE) -> Flagg
 def cdf_reference(law: StageLaw) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized canonical CDF: the FCFS closed form, or the integrated LCFS density.
 
-    Both agree with a 30-digit mpmath evaluation to about 1e-16 at THz-scale
+    Both agree with a 30-digit ``decimal`` evaluation to about 1e-16 at THz-scale
     rates, which the validation suite checks; quadrature stays within 1e-12
     there.
     """

@@ -157,13 +157,23 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def cell_rates(base: Scenario, variable: SweepVariable, value: float, rep: int) -> np.ndarray:
-    """Per-user update rates of ``base`` at sweep ``value``, placed for replication ``rep``."""
+def replication_positions(base: Scenario, variable: SweepVariable, values: Sequence[float],
+                          rep: int) -> np.ndarray:
+    """Replication ``rep``'s user positions, as many as the largest of the sweep
+    ``values`` holds: each cell's users are a prefix of them."""
+    most = int(max(values)) if variable is SweepVariable.NUM_USERS else base.num_users
     seed = _derived_seed(base.placement_seed, 1000 + rep)
+    return place_users(replace(base, num_users=most, placement_seed=seed))
+
+
+def cell_rates(base: Scenario, variable: SweepVariable, value: float,
+               positions: np.ndarray) -> np.ndarray:
+    """Per-user update rates of ``base`` at sweep ``value``, for users at a
+    replication's ``positions``."""
     if variable is SweepVariable.NUM_USERS:
-        return realize_rates(replace(base, num_users=int(value), placement_seed=seed))
+        return realize_rates(base, positions[:int(value)])
     link_params = replace(base.link_params, bandwidth_hz=float(value))
-    return realize_rates(replace(base, link_params=link_params, placement_seed=seed))
+    return realize_rates(replace(base, link_params=link_params), positions)
 
 
 def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
@@ -177,10 +187,12 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     pooling its users' stage excursions above the ruin level, in user
     order, e.g. for CSV export.
     """
+    positions = [replication_positions(sweep.base, sweep.variable, sweep.values, rep)
+                 for rep in range(sweep.replications)]
     rows: list[dict] = []
     for vi, value in enumerate(sweep.values):
         for rep in range(sweep.replications):
-            rates = cell_rates(sweep.base, sweep.variable, value, rep)
+            rates = cell_rates(sweep.base, sweep.variable, value, positions[rep])
             for di, disc in enumerate(an.Discipline):
                 seed = _derived_seed(sweep.master_seed, vi, rep, di)
                 rows.extend(_run_cell(sweep, rates, value, rep, disc, seed, sample_sink))

@@ -2,13 +2,14 @@
 
 Each check pits an implementation path against an independent one: closed forms
 against Gauss-Legendre quadrature of the density, the canonical CDF kernels and
-the quadrature against a 30-digit mpmath evaluation, the reference CDFs against
-the discrete-event simulator, the published-but-inconsistent expressions
-against their flagged reproductions.  The figure trends read the analytic means
-alone, over fixed user placements.  The same suite backs the ``validate`` CLI
-command and the acceptance tests.  Its simulator sizes and tolerances are
-module constants, so a corrupted tolerance demonstrably fails; a run's one
-setting is its seed, and no verdict reads a clock.
+the quadrature against a 30-digit evaluation in the standard library's
+``decimal``, the reference CDFs against the discrete-event simulator, the
+published-but-inconsistent expressions against their flagged reproductions.
+The figure trends read the analytic means alone, over fixed user placements.
+The same suite backs the ``validate`` CLI command and the acceptance tests.
+Its simulator sizes and tolerances are module constants, so a corrupted
+tolerance demonstrably fails; a run's one setting is its seed, and no verdict
+reads a clock.
 """
 
 from __future__ import annotations
@@ -28,11 +29,15 @@ from . import thz_link as tl
 
 GRID_R = (0.5, 1.0, 2.0, 5.0, 10.0, 1e4)
 GRID_MU = (1.0, 5.0)
-# THz-scale stage laws (r/mu as realized by the link budget) for the mpmath oracle
+# THz-scale stage laws (r/mu as realized by the link budget) for the decimal oracle
 ORACLE_MU = (1.0, 5.0)
 ORACLE_RATIOS = (1e2, 1e3, 4e3, 5e3)
 ORACLE_AGES = (1e-3, 0.1, 0.5, 1.0, 3.0, 4.0)
 ORACLE_DIGITS = 30
+# the oracle works at ORACLE_DIGITS + ORACLE_GUARD_DIGITS digits: the FCFS bracket's
+# exp(x) - 1 - x, x = -(r - mu) a, cancels about 2 log10(1 / |x|) of them, 2 on the
+# oracle grid (|x| >= 0.099) and 7 at r/mu = 0.5 and a = 1e-3
+ORACLE_GUARD_DIGITS = 10
 NORMALIZATION_TOL = CLOSED_VS_QUAD_TOL = MOMENT_TOL = 1e-6
 CDF_SPOT_TOL = 1e-4
 PUBLISHED_ORIGIN_TOL = 1e-9
@@ -155,15 +160,18 @@ def check_lcfs_discrepancy(report: ValidationReport):
                 f"{len(rows)} discrepancy rows persisted")
 
 
-def _mpmath_stage_cdf(law: an.StageLaw, a: float):
-    """Canonical stage CDF at ``ORACLE_DIGITS`` digits, written with explicit
-    (r - mu) denominators instead of the package's stable kernels."""
-    import mpmath as mp   # only this oracle needs it; keeps package import time flat
+def _decimal_stage_cdf(law: an.StageLaw, a: float):
+    """Canonical stage CDF to ``ORACLE_DIGITS`` digits, as a ``Decimal``, written with
+    explicit (r - mu) denominators instead of the package's stable kernels.
 
-    with mp.workdps(ORACLE_DIGITS):
-        r, mu, a = mp.mpf(law.update_rate), mp.mpf(law.service_rate), mp.mpf(a)
+    ``decimal``'s ``exp`` is correctly rounded, and exp(x) - 1 stands in for expm1:
+    ``ORACLE_GUARD_DIGITS`` cover what it and the bracket cancel at small x."""
+    import decimal   # only this oracle needs it; keeps package import time flat
+
+    with decimal.localcontext(decimal.Context(prec=ORACLE_DIGITS + ORACLE_GUARD_DIGITS)):
+        r, mu, a = (decimal.Decimal(x) for x in (law.update_rate, law.service_rate, a))
         d, s = r - mu, r + mu
-        emu, ed = mp.exp(-mu * a), mp.expm1(-d * a)
+        emu, ed = (-mu * a).exp(), (-d * a).exp() - 1
         if law.discipline is an.Discipline.FCFS_MM12:
             bracket = (2 * mu ** 3 * (ed + d * a) / d ** 2 + mu ** 3 * a ** 2
                        + 4 * mu ** 2 * a + 4 * mu + (mu ** 2 * a ** 2 + 2 * mu * a + 2) * d)
@@ -171,12 +179,14 @@ def _mpmath_stage_cdf(law: an.StageLaw, a: float):
         quad = r * r + 2 * mu * r + 3 * mu * mu
         inner = (-mu * (r + 3 * mu) + quad * emu
                  - (r * (r * r + r * mu + mu * mu) - d * quad * emu) * ed / d)
-        return 1 - (emu * a * mu * r * (r + 2 * mu) + mp.exp(-s * a) * a * mu * r * s
+        return 1 - (emu * a * mu * r * (r + 2 * mu) + (-s * a).exp() * a * mu * r * s
                     + emu * inner) / (r * s)
 
 
-@_timed_check("stage_cdf_vs_mpmath")
-def check_stage_cdf_vs_mpmath():
+@_timed_check("stage_cdf_vs_decimal")
+def check_stage_cdf_vs_decimal():
+    from decimal import Decimal
+
     worst_ref = worst_quad = 0.0
     for disc in an.Discipline:
         for mu in ORACLE_MU:
@@ -185,12 +195,12 @@ def check_stage_cdf_vs_mpmath():
                 refs = an.cdf_reference(law)(ORACLE_AGES)
                 quads = an._quad_pdf(law, (0.0,) + ORACLE_AGES)[1:]
                 for a, ref, quad in zip(ORACLE_AGES, refs, quads):
-                    exact = _mpmath_stage_cdf(law, a)
-                    worst_ref = max(worst_ref, float(abs(ref - exact)))
-                    worst_quad = max(worst_quad, float(abs(quad - exact)))
+                    exact = _decimal_stage_cdf(law, a)
+                    worst_ref = max(worst_ref, abs(float(Decimal(ref) - exact)))
+                    worst_quad = max(worst_quad, abs(float(Decimal(quad) - exact)))
     return max(worst_ref, worst_quad) <= ORACLE_TOL, (
-        f"max |reference - mpmath| = {worst_ref:.2e}, "
-        f"max |quadrature - mpmath| = {worst_quad:.2e} (tol {ORACLE_TOL:.0e})")
+        f"max |reference - decimal| = {worst_ref:.2e}, "
+        f"max |quadrature - decimal| = {worst_quad:.2e} (tol {ORACLE_TOL:.0e})")
 
 
 @_timed_check("stage_mean_moment_consistency")
@@ -303,8 +313,10 @@ def _trend_series(base: sc.Scenario, variable: sc.SweepVariable, values):
     """Per discipline, each value's corrected ``avg_analytic_per_user``, meaned over placements."""
     mu_u, mu_c = base.queue.stage_service_rate, base.queue.compute_service_rate
     series = {disc: [] for disc in an.Discipline}
+    positions = [sc.replication_positions(base, variable, values, rep)
+                 for rep in range(TREND_REPLICATIONS)]
     for value in values:
-        reps = [sc.cell_rates(base, variable, value, rep) for rep in range(TREND_REPLICATIONS)]
+        reps = [sc.cell_rates(base, variable, value, placed) for placed in positions]
         for disc, means in series.items():
             per_user = [_corrected_e2e(r, mu_u, mu_c, disc) / len(r) for r in reps]
             means.append(float(np.mean(per_user)))
@@ -363,7 +375,7 @@ def run_validation(seed: int = MASTER_SEED, out_dir=None) -> ValidationReport:
     report.checks.append(check_normalization())
     report.checks.append(check_fcfs_closed_vs_quadrature())
     report.checks.append(check_lcfs_discrepancy(report))
-    report.checks.append(check_stage_cdf_vs_mpmath())
+    report.checks.append(check_stage_cdf_vs_decimal())
     report.checks.append(check_moment_consistency())
     report.checks.append(check_stage_ks(seed))
     report.checks.append(check_e2e_average(seed))

@@ -19,8 +19,9 @@ the CLI.
   9  sweep command reruns are byte-identical
  10  no verdict reads the clock: the suite passes when every read of it
      jumps 1e6 s
- 11  canonical stage CDFs within 1e-12 of a 30-digit mpmath evaluation at
-     r/mu 1e2-5e3, both disciplines; a zero tolerance fails the check
+ 11  canonical stage CDFs within 1e-12 of a 30-digit evaluation in the
+     standard library's decimal at r/mu 1e2-5e3, both disciplines; a zero
+     tolerance fails the check
 """
 
 import io
@@ -221,15 +222,15 @@ def test_c10_verdict_ignores_the_clock(monkeypatch):
     assert not failed and report.total_duration_s >= 1e6
 
 
-def test_c11_stage_cdf_vs_mpmath(report):
-    check = _check(report, "stage_cdf_vs_mpmath")
+def test_c11_stage_cdf_vs_decimal(report):
+    check = _check(report, "stage_cdf_vs_decimal")
     _emit(11, check)
     assert check.passed, check.details
 
 
 def test_c11_corrupted_oracle_tolerance_fails(monkeypatch):
     monkeypatch.setattr(val, "ORACLE_TOL", 0.0)
-    check = val.check_stage_cdf_vs_mpmath()
+    check = val.check_stage_cdf_vs_decimal()
     assert not check.passed, check.details
 
 

@@ -38,6 +38,25 @@ def grid_laws(disc):
     return out
 
 
+def mpmath_stage_cdf(stage, a, digits=40):
+    """The canonical stage CDF at ``digits`` digits in mpmath, with explicit (r - mu)
+    denominators and mpmath's own expm1: the tests' oracle for the package's kernels
+    and for the ``decimal`` evaluation that ``validate`` uses."""
+    with mp.workdps(digits):
+        r, mu, a = mp.mpf(stage.update_rate), mp.mpf(stage.service_rate), mp.mpf(a)
+        d, s = r - mu, r + mu
+        emu, ed = mp.exp(-mu * a), mp.expm1(-d * a)
+        if stage.discipline is FCFS:
+            bracket = (2 * mu ** 3 * (ed + d * a) / d ** 2 + mu ** 3 * a ** 2
+                       + 4 * mu ** 2 * a + 4 * mu + (mu ** 2 * a ** 2 + 2 * mu * a + 2) * d)
+            return 1 - emu * bracket / (2 * s)
+        quad = r * r + 2 * mu * r + 3 * mu * mu
+        inner = (-mu * (r + 3 * mu) + quad * emu
+                 - (r * (r * r + r * mu + mu * mu) - d * quad * emu) * ed / d)
+        return 1 - (emu * a * mu * r * (r + 2 * mu) + mp.exp(-s * a) * a * mu * r * s
+                    + emu * inner) / (r * s)
+
+
 def quad_moment(stage, power=0):
     upper = an.support_bound(stage)
     pts = [p for p in (1.0 / (stage.update_rate + stage.service_rate),
@@ -216,6 +235,11 @@ class TestCdfReference:
 class TestQuadrature:
     LAWS = TestCdfReference.LAWS
 
+    def test_rule_is_leggauss_bit_for_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert an._GL_NODES.tobytes() == nodes.tobytes()
+        assert an._GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_grid_is_the_running_sum_of_its_intervals(self):
         for stage in self.LAWS:
             grid = np.concatenate(([0.0], np.geomspace(1e-4, an.support_bound(stage), 30)))
@@ -259,7 +283,7 @@ class TestKernelOverflow:
         stage = law(r, mu, disc)
         got = an.cdf_paoi(stage, a)
         assert got.validity is an.Validity.VALID
-        assert abs(got.value - float(val._mpmath_stage_cdf(stage, a))) < 1e-15
+        assert abs(got.value - float(mpmath_stage_cdf(stage, a))) < 1e-15
 
     @pytest.mark.parametrize("disc", [FCFS, LCFS])
     @pytest.mark.parametrize("r,mu,a", POINTS)
@@ -270,15 +294,48 @@ class TestKernelOverflow:
     @pytest.mark.parametrize("disc", [FCFS, LCFS])
     def test_density_is_the_slope_of_the_mpmath_cdf(self, disc):
         stage, a, h = law(0.01, 1.0, disc), 1000.0, 1e-3
-        with mp.workdps(val.ORACLE_DIGITS):
-            slope = (val._mpmath_stage_cdf(stage, a + h)
-                     - val._mpmath_stage_cdf(stage, a - h)) / mp.mpf(2 * h)
+        with mp.workdps(40):
+            slope = (mpmath_stage_cdf(stage, a + h)
+                     - mpmath_stage_cdf(stage, a - h)) / mp.mpf(2 * h)
         assert an.pdf_paoi(stage, a) == pytest.approx(float(slope), rel=1e-8)
 
     def test_support_bound_of_a_slow_source(self):
         stage = law(0.03, 1.0)
         bound = an.support_bound(stage)
         assert 1.0 - an.cdf_paoi(stage, bound).value < an.TAIL_MASS
+
+
+class TestDecimalOracle:
+    # validate's oracle grid, r/mu 0.5, 2 and 10 at its rates and ages, and the
+    # TestKernelOverflow points, where exp(-(r - mu) a) passes 1e300
+    CASES = [(ratio * mu, mu, a) for mu in val.ORACLE_MU
+             for ratio in val.ORACLE_RATIOS + (0.5, 2.0, 10.0)
+             for a in val.ORACLE_AGES] + TestKernelOverflow.POINTS
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_matches_a_40_digit_mpmath_evaluation(self, disc):
+        worst = 0.0
+        for r, mu, a in self.CASES:
+            stage = law(r, mu, disc)
+            with mp.workdps(40):
+                exact = mpmath_stage_cdf(stage, a)
+                gap = abs(mp.mpf(str(val._decimal_stage_cdf(stage, a))) - exact)
+            worst = max(worst, float(gap))
+        assert worst < 1e-25
+
+
+def test_stable_kernels_equal_their_two_branch_form():
+    # the kernels build the series only when some x falls inside its cutoff;
+    # the reference evaluates both branches everywhere and picks per element
+    x = np.array([-800.0, -3.0, -1e-3, -2e-4, -1e-5, -1e-13, 0.0, 1e-13, 1e-5, 1e-3, 3.0])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi1 = np.where(np.abs(x) < 1e-12, 1.0 + x / 2.0, np.expm1(x) / x)
+        series = 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x * (1.0 / 120.0 + x / 720.0)))
+        h2 = np.where(np.abs(x) < 1e-4, series, (np.expm1(x) - x) / (x * x))
+        for kernel, expect in ((an._phi1, phi1), (an._h2, h2)):
+            assert kernel(x).tobytes() == expect.tobytes()
+            assert kernel(x[:2]).tobytes() == expect[:2].tobytes()   # no x inside the cutoff
+            assert [float(kernel(v)) for v in x] == expect.tolist()   # one numpy scalar each
 
 
 class TestSystemCdf:

@@ -1,8 +1,11 @@
-"""scipy and numpy.ma stay out of the runtime.
+"""scipy, mpmath, numpy.polynomial and numpy.ma stay out of the commands.
 
-The quadrature oracle is a numpy Gauss-Legendre rule and Student-t quantiles
-come from a literal table, or from mpmath above it, so no command loads
-scipy. The tests keep scipy as an independent oracle.
+The quadrature oracle is a Gauss-Legendre rule held as literals, the stage-CDF
+oracle of ``validate`` runs in the standard library's ``decimal``, and
+Student-t quantiles come from a literal table, so no command loads scipy,
+mpmath or numpy.polynomial; mpmath loads only for t quantiles above 30
+degrees of freedom, which no shipped config reaches.  The tests keep scipy
+and mpmath as independent oracles.
 """
 
 import csv
@@ -21,14 +24,16 @@ from thzaoi import queue_sim as qs
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(thzaoi.__file__).resolve().parent.parent
 
-# prints the exit code and the scipy modules loaded, after the whole run
+# prints the exit code and the modules loaded of each package that no command
+# needs, after the whole run
 CLI_IN_FRESH_INTERPRETER = """
 import json, sys
 from thzaoi import cli
 rc = cli.main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"rc": rc, "scipy": loaded}))
+print(json.dumps({"rc": rc, **{p: sorted(m for m in sys.modules if m == p or m.startswith(p + "."))
+                              for p in ("scipy", "mpmath", "numpy.polynomial")}}))
 """
+NOTHING_UNNEEDED = {"rc": 0, "scipy": [], "mpmath": [], "numpy.polynomial": []}
 
 
 def fresh_env() -> dict:
@@ -52,7 +57,7 @@ def test_sweep_never_imports_scipy(tmp_path):
     cfg = json.loads((CONFIG_DIR / "reference_sweep.json").read_text())
     # two replications, so the aggregate's confidence intervals need t-quantiles
     cfg["sweep"].update({"values": [2], "replications": 2, "horizon_s": 10.0})
-    assert run_fresh(tmp_path, "sweep", cfg) == {"rc": 0, "scipy": []}
+    assert run_fresh(tmp_path, "sweep", cfg) == NOTHING_UNNEEDED
     with open(tmp_path / "out" / "sweep_aggregate.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and all(r["replications"] == "2" for r in rows)
@@ -61,15 +66,15 @@ def test_sweep_never_imports_scipy(tmp_path):
 
 def test_analytic_never_imports_scipy(tmp_path):
     cfg = json.loads((CONFIG_DIR / "analytic_grid.json").read_text())
-    assert run_fresh(tmp_path, "analytic", cfg) == {"rc": 0, "scipy": []}
+    assert run_fresh(tmp_path, "analytic", cfg) == NOTHING_UNNEEDED
     with open(tmp_path / "out" / "analytic.csv") as fh:
         assert any(r["mode"] == "quadrature" for r in csv.DictReader(fh))
 
 
 def test_validate_never_imports_scipy(tmp_path):
-    # the whole suite, quadrature checks included
+    # the whole suite, quadrature and stage-CDF oracle checks included
     cfg = {"validate": {}}
-    assert run_fresh(tmp_path, "validate", cfg) == {"rc": 0, "scipy": []}
+    assert run_fresh(tmp_path, "validate", cfg) == NOTHING_UNNEEDED
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] and len(report["checks"]) == 10
 

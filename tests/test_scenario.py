@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,36 @@ class TestSweep:
         assert not any(r["error"] for r in rows)
         # 2 replications x 2 disciplines, each cell's few hundred peaks inside one KS chunk
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("variable,values,most", [
+        (sc.SweepVariable.NUM_USERS, (2.0, 3.0, 5.0), 5),
+        (sc.SweepVariable.BANDWIDTH, (1e10, 2e10), 2)])
+    def test_each_replication_is_placed_once(self, monkeypatch, variable, values, most):
+        sweep = self.small_sweep(variable, values, reps=2)
+        placed = []
+        place = sc.place_users
+
+        def counted(scenario):
+            placed.append(scenario.num_users)
+            return place(scenario)
+
+        monkeypatch.setattr(sc, "place_users", counted)
+        sc.run_sweep(sweep)
+        assert placed == [most, most]
+        # each cell's rates are those of its own users placed afresh, as the
+        # replication's seed places them
+        monkeypatch.setattr(sc, "place_users", place)
+        base = sweep.base
+        for rep in range(2):
+            positions = sc.replication_positions(base, variable, values, rep)
+            seed = sc._derived_seed(base.placement_seed, 1000 + rep)
+            for value in values:
+                cell = (replace(base, num_users=int(value), placement_seed=seed)
+                        if variable is sc.SweepVariable.NUM_USERS else
+                        replace(base, placement_seed=seed,
+                                link_params=replace(base.link_params, bandwidth_hz=value)))
+                assert (sc.cell_rates(base, variable, value, positions).tolist()
+                        == sc.realize_rates(cell).tolist())
 
     def test_zero_update_rate_is_an_error_row(self):
         # an absorption this high underflows every user's SNR to a zero Shannon rate
