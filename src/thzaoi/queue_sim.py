@@ -28,9 +28,10 @@ the freshness series, the merge of the departures, the batch-means spread
 and the excursions (one array, pooled through one boundary mask) are passes
 over a cell's users together.  ``stage_series`` is the stack of one row, and
 ``excursion_severity`` and ``estimate_avg`` the passes over one sample.  The
-working set peaks at four (users x block) arrays at the Poisson draw (S, E,
-the Poisson means and N), and later steps reuse those buffers in place.
-LCFS adds its U draws and survivors' shifts.
+working set peaks at four (users x block) arrays (S, E, the start times, and
+the Poisson means that N is drawn over in slices), and later steps reuse
+those buffers in place.  LCFS adds its U draws and survivors' shifts.  An
+FCFS ``stage_series`` fills no counters, so it skips N on its last block.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -73,6 +74,8 @@ from .aoi_analytic import Discipline
 WARMUP_FRACTION = 0.01
 # batch count of the batch-means confidence intervals
 BATCHES = 20
+# a user's Poisson counts are drawn this many at a time
+_DRAW_SLICE = 1 << 16
 
 # spawn-key tags for substream derivation
 _ARRIVAL_TAG = 0
@@ -185,14 +188,16 @@ def _starts(first: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
-                     rngs: Sequence[np.random.Generator], discipline: Discipline):
+                     rngs: Sequence[np.random.Generator], discipline: Discipline,
+                     counted: bool = True):
     """Every user's stage queue over [0, horizon], one service cycle at a time,
     user ``i`` drawing from ``rngs[i]``, as (users x cycles) arrays.
 
     Returns (departure times, departure generation times, counters): user
     ``i``'s departures are the first ``counters[i].deliveries`` entries of row
     ``i``.  Departures are in generation order for both disciplines, so every
-    departure refreshes the stage observer.
+    departure refreshes the stage observer.  Not ``counted``, delivery counts replace the
+    counters, and an FCFS user's last block draws no N, which only counters read there.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
     rates = np.array(rates, dtype=float)
@@ -211,21 +216,28 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
             rngs[i].standard_exponential(out=e[row, :b])   # are exponential(scale, b) bit for bit
         s *= 1.0 / mu
         e *= 1.0 / rates[rows, None]
-        n = np.subtract(s, e)   # the Poisson means, rate * max(s - e, 0), and then N, in place
-        np.maximum(n, 0.0, out=n)
-        n *= rates[rows, None]
-        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
-        u = np.zeros(s.shape) if lcfs else None
-        for row, (i, b) in users:
-            n[row, :b] = rngs[i].poisson(n[row, :b])   # the peak: s, e, n, LCFS's u and the draw
-            if lcfs:
-                rngs[i].random(out=u[row, :b])
-        cycles = [s, e, n, u] if lcfs else [s, e, n]
         start = _starts(last[rows], s, e)
         r, end = np.arange(rows.size), size - 1
         last[rows] = start[r, end] + np.maximum(s[r, end], e[r, end])   # the start after the block
+        more = last[rows] <= horizon
+        # uncounted, FCFS reads N only to keep the next block's place in the stream
+        drawn = [x for x in users if counted or lcfs or more[x[0]]]
+        if drawn:
+            n = np.subtract(s, e)   # the Poisson means, rate * max(s - e, 0), and then N, in place
+            np.maximum(n, 0.0, out=n)
+            n *= rates[rows, None]
+        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
+        u = np.zeros(s.shape) if lcfs else None
+        for row, (i, b) in drawn:
+            # slices draw what one call would, and keep numpy's int64 draws small
+            for lo in range(0, b, _DRAW_SLICE):
+                hi = min(lo + _DRAW_SLICE, b)
+                n[row, lo:hi] = rngs[i].poisson(n[row, lo:hi])
+            if lcfs:
+                rngs[i].random(out=u[row, :b])
+        cycles = [s, e, n, u] if lcfs else [s, e, n] if counted else [s, e]
         rounds.append((rows, size, cycles))
-        rows = rows[last[rows] <= horizon]
+        rows = rows[more]
     if len(rounds) > 1:   # a user's blocks go end to end along its row, block t at t sizes in
         width = max(((t + 1) * size).max() for t, (_, size, _) in enumerate(rounds))
         cycles = [np.zeros((rates.size, width)) for _ in cycles]
@@ -235,7 +247,7 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
                 dst[rows[row], t * size[row] + col] = src[row, col]
         start = _starts(first, cycles[0], cycles[1])
     del rounds
-    s, e, n, *u = cycles
+    s, e, n, u = (*cycles, None, None)[:4]
     del cycles
 
     begun = start <= horizon   # the start times never decrease along a row
@@ -244,21 +256,22 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     np.multiply(s, begun, out=s)
     del begun
     queued = np.less(e, s)     # the next arrival comes during this service and waits
-    np.multiply(n, queued, out=n)   # and n more come behind it
+    if n is not None:
+        np.multiply(n, queued, out=n)   # and n more come behind it
     r, j = np.arange(rates.size), np.maximum(k - 1, 0)   # j: the last service begun
     if lcfs:   # the survivor came (s - e) U^(1/n) after the waiter
         behind = n > 0
         behind[r, j] = False   # the last service begun has no next one to carry it to
         w = np.flatnonzero(behind)
         del behind
-        shift = (s.ravel()[w] - e.ravel()[w]) * u[0].ravel()[w] ** (1.0 / n.ravel()[w])
+        shift = (s.ravel()[w] - e.ravel()[w]) * u.ravel()[w] ** (1.0 / n.ravel()[w])
         del u
     # only the last service begun can straddle the horizon: one begun before it
     # ends by the next start
     straddles = (k > 0) & (s[r, j] + start[r, j] > horizon)
     d = k - straddles
-    # the arrivals lost behind each delivered service; whole numbers, so the sums are exact
-    lost = (n.sum(axis=1) - np.where(straddles, n[r, j], 0.0)).astype(np.int64)
+    if counted:   # the arrivals lost behind each delivered service, exactly: whole numbers
+        lost = (n.sum(axis=1) - np.where(straddles, n[r, j], 0.0)).astype(np.int64)
     del n
     carried = queued.copy()    # the last service begun has no next one to carry to
     carried[r, j] = False
@@ -270,6 +283,8 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     np.copyto(gens[:, 1:], arrived[:, :-1], where=carried)
     if lcfs:
         gens.ravel()[w + 1] += shift
+    if not counted:
+        return done, gens, d
 
     waiting = (d < k) & queued[r, j] & (arrived[r, j] <= horizon)
     # behind the straddling service's waiter, arrivals count up to the horizon only
@@ -346,12 +361,12 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 
 def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
                  seed: int) -> StageSeries:
-    """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for bit."""
+    """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for
+    bit, drawing no counters' N where nothing else reads it."""
     if not (rate > 0 and mu > 0 and horizon > 0):
         raise ValueError("rates and horizon must be strictly positive")
-    done, gens, (counters,) = _simulate_stages(
-        (rate,), mu, horizon, (_rng(seed, _ARRIVAL_TAG, 0),), discipline)
-    d = counters.deliveries
+    done, gens, (d,) = _simulate_stages(
+        (rate,), mu, horizon, (_rng(seed, _ARRIVAL_TAG, 0),), discipline, counted=False)
     return _freshness_series(done[0, :d], gens[0, :d], (0,), (d,), WARMUP_FRACTION * horizon)[0]
 
 

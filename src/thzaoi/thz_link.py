@@ -59,7 +59,7 @@ def channel_gain(distance_m: float, params: LinkParams) -> float:
 
 def ris_array_gain(n: int) -> float:
     """Coherent array gain n^2 of n phase-aligned meta-surfaces."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("meta-surface count must be >= 1")
     return float(n) ** 2
 
@@ -101,6 +101,6 @@ def rate_bps(distances_m: Sequence[float], params: LinkParams) -> float:
 
 def update_rate(rate_bits_per_s: float, params: LinkParams) -> float:
     """Updates per second for a fixed image size: R / M."""
-    if rate_bits_per_s < 0:
+    if not rate_bits_per_s >= 0:
         raise ValueError("rate must be non-negative")
     return rate_bits_per_s / params.image_size_bits

@@ -116,10 +116,12 @@ def sweep(ruin=1.0, z=3.0, horizon=100.0):
     (lambda: tl.LinkParams(**{**LINK, "carrier_hz": NAN}), "carrier_hz must be strictly positive"),
     (lambda: tl.LinkParams(**{**LINK, "meta_surfaces": NAN}), "meta_surfaces must be a positive"),
     (lambda: tl.channel_gain(NAN, tl.LinkParams(**LINK)), "distance must be strictly positive"),
+    (lambda: tl.ris_array_gain(NAN), "meta-surface count must be >= 1"),
+    (lambda: tl.update_rate(NAN, tl.LinkParams(**LINK)), "rate must be non-negative"),
 ], ids=["stage-rate", "stage-mu", "compute-lambda", "compute-mu", "queue-mu-u", "queue-mu-c",
         "run-rate", "run-horizon", "series-rate", "series-mu", "series-horizon", "excursion",
         "room", "sweep-ruin", "sweep-z", "sweep-horizon", "link-carrier", "link-surfaces",
-        "channel-gain"])
+        "channel-gain", "array-gain", "update-rate"])
 def test_nan_fails_each_positivity_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -212,6 +214,28 @@ def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, servic
     for a, b in zip((done[0, :counters.deliveries], gens[0, :counters.deliveries]), want[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert astuple(counters) == astuple(want[2])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(CLAIM_RATIO, CLAIM_MU, DISCIPLINE, log_uniform(1e-1, 1e3),
+       st.one_of(st.none(), st.integers(1, 40)), st.integers(0, 2 ** 32 - 1))
+# users that draw one block, several, and dozens of them
+@example(ratio=2.0, mu=1.0, disc=FCFS, services=300.0, block=None, seed=0)
+@example(ratio=2.0, mu=1.0, disc=FCFS, services=300.0, block=7, seed=0)
+@example(ratio=1e4, mu=5.0, disc=an.Discipline.LCFS_MM12_STAR, services=300.0, block=40, seed=1)
+def test_stage_series_is_the_runs_stage1(ratio, mu, disc, services, block, seed):
+    # stage_series draws no N on an FCFS user's last block; a block is last only
+    # when the start after it is past the horizon, so the blocks before it must
+    # draw every N to keep the next block's S and E where run draws them.  Horizons
+    # go from a tenth of a service to a thousand of them, and a patched block of a
+    # few cycles makes a user draw many blocks
+    rate, horizon = ratio * mu, services / min(ratio * mu, mu)
+    with mock.patch.object(qs, "_block_size", lambda *_: block) if block else nullcontext():
+        alone = qs.stage_series(disc, rate, mu, horizon, seed)
+        full = qs.run(qs.QueueConfig(disc, mu, 10.0), [rate], horizon, seed).stage1[0]
+    for name in ("times", "peaks", "post_ages"):
+        a, b = getattr(alone, name), getattr(full, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # a user of a stack: its r/mu, and a block size patched over its own or None

@@ -2,11 +2,13 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import sim_reference as ref
 from thzaoi import aoi_analytic as an
 from thzaoi import queue_sim as qs
 from thzaoi import scenario as sc
@@ -76,6 +78,71 @@ class TestStageOnly:
             qs.stage_series(FCFS, rate, mu, horizon, 0)
 
 
+class CountingRng:
+    """A generator that passes every draw through and counts, per method, its
+    calls and the variates they return."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls, self.variates = rng, Counter(), Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.calls[name] += 1
+            self.variates[name] += np.size(out)
+            return out
+        return counted
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Every generator ``qs._rng`` makes, wrapped in a ``CountingRng``, in order."""
+    made, own = [], qs._rng
+    monkeypatch.setattr(qs, "_rng", lambda *key: made.append(CountingRng(own(*key))) or made[-1])
+    return made
+
+
+class TestStageDraws:
+    # at r = 2, mu = 1 over 400 s a user needs about 340 cycles, in one block of 504
+    def test_fcfs_stage_series_draws_no_n_on_a_single_block(self, spies):
+        assert len(qs.stage_series(FCFS, 2.0, 1.0, 400.0, 5)) > 0
+        (rng,) = spies
+        assert rng.calls["standard_exponential"] == 2   # S and E of one block
+        assert rng.calls["poisson"] == 0
+
+    def test_fcfs_stage_series_draws_n_on_every_block_but_the_last(self, spies, monkeypatch):
+        monkeypatch.setattr(qs, "_block_size", lambda *_: 7)
+        qs.stage_series(FCFS, 2.0, 1.0, 400.0, 5)
+        (rng,) = spies
+        blocks = rng.calls["standard_exponential"] // 2
+        assert blocks > 2 and rng.variates["poisson"] == 7 * (blocks - 1)
+
+    def test_lcfs_stage_series_still_draws_n(self, spies):
+        qs.stage_series(LCFS, 2.0, 1.0, 400.0, 5)
+        (rng,) = spies
+        assert rng.variates["poisson"] == rng.variates["random"] == qs._block_size(2.0, 1.0, 400.0)
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_run_makes_every_draw_of_the_per_user_reference(self, spies, monkeypatch, disc, block):
+        # at r/mu = 4,000 the last service begun straddles the horizon with a waiter
+        # behind it, whose lost arrivals only the counters read
+        if block:
+            monkeypatch.setattr(qs, "_block_size", lambda *_: block)
+        rates = [2.0, 0.5, 4000.0]
+        qs.run(config(disc), rates, 400.0, 5)
+        for u, rate in enumerate(rates):
+            want = CountingRng(np.random.default_rng(
+                np.random.SeedSequence(5, spawn_key=(qs._ARRIVAL_TAG, u))))
+            ref._simulate_stage_one_user(rate, 1.0, 400.0, want, disc)
+            got = spies[u]   # S and E come as standard draws times the scale, the same ones
+            for name in ("poisson", "random"):
+                assert (got.calls[name], got.variates[name]) == (want.calls[name], want.variates[name])
+            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+
 # sha256 of _simulate_stages's (departures, generation times) bytes and its
 # counters (arrivals, deliveries, drops, preemptions, in system) at mu = 1,
 # seed 17, as the simulator drew them before its temporaries were trimmed
@@ -118,21 +185,36 @@ def test_stage_draws_are_pinned(disc, ratio):
     assert _sha256(done, gens) == digest
 
 
-# validate's severity run, FCFS at r = 2, mu = 1 over 420,000 s, is one block of
-# 462,064 cycles, 3.5 MiB per array; the stage simulator holds four block arrays
-# at its peak (the Poisson draw) and LCFS adds its U draws and the survivors' shifts
-@pytest.mark.parametrize("disc,limit_mib", [(FCFS, 16), (LCFS, 26)])
-def test_severity_size_stage_run_peak_memory(disc, limit_mib):
-    # tracemalloc sees numpy's buffers
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc, which sees numpy's buffers, traces during ``run()``."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        qs.stage_series(disc, 2.0, 1.0, 420_000.0, 7)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+# validate's severity run, FCFS at r = 2, mu = 1 over 420,000 s, is one block of
+# 462,064 cycles, 3.5 MiB per array.  Its FCFS stage series draws no N there, so
+# it holds S, E and the start times, and then the departures, the generation times
+# and the freshness series' two delivery arrays (12.55 MiB); LCFS draws N and adds
+# its U draws and the survivors' shifts
+@pytest.mark.parametrize("disc,limit_mib", [(FCFS, 13.5), (LCFS, 26)])
+def test_severity_size_stage_run_peak_memory(disc, limit_mib):
+    peak = traced_peak(lambda: qs.stage_series(disc, 2.0, 1.0, 420_000.0, 7))
     assert peak <= limit_mib * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+# the same run with its counters, as ``run`` makes it, holds four block arrays at
+# its peak (S, E, the start times and N, drawn in slices over the Poisson means):
+# 14.61 MiB; numpy's int64 draw over the whole block would be a fifth (17.64 MiB)
+def test_counted_severity_size_stage_run_peak_memory():
+    peak = traced_peak(lambda: qs._simulate_stages(
+        (2.0,), 1.0, 420_000.0, (qs._rng(7, qs._ARRIVAL_TAG, 0),), FCFS))
+    assert peak <= 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 # a reference-sweep cell: 30 users at r/mu 3,200-4,400 over 60 s stack into
