@@ -18,12 +18,15 @@ one if E < S and E after it otherwise, so the start times are one
 cumulative sum over the cycles, and the cost is a few array operations
 per service whatever the update rate -- four orders of magnitude above
 the service rate for THz link budgets.  The cycles come in blocks, one of
-which usually spans the horizon.
+which usually spans the horizon.  Two identities do the bookkeeping: service
+t + 1 delivers the first arrival after service t began (LCFS: the survivor
+behind it), generated at start + E of cycle t; and the arrivals are the
+services begun, a waiter at the horizon and the N, each service taking one.
 
 All users of a ``run`` are simulated together as one stack: (users x cycles)
 arrays, a row per user, each user's draws going straight into its row and
 the row zero past them.  Only the draws are made user by user; the sums,
-masks, counters and generation times are passes over the whole stack, and
+counters and generation times are passes over the whole stack, and
 the freshness series, the merge of the departures, the batch-means spread
 and the excursions (one array, pooled through one boundary mask) are passes
 over a cell's users together.  ``stage_series`` is the stack of one row, and
@@ -198,6 +201,8 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     ``i``.  Departures are in generation order for both disciplines, so every
     departure refreshes the stage observer.  Not ``counted``, delivery counts replace the
     counters, and an FCFS user's last block draws no N, which only counters read there.
+    Departure t + 1 carries cycle t's start + E, as ``_starts`` sums start + max(S, E)
+    where nothing waits, ties included, and the arrivals are k + waiting + lost.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
     rates = np.array(rates, dtype=float)
@@ -252,12 +257,9 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
 
     begun = start <= horizon   # the start times never decrease along a row
     k = np.count_nonzero(begun, axis=1)
-    # a service not begun by the horizon takes no time here, so nothing waits behind it
-    np.multiply(s, begun, out=s)
+    if n is not None:   # N > 0 only where E < S: behind a waiter, of a service begun here
+        np.multiply(n, begun, out=n)
     del begun
-    queued = np.less(e, s)     # the next arrival comes during this service and waits
-    if n is not None:
-        np.multiply(n, queued, out=n)   # and n more come behind it
     r, j = np.arange(rates.size), np.maximum(k - 1, 0)   # j: the last service begun
     if lcfs:   # the survivor came (s - e) U^(1/n) after the waiter
         behind = n > 0
@@ -267,36 +269,30 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
         shift = (s.ravel()[w] - e.ravel()[w]) * u.ravel()[w] ** (1.0 / n.ravel()[w])
         del u
     # only the last service begun can straddle the horizon: one begun before it
-    # ends by the next start
+    # ends by the next start, and so does its waiter's arrival
     straddles = (k > 0) & (s[r, j] + start[r, j] > horizon)
+    waiting = (e[r, j] < s[r, j]) & (e[r, j] + start[r, j] <= horizon)   # the straddler's
     d = k - straddles
     if counted:   # the arrivals lost behind each delivered service, exactly: whole numbers
         lost = (n.sum(axis=1) - np.where(straddles, n[r, j], 0.0)).astype(np.int64)
     del n
-    carried = queued.copy()    # the last service begun has no next one to carry to
-    carried[r, j] = False
-    carried = carried[:, :-1]
     # IEEE + commutes, so these are start + s and start + e element for element
     done = np.add(s, start, out=s)
     arrived = np.add(e, start, out=e)
-    gens = start               # a service begun empty carries its own arrival
-    np.copyto(gens[:, 1:], arrived[:, :-1], where=carried)
+    gens = start   # the waiter, or else the arrival the next service begins at
+    gens[:, 1:] = arrived[:, :-1]
     if lcfs:
         gens.ravel()[w + 1] += shift
     if not counted:
         return done, gens, d
 
-    waiting = (d < k) & queued[r, j] & (arrived[r, j] <= horizon)
-    # behind the straddling service's waiter, arrivals count up to the horizon only
-    for i in np.flatnonzero(waiting).tolist():
+    for i in np.flatnonzero(waiting).tolist():   # arrivals behind it count up to the horizon
         lost[i] += rngs[i].poisson(rates[i] * (horizon - arrived[i, j[i]]))
-    # services begun empty, plus the waiters that came by the horizon
-    arrivals = (k - np.count_nonzero(carried, axis=1)
-                + np.count_nonzero(queued & (arrived <= horizon), axis=1))
-    counters = [UserCounters(arrivals=a + x, deliveries=dd, drops=0 if lcfs else x,
+    # every service begun took one accepted arrival; the waiter is the only other
+    counters = [UserCounters(arrivals=kk + wt + x, deliveries=dd, drops=0 if lcfs else x,
                              preemptions=x if lcfs else 0, in_system=kk - dd + wt)
-                for a, x, dd, kk, wt in zip(arrivals.tolist(), lost.tolist(), d.tolist(),
-                                            k.tolist(), waiting.tolist())]
+                for x, dd, kk, wt in zip(lost.tolist(), d.tolist(), k.tolist(),
+                                         waiting.tolist())]
     return done, gens, counters
 
 

@@ -74,7 +74,7 @@ class ValidationReport:
 
 def format_check_line(check: CheckResult) -> str:
     tag = "PASS" if check.passed else "FAIL"
-    return f"[{tag}] {check.name} ({check.duration_s:.1f}s): {check.details}"
+    return f"[{tag}] {check.name} ({1e3 * check.duration_s:.0f} ms): {check.details}"
 
 
 def parse_seed(d: dict) -> int:
@@ -228,7 +228,7 @@ def check_stage_ks(seed: int):
             del series, ecdf    # freed before the next case simulates
             case_s = time.perf_counter() - case_start
             ok = ok and d <= KS_TOLERANCE and n >= KS_DELIVERIES
-            lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={n} ({case_s:.1f}s)")
+            lines.append(f"{disc.value} r={rate}: KS={d:.4f} n={n} ({1e3 * case_s:.0f} ms)")
     return ok, "; ".join(lines)
 
 

@@ -256,6 +256,17 @@ class TestValidateCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["master_seed"] == 3
 
+    def test_check_lines_print_whole_milliseconds(self, tmp_path, capsys):
+        # a check takes tens of milliseconds, which tenths of a second print as 0.0s
+        cfg = write_config(tmp_path, {"validate": {}})
+        report = cli.val.ValidationReport(checks=[cli.val.CheckResult("a", True, "x", 0.0126)])
+        with mock.patch.object(cli.val, "run_validation", return_value=report):
+            assert cli.main(["validate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 0
+        assert "[PASS] a (13 ms): x" in capsys.readouterr().out.splitlines()
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert written["checks"][0]["duration_s"] == 0.0126
+
     def test_corrupted_tolerance_fails_with_report(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.val, "KS_TOLERANCE", 0.0)
         cfg = write_config(tmp_path, {"validate": {}})

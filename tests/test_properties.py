@@ -243,11 +243,17 @@ STACK_USERS = st.lists(st.tuples(log_uniform(1e-2, 1e4), st.one_of(st.none(), st
                        min_size=1, max_size=6)
 
 
+# users whose last service begun straddles the horizon, with a waiter behind it and not
+STRADDLING = dict(users=[(1e4, None), (0.5, None), (2.0, 5)], mu=1.0, disc=FCFS,
+                  services=30.0, seed=0)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(STACK_USERS, CLAIM_MU, DISCIPLINE, log_uniform(1e-2, 1e3), st.integers(0, 2 ** 32 - 1))
 # a user that begins no service, one that begins one, and one that needs many blocks
 @example(users=[(1e-2, None), (0.5, None), (1e4, 3), (2.0, None)], mu=1.0,
          disc=an.Discipline.LCFS_MM12_STAR, services=2.0, seed=0)
+@example(**STRADDLING)
 def test_stacked_stages_are_each_users_own_run(users, mu, disc, services, seed):
     # horizons from a hundredth of a service to a thousand of them, so slow users may
     # begin no service at all; a patched block of a few cycles makes its user draw
@@ -265,6 +271,12 @@ def test_stacked_stages_are_each_users_own_run(users, mu, disc, services, seed):
         assert astuple(counters[u]) == astuple(c)
         for a, b in ((done[u, :c.deliveries], times), (gens[u, :c.deliveries], gen_times)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        # deliveries leave in generation order, each generated by its departure
+        g = gens[u, :c.deliveries]
+        assert (np.diff(g) >= 0).all() and (g <= done[u, :c.deliveries]).all()
+    if dict(users=users, mu=mu, disc=disc, services=services, seed=seed) == STRADDLING:
+        # a user holds two updates at the horizon only with a waiter behind a straddler
+        assert 2 in {c.in_system for c in counters} and min(c.in_system for c in counters) < 2
     # a row is padded with finite numbers, so whole-stack differences raise no warning
     assert np.isfinite(done).all() and np.isfinite(gens).all()
 

@@ -143,6 +143,58 @@ class TestStageDraws:
             assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
 
+class TiedRng:
+    """``rng``, except that each exponential block after the first of a pair (a
+    block's E after its S) repeats that S block's standard draws, halved in every
+    other cycle: at rate == mu, half the cycles have E == S bit for bit."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.s_block = rng, None
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def _block(self, size):
+        if self.s_block is None:
+            self.s_block = self.rng.standard_exponential(size)
+            return self.s_block
+        x, self.s_block = self.s_block.copy(), None
+        x[1::2] *= 0.5
+        return x
+
+    def standard_exponential(self, out):
+        out[...] = self._block(out.size)
+        return out
+
+    def exponential(self, scale, size=None):
+        return self.rng.exponential(scale) if size is None else scale * self._block(size)
+
+
+@pytest.mark.parametrize("disc", [FCFS, LCFS])
+@pytest.mark.parametrize("block", [None, 3])
+def test_generation_times_hold_at_exact_ties(monkeypatch, disc, block):
+    # where E == S the next service begins at start + max(S, E), which must be the
+    # arrival start + E that its generation time is read from, bit for bit
+    if block:
+        monkeypatch.setattr(qs, "_block_size", lambda *_: block)
+    rate = mu = 3.0
+
+    def tied():
+        return TiedRng(qs._rng(4, qs._ARRIVAL_TAG, 0))
+
+    done, gens, (counters,) = qs._simulate_stages((rate,), mu, 40.0, (tied(),), disc)
+    want = ref._simulate_stage_blocks(rate, mu, 40.0, tied(), disc)
+    d = counters.deliveries
+    assert d > 20 and astuple(counters) == astuple(want[2])
+    for a, b in zip((done[0, :d], gens[0, :d]), want[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    alone, alone_gens, (d_alone,) = qs._simulate_stages((rate,), mu, 40.0, (tied(),), disc,
+                                                        counted=False)
+    assert d_alone == d
+    assert np.array_equal(alone[0, :d], done[0, :d])
+    assert np.array_equal(alone_gens[0, :d], gens[0, :d])
+
+
 # sha256 of _simulate_stages's (departures, generation times) bytes and its
 # counters (arrivals, deliveries, drops, preemptions, in system) at mu = 1,
 # seed 17, as the simulator drew them before its temporaries were trimmed
