@@ -29,8 +29,7 @@ the row zero past them.  Only the draws are made user by user; the sums,
 counters and generation times are passes over the whole stack, and
 the freshness series, the merge of the departures, the batch-means spread
 and the excursions (one array, pooled through one boundary mask) are passes
-over a cell's users together.  ``stage_series`` is the stack of one row, and
-``excursion_severity`` and ``estimate_avg`` the passes over one sample.  The
+over a cell's users together.  ``stage_series`` is the stack of one row.  The
 working set peaks at four (users x block) arrays (S, E, the start times, and
 the Poisson means that N is drawn over in slices), and later steps reuse
 those buffers in place.  LCFS adds its U draws and survivors' shifts.  An
@@ -58,6 +57,9 @@ evaluates the CDF on one chunk, takes each segment's D+ and D- there with
 ``np.maximum.reduceat`` and keeps their running maxima, so it holds a few
 chunk-length arrays whatever the sample size.  ``ks_distance`` is the pass
 over one segment; a sweep cell passes its users' peaks as consecutive ones.
+Of the one-sample names, ``PaoiSamples.series``, ``empirical_cdf`` and
+``excursion_severity`` remain only for ``perfbench/worker.py``, and
+``EmpiricalCdf`` and ``ks_distance`` for it and ``validate``'s KS check.
 """
 
 from __future__ import annotations
@@ -449,7 +451,7 @@ def _busy_sums(d: np.ndarray, heads: np.ndarray, base: np.ndarray):
 # estimators
 
 class EmpiricalCdf:
-    """Right-continuous step function through the sorted sample points."""
+    """A sample's sorted points and their count, as ``ks_distance`` reads them."""
 
     def __init__(self, values: Sequence[float]):
         vals = np.sort(np.asarray(values, dtype=float))
@@ -457,11 +459,6 @@ class EmpiricalCdf:
             raise EmptyDataError("no samples")
         self.points = vals
         self.n = vals.size
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.points, np.asarray(x, dtype=float), side="right")
-        out = idx / self.n
-        return out if np.ndim(x) else float(out)
 
 
 def empirical_cdf(samples: PaoiSamples, user: int, stage: Stage) -> EmpiricalCdf:
@@ -518,21 +515,22 @@ def ks_segments(points: np.ndarray, lengths: Sequence[int], cdf) -> np.ndarray:
 
 
 def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
-    """Maximal exceedance above ``ruin_level`` for each completed excursion.
+    """``exceedances`` of the one trace, with its level."""
+    return ExcursionStats(ruin_level, exceedances([trace], ruin_level))
+
+
+def exceedances(traces: Sequence[StageSeries], ruin_level: float) -> np.ndarray:
+    """Maximal exceedance above ``ruin_level`` of each completed excursion of every
+    trace, end to end in trace order; a single trace is read in place, not copied.
 
     The age process rises with unit slope between deliveries, so an
     excursion above the level is a run of consecutive peaks whose
     post-delivery ages stay above it; the excursion closes at the first
     delivery that resets the age below the level.  An excursion still open
-    at the end of the trace is censored and discarded; one already open at
+    at the end of a trace is censored and discarded; one already open at
     its start (``post_ages[0]`` above the level) is kept but counted from
     delivery 1, so its maximum can be understated.
     """
-    return ExcursionStats(ruin_level, exceedances([trace], ruin_level))
-
-
-def exceedances(traces: Sequence[StageSeries], ruin_level: float) -> np.ndarray:
-    """``excursion_severity``'s exceedances of every trace, end to end in trace order."""
     if not ruin_level > 0:
         raise ValueError("ruin level must be strictly positive")
     lengths = np.array([len(t) for t in traces], dtype=np.intp)
@@ -585,14 +583,10 @@ def student_t_975(dof: int) -> float:
             nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True) - mp.mpf(1) / 20, 2))
 
 
-def estimate_avg(values: Sequence[float]) -> AvgEstimate:
-    """Sample mean with a 95% confidence half-width from ``BATCHES`` batch means."""
-    return _estimate_avgs([np.asarray(values, dtype=float)])[0]
-
-
 def _estimate_avgs(samples: Sequence[np.ndarray]) -> list[AvgEstimate]:
-    """``estimate_avg`` of each sample: one batch-means row per sample, and one
-    spread over the rows of each batch count."""
+    """Each sample's mean with a 95% confidence half-width from ``BATCHES`` batch
+    means: one batch-means row per sample, and one spread over the rows of each
+    batch count."""
     n = np.array([v.size for v in samples])
     if n.min() < 2:
         raise EmptyDataError("need at least two samples")
@@ -613,17 +607,14 @@ def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
     """Network-wide average peak age: per-user stage means plus the
     aggregate compute-queue mean, composed the same way as the analytic
     end-to-end expression; half-widths combine in quadrature."""
-    total = 0.0
-    var = 0.0
-    for est in _estimate_avgs([samples.series(u, Stage.STAGE1).peaks
-                               for u in range(len(samples.rates))]):
-        total += est.mean
-        var += est.halfwidth ** 2
+    ests = _estimate_avgs([samples.stage1[u].peaks for u in range(len(samples.rates))])
     if samples.compute_agg is None or len(samples.compute_agg) < 2:
         raise EmptyDataError("no compute-queue samples")
-    est_c = estimate_avg(samples.compute_agg.peaks)
-    total += est_c.mean
-    var += est_c.halfwidth ** 2
+    total = 0.0
+    var = 0.0
+    for est in ests + _estimate_avgs([samples.compute_agg.peaks]):
+        total += est.mean
+        var += est.halfwidth ** 2
     return AvgEstimate(total, math.sqrt(var))
 
 

@@ -287,25 +287,25 @@ def check_severity(seed: int, report: ValidationReport):
                 and survival.validity is an.Validity.INVALID)
 
     series = qs.stage_series(an.Discipline.FCFS_MM12, 2.0, 1.0, SEVERITY_HORIZON, seed + 7)
-    stats = qs.excursion_severity(series, 1.0)
+    exceed = qs.exceedances([series], 1.0)
     z_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
     rows = []
     for z in z_grid:
-        emp = float(np.mean(stats.exceedances <= z)) if stats.exceedances.size else math.nan
+        emp = float(np.mean(exceed <= z)) if exceed.size else math.nan
         zp = an.severity_both_modes(sys_law, 1.0, z)
         w, s = zp[an.PsiMode.AS_WRITTEN_CDF], zp[an.PsiMode.SURVIVAL]
         rows.append({
-            "z": z, "empirical_below_z": emp, "excursions": int(len(stats.exceedances)),
+            "z": z, "empirical_below_z": emp, "excursions": int(len(exceed)),
             "j_as_written": w.value, "j_as_written_validity": w.validity.value,
             "deviation_as_written": w.value - emp,
             "j_survival": s.value, "j_survival_validity": s.validity.value,
             "deviation_survival": s.value - emp,
         })
     report.artifacts["severity_deviation"] = rows
-    des_ok = stats.exceedances.size > 0 and len(rows) == len(z_grid)
+    des_ok = exceed.size > 0 and len(rows) == len(z_grid)
     return point_ok and des_ok, (
         f"worked point: {written.value:.4f}/{survival.value:.4f} "
-        f"(both {written.validity.value}); {len(stats.exceedances)} excursions, "
+        f"(both {written.validity.value}); {len(exceed)} excursions, "
         f"{len(rows)} deviation rows persisted")
 
 

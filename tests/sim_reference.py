@@ -330,8 +330,8 @@ def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:
 
 
 def estimate_avg(values) -> qs.AvgEstimate:
-    """``queue_sim.estimate_avg`` before the batch-means spread became one
-    reduction over many samples: one sample at a time."""
+    """``queue_sim``'s batch means before their spread became one reduction
+    over many samples: one sample at a time."""
     arr = np.asarray(values, dtype=float)
     n = arr.size
     if n < 2:

@@ -420,24 +420,27 @@ class TestEndToEnd:
         rates = sc.realize_rates(val._reference_scenario(mu_c=100.0))   # rho 0.75
         out = qs.run(config(disc, mu_u=5.0, mu_c=100.0), rates, 4000.0, 1)
         sojourn = 1.0 / (100.0 - sum(an.stage_throughput(float(r), 5.0) for r in rates))
-        for u, r in enumerate(rates):
-            est = qs.estimate_avg(out.e2e[u].peaks)
+        ests = qs._estimate_avgs([out.e2e[u].peaks for u in range(len(rates))])
+        for u, (r, est) in enumerate(zip(rates, ests)):
             formula = an.avg_paoi_stage(an.StageLaw(float(r), 5.0, disc)) + sojourn
             assert abs(est.mean - formula) <= 2.0 * est.halfwidth, (u, est, formula)
 
+    # the texts go verbatim into sweep.csv's error column; mu_c 1e-6 delivers no
+    # compute job in 60 s, a user at 1e-3/s delivers fewer than two updates, and a
+    # short user is reported ahead of a short compute aggregate
+    @pytest.mark.parametrize("mu_c,rates,text", [
+        (1e-6, [10.0, 10.0], "no compute-queue samples"),
+        (1000.0, [10.0, 1e-3], "need at least two samples"),
+        (1e-6, [10.0, 1e-3], "need at least two samples"),
+    ])
+    def test_estimate_error_texts(self, mu_c, rates, text):
+        out = qs.run(config(FCFS, mu_u=5.0, mu_c=mu_c), rates, 60.0, 0)
+        with pytest.raises(qs.EmptyDataError) as err:
+            qs.e2e_average_estimate(out)
+        assert str(err.value) == text
+
 
 class TestEstimators:
-    def test_empirical_cdf_single_point(self):
-        f = qs.EmpiricalCdf([3.0])
-        assert f(2.999) == 0.0
-        assert f(3.0) == 1.0
-        assert f(10.0) == 1.0
-
-    def test_empirical_cdf_two_points(self):
-        f = qs.EmpiricalCdf([1.0, 2.0])
-        assert f(1.5) == 0.5
-        assert f(2.0) == 1.0
-
     def test_empirical_cdf_empty_rejected(self):
         with pytest.raises(qs.EmptyDataError):
             qs.EmpiricalCdf([])
@@ -460,17 +463,17 @@ class TestEstimators:
         assert d <= 0.01
 
     def test_estimate_avg_constant(self):
-        est = qs.estimate_avg([2.0, 2.0, 2.0, 2.0])
+        est, = qs._estimate_avgs([np.array([2.0, 2.0, 2.0, 2.0])])
         assert est.mean == 2.0
         assert est.halfwidth == 0.0
 
     def test_estimate_avg_alternating(self):
-        est = qs.estimate_avg([1.0, 3.0] * 20)
+        est, = qs._estimate_avgs([np.array([1.0, 3.0] * 20)])
         assert est.mean == pytest.approx(2.0)
 
     def test_estimate_avg_needs_two(self):
         with pytest.raises(qs.EmptyDataError):
-            qs.estimate_avg([1.0])
+            qs._estimate_avgs([np.array([1.0])])
 
 
 class TestExcursions:
