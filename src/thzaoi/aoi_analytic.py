@@ -448,3 +448,10 @@ def stage_throughput(update_rate: float, service_rate: float) -> float:
     """
     rho = update_rate / service_rate
     return update_rate * (1.0 + rho) / (1.0 + rho + rho * rho)
+
+
+def stage_loss_rate(law: StageLaw) -> float:
+    """Rate of arrivals that find the stage full, r rho^2 / (1 + rho + rho^2): FCFS
+    drops them, LCFS lets each displace the waiter (the same occupancy chain)."""
+    rho = law.update_rate / law.service_rate
+    return law.update_rate * rho * rho / (1.0 + rho + rho * rho)

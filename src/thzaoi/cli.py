@@ -2,9 +2,8 @@
 
 Every invocation writes a manifest (command, config digest, master seed)
 next to its outputs so any CSV can be regenerated bit-for-bit on the same
-machine and numpy build: LCFS survivors are placed with numpy's SIMD
-``U ** (1/n)``, which differs from libm on AVX-512 CPUs.  Numeric cells are
-written with ``repr`` so no precision is lost in files.
+machine and numpy build.  Numeric cells are written with ``repr`` so no
+precision is lost in files.
 
 Exit codes: 0 success, 2 validation failure, 3 configuration error.
 """

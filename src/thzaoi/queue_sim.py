@@ -9,31 +9,27 @@ that read one stage only, ``stage_series`` simulates that stage alone.
 
 Each stage is simulated as a sequence of i.i.d. service cycles, which is
 exact in distribution: with capacity 2, every service starts with the
-waiting slot empty, so a cycle needs only the service time S ~ Exp(mu),
-the time E ~ Exp(r) to the next arrival and, when E < S, the count
-N ~ Poisson(r (S - E)) of later arrivals in the service, which can only be
-dropped (FCFS) or displace the waiter (LCFS; the last of them survives, at
-a U^(1/N) quantile of the window).  The next service starts S after this
-one if E < S and E after it otherwise, so the start times are one
-cumulative sum over the cycles, and the cost is a few array operations
-per service whatever the update rate -- four orders of magnitude above
-the service rate for THz link budgets.  The cycles come in blocks, one of
-which usually spans the horizon.  Two identities do the bookkeeping: service
-t + 1 delivers the first arrival after service t began (LCFS: the survivor
-behind it), generated at start + E of cycle t; and the arrivals are the
-services begun, a waiter at the horizon and the N, each service taking one.
+waiting slot empty, so a cycle needs only the service time S ~ Exp(mu), the
+time E ~ Exp(r) to the next arrival and, for LCFS, the gap G ~ Exp(r) back
+from the service's end to its last arrival.  Where E < S the arrival waits,
+and any later ones are dropped (FCFS) or displace it (LCFS): by time
+reversal the last of them survives, at the end minus G, if G < S - E.  The
+next service starts S after this one if E < S and E after it otherwise, so
+the start times are one cumulative sum, and the cost is a few array passes
+per service whatever the update rate -- four orders of magnitude above the
+service rate for THz link budgets.  Service t + 1 delivers the update
+generated at start + E of cycle t (or the LCFS survivor); the arrivals lost
+are one Poisson count per user over the summed windows, E to S (LCFS: to
+S - G, plus one per survivor), drawn after its last block of cycles.
 
 All users of a ``run`` are simulated together as one stack: (users x cycles)
 arrays, a row per user, each user's draws going straight into its row and
 the row zero past them.  Only the draws are made user by user; the sums,
-counters and generation times are passes over the whole stack, and
-the freshness series, the merge of the departures, the batch-means spread
-and the excursions (one array, pooled through one boundary mask) are passes
-over a cell's users together.  ``stage_series`` is the stack of one row.  The
-working set peaks at four (users x block) arrays (S, E, the start times, and
-the Poisson means that N is drawn over in slices), and later steps reuse
-those buffers in place.  LCFS adds its U draws and survivors' shifts.  An
-FCFS ``stage_series`` fills no counters, so it skips N on its last block.
+counters and generation times are passes over the whole stack, as are, over
+a cell's users, the freshness series, the departure merge, the batch means
+and the excursions.  ``stage_series`` is the stack of one row, uncounted.
+The working set peaks at four (users x block) arrays (S, E, the start times
+and the lost windows), five for LCFS (with G), reused in place later on.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -52,11 +48,12 @@ and the excursions match them bit for bit when both are fed the same
 departure streams.  The first WARMUP_FRACTION of the horizon is discarded
 from all recorded statistics (counters cover the full run).
 
-The KS estimator takes its sorted points ``_KS_CHUNK`` at a time: it
-evaluates the CDF on one chunk, takes each segment's D+ and D- there with
-``np.maximum.reduceat`` and keeps their running maxima, so it holds a few
-chunk-length arrays whatever the sample size.  ``ks_distance`` is the pass
-over one segment; a sweep cell passes its users' peaks as consecutive ones.
+The KS estimator reads the CDF at every m-th point of each sorted segment
+(m about half its cube root) and then only between those knots whose bounds
+on D+ and D-, the CDF being monotone, can reach the largest term found: the
+same maximum over the same float terms as a full pass, from a few percent of
+the reads, at most ``_KS_CHUNK`` points a call.  A sweep cell passes its
+users' peaks as consecutive segments; ``ks_distance`` passes one.
 Of the one-sample names, ``PaoiSamples.series``, ``empirical_cdf`` and
 ``excursion_severity`` remain only for ``perfbench/worker.py``, and
 ``EmpiricalCdf`` and ``ks_distance`` for it and ``validate``'s KS check.
@@ -79,8 +76,6 @@ from .aoi_analytic import Discipline
 WARMUP_FRACTION = 0.01
 # batch count of the batch-means confidence intervals
 BATCHES = 20
-# a user's Poisson counts are drawn this many at a time
-_DRAW_SLICE = 1 << 16
 
 # spawn-key tags for substream derivation
 _ARRIVAL_TAG = 0
@@ -202,9 +197,9 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     ``i``'s departures are the first ``counters[i].deliveries`` entries of row
     ``i``.  Departures are in generation order for both disciplines, so every
     departure refreshes the stage observer.  Not ``counted``, delivery counts replace the
-    counters, and an FCFS user's last block draws no N, which only counters read there.
-    Departure t + 1 carries cycle t's start + E, as ``_starts`` sums start + max(S, E)
-    where nothing waits, ties included, and the arrivals are k + waiting + lost.
+    counters, and no Poisson count is drawn.  Departure t + 1 carries cycle t's start
+    + E, as ``_starts`` sums start + max(S, E) where nothing waits, ties included (or
+    LCFS's survivor, start + S - G), and the arrivals are k + waiting + lost.
     """
     lcfs = discipline is Discipline.LCFS_MM12_STAR
     rates = np.array(rates, dtype=float)
@@ -215,36 +210,21 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     rounds, rows, last = [], np.arange(rates.size), first.copy()
     while rows.size:
         size = blocks[rows]
-        s, e = np.zeros((rows.size, size.max())), np.zeros((rows.size, size.max()))
+        # S, E and LCFS's backward gap G from the end of service to its last arrival
+        cycles = [np.zeros((rows.size, size.max())) for _ in range(3 if lcfs else 2)]
         # indexed, not iterated: a row view left bound after a loop keeps its array alive
-        users = list(enumerate(zip(rows.tolist(), size.tolist())))
-        for row, (i, b) in users:
-            rngs[i].standard_exponential(out=s[row, :b])   # times the scale below, these
-            rngs[i].standard_exponential(out=e[row, :b])   # are exponential(scale, b) bit for bit
-        s *= 1.0 / mu
-        e *= 1.0 / rates[rows, None]
+        for row, (i, b) in enumerate(zip(rows.tolist(), size.tolist())):
+            for c in range(len(cycles)):   # scaled below: exponential(scale, b) bit for bit
+                rngs[i].standard_exponential(out=cycles[c][row, :b])
+        cycles[0] *= 1.0 / mu
+        for c in range(1, len(cycles)):
+            cycles[c] *= 1.0 / rates[rows, None]
+        s, e = cycles[:2]
         start = _starts(last[rows], s, e)
         r, end = np.arange(rows.size), size - 1
         last[rows] = start[r, end] + np.maximum(s[r, end], e[r, end])   # the start after the block
-        more = last[rows] <= horizon
-        # uncounted, FCFS reads N only to keep the next block's place in the stream
-        drawn = [x for x in users if counted or lcfs or more[x[0]]]
-        if drawn:
-            n = np.subtract(s, e)   # the Poisson means, rate * max(s - e, 0), and then N, in place
-            np.maximum(n, 0.0, out=n)
-            n *= rates[rows, None]
-        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
-        u = np.zeros(s.shape) if lcfs else None
-        for row, (i, b) in drawn:
-            # slices draw what one call would, and keep numpy's int64 draws small
-            for lo in range(0, b, _DRAW_SLICE):
-                hi = min(lo + _DRAW_SLICE, b)
-                n[row, lo:hi] = rngs[i].poisson(n[row, lo:hi])
-            if lcfs:
-                rngs[i].random(out=u[row, :b])
-        cycles = [s, e, n, u] if lcfs else [s, e, n] if counted else [s, e]
         rounds.append((rows, size, cycles))
-        rows = rows[more]
+        rows = rows[last[rows] <= horizon]
     if len(rounds) > 1:   # a user's blocks go end to end along its row, block t at t sizes in
         width = max(((t + 1) * size).max() for t, (_, size, _) in enumerate(rounds))
         cycles = [np.zeros((rates.size, width)) for _ in cycles]
@@ -254,47 +234,45 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
                 dst[rows[row], t * size[row] + col] = src[row, col]
         start = _starts(first, cycles[0], cycles[1])
     del rounds
-    s, e, n, u = (*cycles, None, None)[:4]
+    s, e, g = (*cycles, None)[:3]
     del cycles
 
-    begun = start <= horizon   # the start times never decrease along a row
-    k = np.count_nonzero(begun, axis=1)
-    if n is not None:   # N > 0 only where E < S: behind a waiter, of a service begun here
-        np.multiply(n, begun, out=n)
-    del begun
+    k = np.count_nonzero(start <= horizon, axis=1)   # the start times never decrease along a row
     r, j = np.arange(rates.size), np.maximum(k - 1, 0)   # j: the last service begun
-    if lcfs:   # the survivor came (s - e) U^(1/n) after the waiter
-        behind = n > 0
-        behind[r, j] = False   # the last service begun has no next one to carry it to
-        w = np.flatnonzero(behind)
-        del behind
-        shift = (s.ravel()[w] - e.ravel()[w]) * u.ravel()[w] ** (1.0 / n.ravel()[w])
-        del u
     # only the last service begun can straddle the horizon: one begun before it
     # ends by the next start, and so does its waiter's arrival
     straddles = (k > 0) & (s[r, j] + start[r, j] > horizon)
-    waiting = (e[r, j] < s[r, j]) & (e[r, j] + start[r, j] <= horizon)   # the straddler's
     d = k - straddles
-    if counted:   # the arrivals lost behind each delivered service, exactly: whole numbers
-        lost = (n.sum(axis=1) - np.where(straddles, n[r, j], 0.0)).astype(np.int64)
-    del n
+    waiting = (e[r, j] < s[r, j]) & (e[r, j] + start[r, j] <= horizon)   # the straddler's
+    # the windows whose arrivals are lost: E to S (FCFS), or E to S - G, the survivor,
+    # which LCFS has where that window is positive (G < S - E)
+    window = np.subtract(s, e) if counted or lcfs else None
+    if lcfs:
+        window -= g
+        w = np.flatnonzero(window > 0)
+        w = w[(w + 1) % window.shape[1] > 0]   # the last column has no next service
     # IEEE + commutes, so these are start + s and start + e element for element
     done = np.add(s, start, out=s)
     arrived = np.add(e, start, out=e)
     gens = start   # the waiter, or else the arrival the next service begins at
     gens[:, 1:] = arrived[:, :-1]
     if lcfs:
-        gens.ravel()[w + 1] += shift
+        gens.ravel()[w + 1] = done.ravel()[w] - g.ravel()[w]
+        del g, w
     if not counted:
         return done, gens, d
 
-    for i in np.flatnonzero(waiting).tolist():   # arrivals behind it count up to the horizon
-        lost[i] += rngs[i].poisson(rates[i] * (horizon - arrived[i, j[i]]))
+    # every delivered service's window, and the straddler's from its waiter to the
+    # horizon, as one Poisson count per user; each LCFS survivor displaced its waiter
+    np.maximum(window, 0.0, out=window)
+    tail = np.where(waiting, horizon - arrived[r, j], 0.0).tolist()
+    lost = [int(rng.poisson(rate * (float(np.add.reduce(w[:n])) + x)))
+            + (int(np.count_nonzero(w[:n])) if lcfs else 0)
+            for rng, rate, w, n, x in zip(rngs, rates.tolist(), window, d.tolist(), tail)]
     # every service begun took one accepted arrival; the waiter is the only other
     counters = [UserCounters(arrivals=kk + wt + x, deliveries=dd, drops=0 if lcfs else x,
                              preemptions=x if lcfs else 0, in_system=kk - dd + wt)
-                for x, dd, kk, wt in zip(lost.tolist(), d.tolist(), k.tolist(),
-                                         waiting.tolist())]
+                for x, dd, kk, wt in zip(lost, d.tolist(), k.tolist(), waiting.tolist())]
     return done, gens, counters
 
 
@@ -360,7 +338,7 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
                  seed: int) -> StageSeries:
     """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for
-    bit, drawing no counters' N where nothing else reads it."""
+    bit, drawing no Poisson count of lost arrivals, which only counters read."""
     if not (rate > 0 and mu > 0 and horizon > 0):
         raise ValueError("rates and horizon must be strictly positive")
     done, gens, (d,) = _simulate_stages(
@@ -470,48 +448,63 @@ def empirical_cdf(samples: PaoiSamples, user: int, stage: Stage) -> EmpiricalCdf
 
 def ks_distance(empirical: EmpiricalCdf, analytic) -> float:
     """Two-sided sup distance between the step function and a CDF: ``ks_segments``
-    on one segment, calling ``analytic`` once per chunk of points."""
+    on one segment, calling ``analytic`` on at most ``_KS_CHUNK`` points at a time.
+    ``analytic`` must not decrease by more than ``_KS_SLACK`` between sorted points."""
     x = empirical.points
-    return float(ks_segments(x, [empirical.n], lambda lo, hi: analytic(x[lo:hi]))[0])
+    return float(ks_segments(x, [empirical.n], lambda idx: analytic(x[idx]))[0])
 
 
-# the KS pass takes the sorted points this many at a time, so its temporaries
-# are a few chunk-length arrays whatever the sample size; the reference kernel's
-# temporaries over 8,192 points raise the reference sweep's peak RSS by 0.45 MB
-# (these by about 0.1 MB), and the per-chunk calls at 2,048 make validate's
-# 100,000-point KS cases slower than one pass over all points
+# the KS pass reads at most this many points per CDF call, so its temporaries are a
+# few chunk-length arrays whatever the sample size (the reference kernel's over 8,192
+# points raised the reference sweep's peak RSS by 0.45 MB)
 _KS_CHUNK = 1 << 12
+# how far a CDF may fall between sorted points and still bound the terms it skips:
+# far above the kernels' rounding, far below any KS distance worth reporting
+_KS_SLACK = 1e-9
 
 
 def ks_segments(points: np.ndarray, lengths: Sequence[int], cdf) -> np.ndarray:
     """Two-sided KS distance of each segment of ``points``: the segments are
-    consecutive, ``lengths`` long (each at least 1) and each sorted, and
-    ``cdf(lo, hi)`` gives the CDF at ``points[lo:hi]``, at most ``_KS_CHUNK`` of them.
+    consecutive, ``lengths`` long (each at least 1) and each sorted, and ``cdf(idx)``
+    gives the CDF at ``points[idx]`` for at most ``_KS_CHUNK`` indices ``idx``.
 
     A segment's distance is the larger of D+ = max(i/n - F) and D- = max(F - (i-1)/n)
-    over its points, i = 1..n, each term as the one-segment formula rounds it.
+    over its points, i = 1..n, each term as the one-segment formula rounds it.  Between
+    knots a and b the terms are at most (i_b - 1)/n - F_a (D+) and F_b - i_a/n (D-), and
+    a block whose bound plus ``_KS_SLACK`` does not exceed the largest term read is skipped.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.size == 0 or lengths.min() < 1:
         raise EmptyDataError("every KS segment needs a sample")
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    total = int(ends[-1])
-    out = np.full(lengths.size, -np.inf)
-    for lo in range(0, total, _KS_CHUNK):
-        hi = min(lo + _KS_CHUNK, total)
-        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
-        segs = slice(first, last + 1)                 # the segments this chunk reaches into
-        cuts = np.maximum(starts[segs], lo) - lo      # where each begins in the chunk
-        g = np.asarray(cdf(lo, hi), dtype=float)
-        counts = np.diff(cuts, append=hi - lo)
-        n = np.repeat(lengths[segs], counts)
-        i = np.arange(lo + 1, hi + 1) - np.repeat(starts[segs], counts)   # rank in its segment
-        d_plus = np.maximum.reduceat(i / n - g, cuts)
-        i -= 1
-        d_minus = np.maximum.reduceat(g - i / n, cuts)
-        out[segs] = np.maximum(out[segs], np.maximum(d_plus, d_minus))
-    return out
+    starts = np.cumsum(lengths) - lengths
+    stride = np.maximum(np.rint(np.cbrt(lengths) / 2).astype(np.intp), 1)
+    count = (lengths - 2) // stride + 2   # offsets 0, m, 2m, ... below n - 1, then n - 1
+    seg = np.repeat(np.arange(lengths.size), count)
+    heads = np.cumsum(count) - count
+    off = np.minimum((np.arange(seg.size) - heads[seg]) * stride[seg], lengths[seg] - 1)
+    g = np.concatenate([np.asarray(cdf(starts[seg[lo:lo + _KS_CHUNK]] + off[lo:lo + _KS_CHUNK]),
+                                   dtype=float) for lo in range(0, seg.size, _KS_CHUNK)])
+    n = lengths[seg]
+    best = np.maximum.reduceat(np.maximum((off + 1) / n - g, g - off / n), heads)
+    # a block runs from a knot to the next of its segment, exclusive; each chunk of
+    # blocks read may raise the maxima that the blocks after it must reach
+    a = np.flatnonzero(off[1:] > off[:-1] + 1)
+    bound = np.maximum(off[a + 1] / n[a] - g[a], g[a + 1] - (off[a] + 1) / n[a]) + _KS_SLACK
+    while True:
+        keep = bound > best[seg[a]]
+        a, bound = a[keep], bound[keep]
+        if not a.size:
+            return best
+        inner = off[a + 1] - off[a] - 1   # below the stride, so a chunk holds whole blocks
+        take = max(1, int(np.searchsorted(np.cumsum(inner), _KS_CHUNK, side="right")))
+        blocks, counts, a, bound = a[:take], inner[:take], a[take:], bound[take:]
+        cuts = np.cumsum(counts) - counts   # each point's offset in its segment is i
+        i = np.arange(cuts[-1] + counts[-1]) - np.repeat(cuts - off[blocks] - 1, counts)
+        s = seg[blocks]
+        gi = np.asarray(cdf(np.repeat(starts[s], counts) + i), dtype=float)
+        ni = np.repeat(lengths[s], counts)
+        terms = np.maximum((i + 1) / ni - gi, gi - i / ni)
+        np.maximum.at(best, s, np.maximum.reduceat(terms, cuts))
 
 
 def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:

@@ -273,7 +273,7 @@ def stage_ks(peaks: Sequence[np.ndarray], stages: Sequence[an.StageLaw]) -> floa
     kernel = an._cdf_kernel(stages[0], an.CdfSource.REFERENCE)
     mu = stages[0].service_rate
     return float(qs.ks_segments(points, lengths,
-                                lambda lo, hi: kernel(rates[lo:hi], mu, points[lo:hi])).max())
+                                lambda idx: kernel(rates[idx], mu, points[idx])).max())
 
 
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:

@@ -11,11 +11,15 @@ fed the same streams (see ``test_sim_equivalence.py``).
 
 ``_simulate_stage_blocks`` and ``_freshness_series_masked`` are frozen copies
 of the array stage simulator and freshness series as they were before they
-were rewritten to work in place; the rewrite must reproduce them bit for bit
-(see ``test_properties.py`` and ``test_sim_equivalence.py``).
-``_simulate_stage_one_user`` is the in-place stage simulator as it was before
-it stacked a cell's users into (users x cycles) arrays; the stack must
-reproduce it user for user, bit for bit (see ``test_properties.py``).
+were rewritten to work in place; the rewrite must reproduce the freshness
+series bit for bit (see ``test_sim_equivalence.py``).  The block copy drew a
+Poisson count and a uniform per cycle, which the stage simulator no longer
+draws, so only what does not read them must still agree: the departure
+times, FCFS generation times, deliveries and final occupancy of the cycles
+that the first block holds (see ``test_properties.py``).
+``_simulate_stage_one_user`` is the stage simulator of one user, written on
+its own; the (users x cycles) stack must reproduce it user for user, bit for
+bit (see ``test_properties.py``).
 
 ``ks_distance``, ``aggregate_sweep`` and ``estimate_avg`` are frozen copies of
 the one-pass KS distance, the per-metric sweep aggregation and the one-sample
@@ -161,8 +165,9 @@ def _simulate_stage_blocks(rate: float, mu: float, horizon: float,
 
 def _simulate_stage_one_user(rate: float, mu: float, horizon: float,
                              rng: np.random.Generator, discipline: Discipline):
-    """``queue_sim._simulate_stages`` for one user, as it was before it stacked a
-    cell's users: the same draws in the same order, and in-place block arrays.
+    """``queue_sim._simulate_stages`` for one user, written on its own: each block
+    draws S, E and, for LCFS, the backward gap G from the end of a service to its
+    last arrival; after the last block one Poisson count gives the lost arrivals.
 
     Returns (departure times, departure generation times, counters).
     """
@@ -171,50 +176,37 @@ def _simulate_stage_one_user(rate: float, mu: float, horizon: float,
     block = qs._block_size(rate, mu, horizon)
     start, cycles = np.array([rng.exponential(1.0 / rate)]), []
     while not cycles or start[-1] <= horizon:
-        s = rng.exponential(1.0 / mu, block)
-        e = rng.exponential(1.0 / rate, block)
-        lam = s - e             # the Poisson means, rate * max(s - e, 0), in place
-        n = rng.poisson(np.multiply(np.maximum(lam, 0.0, out=lam), rate, out=lam))
-        del lam                 # the peak was there: s, e, lam and n
-        # LCFS keeps the latest of the n arrivals behind the waiter, at a U^(1/n) quantile
-        cycles.append((s, e, n, rng.random(block)) if lcfs else (s, e, n))
-        # a sequential sum, so a departure start + s is the next start bit for bit
-        steps = np.empty(block + 1)
-        steps[0] = start[-1]
-        np.maximum(s, e, out=steps[1:])
-        np.cumsum(steps, out=steps)
+        drawn = [rng.exponential(1.0 / mu, block), rng.exponential(1.0 / rate, block)]
+        if lcfs:
+            drawn.append(rng.exponential(1.0 / rate, block))
+        cycles.append(drawn)
+        steps = np.cumsum(np.concatenate((start[-1:], np.maximum(drawn[0], drawn[1]))))
         start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
     k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
     start = start[:k]
-    # one block, the usual case, is sliced rather than copied
-    s, e, n, *u = (c[0][:k] if len(c) == 1 else np.concatenate(c)[:k] for c in zip(*cycles))
-    del cycles
-    d = k - int(k > 0 and start[-1] + s[-1] > horizon)   # only the last service can straddle it
-    lost = int(n[:d].sum())
-    queued = e < s              # the next arrival comes during this service and waits
-    if lcfs:                    # the survivor came (s - e) U^(1/n) after the waiter
-        w = np.flatnonzero(n[:-1])   # n > 0 only behind a waiter, and the last one is not carried
-        shift = (s[w] - e[w]) * u[0][w] ** (1.0 / n[w])
-    del n, u
-    # IEEE + commutes, so these are start + e and start + s element for element
-    arrived = np.add(e, start, out=e)[queued]
-    del e
-    done = np.add(s, start, out=s)
-    carried = queued[:-1]       # the last service begun has no next one to carry to
-    n_carried = int(np.count_nonzero(carried))
-    gens = start                # a service begun empty carries its own arrival
-    gens[1:][carried] = arrived[:n_carried]
+    s, e, *g = (np.concatenate(c)[:k] for c in zip(*cycles))
+    done, arrived = start + s, start + e
+    d = k - int(k > 0 and done[-1] > horizon)   # only the last service can straddle it
+    # a waiter arrives in a service where E < S and is served next; otherwise the
+    # next service begins with the next arrival.  Either way it was generated at
+    # start + E, unless (LCFS) later arrivals displaced it: the last of them came
+    # G before the service ended, where G < S - E
+    gens = np.concatenate((start[:1], arrived[:-1]))
+    window = s - e
     if lcfs:
-        gens[w + 1] += shift
-
-    waiting = int(d < k and n_carried < arrived.size and arrived[-1] <= horizon)
-    # behind the straddling service's waiter, arrivals count up to the horizon only
-    lost += int(rng.poisson(rate * (horizon - arrived[-1]))) if waiting else 0
-    # services begun empty, plus the waiters that came by the horizon
-    arrivals = k - n_carried + int(np.count_nonzero(arrived <= horizon))
+        window -= g[0]
+        last = np.flatnonzero(window[:-1] > 0)
+        gens[last + 1] = done[last] - g[0][last]
+    lost_window = np.maximum(window[:d], 0.0)
+    waiting = d < k and e[-1] < s[-1] and arrived[-1] <= horizon
+    tail = horizon - arrived[-1] if waiting else 0.0
+    lost = int(rng.poisson(rate * (float(np.add.reduce(lost_window)) + tail)))
+    if lcfs:   # each survivor displaced its waiter
+        lost += int(np.count_nonzero(lost_window))
+    arrivals = k + int(waiting) + lost   # a service begun took one; the waiter is the other
     counters = UserCounters(
-        arrivals=arrivals + lost, deliveries=d,
-        drops=0 if lcfs else lost, preemptions=lost if lcfs else 0, in_system=k - d + waiting)
+        arrivals=arrivals, deliveries=d, drops=0 if lcfs else lost,
+        preemptions=lost if lcfs else 0, in_system=k - d + int(waiting))
     return done[:d], gens[:d], counters
 
 

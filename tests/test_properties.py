@@ -204,16 +204,23 @@ def test_simulator_accounts_for_every_packet(ratios, disc, horizon, seed):
 def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, services,
                                                          block, seed):
     # horizons from a tenth of a service to 2,000 of them; a patched block size of
-    # a few cycles makes both simulators concatenate many blocks
+    # a few cycles makes both simulators concatenate many blocks.  The block copy
+    # also drew a Poisson count and a uniform per cycle, so its later blocks come
+    # from other stream positions; the first block's S and E are the same draws
     rate, horizon = ratio * mu, services / min(ratio * mu, mu)
     with mock.patch.object(qs, "_block_size", lambda *_: block) if block else nullcontext():
         done, gens, (counters,) = qs._simulate_stages(
             (rate,), mu, horizon, (qs._rng(seed, qs._ARRIVAL_TAG, 0),), disc)
         want = ref._simulate_stage_blocks(rate, mu, horizon,
                                           qs._rng(seed, qs._ARRIVAL_TAG, 0), disc)
-    for a, b in zip((done[0, :counters.deliveries], gens[0, :counters.deliveries]), want[:2]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert astuple(counters) == astuple(want[2])
+        first = qs._block_size(rate, mu, horizon)
+    # departure t ends cycle t, and its generation time was read off cycle t - 1
+    m = min(counters.deliveries, want[2].deliveries, first)
+    kept = (done, gens) if disc is FCFS else (done,)
+    for a, b in zip(kept, want[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a[0, :m], b[:m])
+    if want[2].deliveries < first:   # the first block spans the horizon: one block
+        assert (counters.deliveries, counters.in_system) == (m, want[2].in_system)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -224,9 +231,8 @@ def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, servic
 @example(ratio=2.0, mu=1.0, disc=FCFS, services=300.0, block=7, seed=0)
 @example(ratio=1e4, mu=5.0, disc=an.Discipline.LCFS_MM12_STAR, services=300.0, block=40, seed=1)
 def test_stage_series_is_the_runs_stage1(ratio, mu, disc, services, block, seed):
-    # stage_series draws no N on an FCFS user's last block; a block is last only
-    # when the start after it is past the horizon, so the blocks before it must
-    # draw every N to keep the next block's S and E where run draws them.  Horizons
+    # stage_series draws no Poisson count, which run draws only after a user's last
+    # block, so every block's S, E (and G) come from where run draws them.  Horizons
     # go from a tenth of a service to a thousand of them, and a patched block of a
     # few cycles makes a user draw many blocks
     rate, horizon = ratio * mu, services / min(ratio * mu, mu)

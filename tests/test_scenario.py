@@ -234,20 +234,23 @@ class TestSweep:
             assert len(cell) == 4 and all(r["ks_stage"] == ks[1] for r in cell)
 
     @pytest.mark.parametrize("users", [2, 3])
-    def test_ks_stage_reads_the_reference_kernel_once_per_cell(self, monkeypatch, users):
+    def test_ks_stage_reads_the_reference_kernel_at_most_twice_per_cell(self, monkeypatch,
+                                                                         users):
         # severity reads the kernels one age at a time; the KS column reads them
-        # over the whole cell's peaks, so a per-user loop would call them per user
+        # over the whole cell's peaks, once at its knots and once between them, so
+        # a per-user loop would call them per user
         calls = []
         for name in ("_cdf_fcfs_closed", "_cdf_lcfs_integrated"):
             def spy(r, mu, a, kernel=getattr(an, name)):
                 if isinstance(a, np.ndarray):
-                    calls.append(a.size)
+                    calls.append(np.unique(r).size)
                 return kernel(r, mu, a)
             monkeypatch.setattr(an, name, spy)
         rows = sc.run_sweep(self.small_sweep(values=(float(users),), reps=2))
         assert not any(r["error"] for r in rows)
-        # 2 replications x 2 disciplines, each cell's few hundred peaks inside one KS chunk
-        assert len(calls) == 4
+        # 2 replications x 2 disciplines, each cell's few hundred peaks inside one KS
+        # chunk: a knot read over every user of the cell, and at most one more read
+        assert len(calls) <= 8 and calls.count(users) >= 4
 
     @pytest.mark.parametrize("variable,values,most", [
         (sc.SweepVariable.NUM_USERS, (2.0, 3.0, 5.0), 5),
