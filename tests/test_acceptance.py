@@ -19,9 +19,11 @@ the CLI.
   9  sweep command reruns are byte-identical
  10  no verdict reads the clock: the suite passes when every read of it
      jumps 1e6 s
- 11  canonical stage CDFs within 1e-12 of a 30-digit evaluation in the
-     standard library's decimal at r/mu 1e2-5e3, both disciplines; a zero
-     tolerance fails the check
+ 11  canonical stage CDFs within 1e-12 of the simulator's cycle model
+     (three exponential terms) at 30 digits in the standard library's
+     decimal at r/mu 1e2-5e3, both disciplines; a zero tolerance fails the
+     check, and so do the worked points of criteria 2 and 7 against an
+     oracle moved by 1e-11
 """
 
 import io
@@ -29,6 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,15 +225,27 @@ def test_c10_verdict_ignores_the_clock(monkeypatch):
     assert not failed and report.total_duration_s >= 1e6
 
 
-def test_c11_stage_cdf_vs_decimal(report):
-    check = _check(report, "stage_cdf_vs_decimal")
+def test_c11_stage_cdf_vs_cycle_terms(report):
+    check = _check(report, "stage_cdf_vs_cycle_terms")
     _emit(11, check)
     assert check.passed, check.details
 
 
 def test_c11_corrupted_oracle_tolerance_fails(monkeypatch):
     monkeypatch.setattr(val, "ORACLE_TOL", 0.0)
-    check = val.check_stage_cdf_vs_decimal()
+    check = val.check_stage_cdf_vs_cycle_terms()
+    assert not check.passed, check.details
+
+
+@pytest.mark.parametrize("run_check", [
+    val.check_fcfs_closed_vs_quadrature,
+    lambda: val.check_severity(val.MASTER_SEED, val.ValidationReport())],
+    ids=["fcfs_closed_vs_quadrature", "severity_modes_and_excursions"])
+def test_c11_worked_points_read_the_oracle(monkeypatch, run_check):
+    exact = val._cycle_terms_stage_cdf
+    monkeypatch.setattr(val, "_cycle_terms_stage_cdf",
+                        lambda law, a: exact(law, a) + Decimal("1e-11"))
+    check = run_check()
     assert not check.passed, check.details
 
 

@@ -3,6 +3,8 @@
 Frozen reference numbers come from 50-digit mpmath evaluation of the same
 published expressions; distributional facts (normalization, moments, CDF
 consistency) are checked against independent quadrature of the density.
+The stage CDF has two more constructions that share none of that algebra:
+``validate``'s cycle-model oracle and a 5-phase phase-type law.
 """
 
 import math
@@ -10,7 +12,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, linalg
 
 from thzaoi import aoi_analytic as an
 from thzaoi import validation as val
@@ -41,7 +45,7 @@ def grid_laws(disc):
 def mpmath_stage_cdf(stage, a, digits=40):
     """The canonical stage CDF at ``digits`` digits in mpmath, with explicit (r - mu)
     denominators and mpmath's own expm1: the tests' oracle for the package's kernels
-    and for the ``decimal`` evaluation that ``validate`` uses."""
+    and for the cycle-model evaluation in ``decimal`` that ``validate`` uses."""
     with mp.workdps(digits):
         r, mu, a = mp.mpf(stage.update_rate), mp.mpf(stage.service_rate), mp.mpf(a)
         d, s = r - mu, r + mu
@@ -305,7 +309,7 @@ class TestKernelOverflow:
         assert 1.0 - an.cdf_paoi(stage, bound).value < an.TAIL_MASS
 
 
-class TestDecimalOracle:
+class TestCycleTermsOracle:
     # validate's oracle grid, r/mu 0.5, 2 and 10 at its rates and ages, and the
     # TestKernelOverflow points, where exp(-(r - mu) a) passes 1e300
     CASES = [(ratio * mu, mu, a) for mu in val.ORACLE_MU
@@ -319,9 +323,45 @@ class TestDecimalOracle:
             stage = law(r, mu, disc)
             with mp.workdps(40):
                 exact = mpmath_stage_cdf(stage, a)
-                gap = abs(mp.mpf(str(val._decimal_stage_cdf(stage, a))) - exact)
+                gap = abs(mp.mpf(str(val._cycle_terms_stage_cdf(stage, a))) - exact)
             worst = max(worst, float(gap))
         assert worst < 1e-25
+
+
+def phase_type_cdf(stage, ages):
+    """The stage CDF as the absorption time of a 5-phase chain read off the capacity-2
+    queue (Neuts' construction), evaluated with scipy's ``expm``.  FCFS runs
+    W -> S1 -> {S2, E} -> K, LCFS B -> S -> {S', E} -> K; the chain starts in its
+    first phase with probability rho / (1 + rho), and otherwise in its second."""
+    r, mu = stage.update_rate, stage.service_rate
+    lead = mu if stage.discipline is FCFS else r + mu   # W is Exp(mu), B is Exp(r + mu)
+    gen = np.diag([-lead, -(r + mu), -mu, -r, -mu])
+    gen[0, 1], gen[1, 2], gen[1, 3], gen[2, 4], gen[3, 4] = lead, r, mu, mu, r
+    start = np.array([r, mu, 0.0, 0.0, 0.0]) / (r + mu)
+    return np.array([1.0 - start @ linalg.expm(gen * a).sum(axis=1) for a in ages])
+
+
+class TestPhaseTypeLaw:
+    # a third construction of the stage law, sharing neither the published forms'
+    # algebra nor the cycle terms' partial fractions
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    @pytest.mark.parametrize("mu", [1.0, 5.0])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0, 1e3, 4e3])
+    def test_matches_the_reference_and_the_cycle_terms(self, disc, mu, ratio):
+        stage, ages = law(ratio * mu, mu, disc), np.array(val.ORACLE_AGES)
+        phase = phase_type_cdf(stage, ages)
+        terms = [float(val._cycle_terms_stage_cdf(stage, a)) for a in ages]
+        assert np.max(np.abs(phase - an.cdf_reference(stage)(ages))) < 1e-12
+        assert np.max(np.abs(phase - terms)) < 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.floats(-3.0, 4.0), st.sampled_from([1.0, 5.0]), st.sampled_from([FCFS, LCFS]),
+           st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
+    def test_holds_with_the_reference_over_the_rate_range(self, log_ratio, mu, disc, log_ages):
+        # r/mu log-uniform over [1e-3, 1e4]; ages in units of the slower time scale
+        stage = law(10.0 ** log_ratio * mu, mu, disc)
+        ages = 10.0 ** np.array(log_ages) / min(stage.update_rate, mu)
+        assert np.max(np.abs(phase_type_cdf(stage, ages) - an.cdf_reference(stage)(ages))) < 1e-12
 
 
 def test_stable_kernels_equal_their_two_branch_form():

@@ -518,7 +518,8 @@ class TestExitCodes:
     def test_fixed_tolerance_is_not_a_validate_key(self, tmp_path, capsys, key):
         # each key at its value in the code, or at its old one where the code has none
         old = {"trend_horizon": 60.0, "normalization_max_seconds": 10.0,
-               "ks_max_seconds": 60.0, "total_budget_seconds": 300.0}
+               "ks_max_seconds": 60.0, "total_budget_seconds": 300.0,
+               "cdf_spot_tol": 1e-4, "severity_tol": 1e-6}
         value = old[key] if key in old else getattr(cli.val, key.upper())
         cfg = write_config(tmp_path, {"validate": {key: value}})
         with mock.patch.object(cli.val, "run_validation", side_effect=AssertionError):

@@ -389,6 +389,70 @@ class TestCounterOracle:
         assert p > 1e-3, (f, p)
 
 
+class TestBurkeGap:
+    """``burke_gap``, mu N less the measured compute arrival rate, against the chain:
+    each stage delivers at ``stage_throughput``, so the gap has mean
+    sum(mu - stage_throughput(r_i, mu)), here over 40 seeds."""
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_mean_gap_matches_the_stage_throughputs(self, disc):
+        rates, mu, horizon = [0.3, 1.0, 3.0, 30.0, 4e3], 1.0, 2000.0
+        gaps = np.array([mu * len(rates) - qs.run(config(disc, mu_u=mu), rates, horizon,
+                                                  seed).compute_arrival_rate
+                         for seed in range(40)])
+        expect = sum(mu - an.stage_throughput(r, mu) for r in rates)
+        se = gaps.std(ddof=1) / math.sqrt(gaps.size)
+        assert abs(gaps.mean() - expect) <= 4.0 * se, (gaps.mean(), expect, se)
+
+
+class TestThreeTermMap:
+    """``stage_series`` peaks against the cycles it drew, redrawn here: the peak at
+    delivery t is A(t - 2) + B(t - 1) + S(t), with B = max(S, E) and A = (S - E)+ for
+    FCFS, or min(G, S - E) where E < S, else 0, for LCFS."""
+
+    @staticmethod
+    def redraw(disc, rate, mu, horizon, seed):
+        """The user's cycles, one block at a time until the start after a block passes
+        the horizon, and the start times as the simulator sums them."""
+        rng = qs._rng(seed, qs._ARRIVAL_TAG, 0)
+        first, size, blocks = rng.exponential(1.0 / rate), qs._block_size(rate, mu, horizon), []
+        while True:
+            blocks.append([rng.exponential(1.0 / mu, size), rng.exponential(1.0 / rate, size)])
+            if disc is LCFS:
+                blocks[-1].append(rng.exponential(1.0 / rate, size))
+            s, e, *g = (np.concatenate(c) for c in zip(*blocks))
+            start = np.cumsum(np.concatenate([[first], np.maximum(s, e)[:-1]]))
+            if start[-1] + max(s[-1], e[-1]) > horizon:
+                return len(blocks), s, e, g, start
+
+    @staticmethod
+    def check(disc, rate, mu, horizon, seed):
+        blocks, s, e, g, start = TestThreeTermMap.redraw(disc, rate, mu, horizon, seed)
+        series = qs.stage_series(disc, rate, mu, horizon, seed)
+        done = start + s
+        done = done[done <= horizon]   # done never decreases: a delivery ends by the next start
+        first = done.size - len(series)
+        assert first >= 2 and series.times.tobytes() == done[first:].tobytes()
+        b = np.maximum(s, e)
+        a = np.maximum(s - e, 0.0)
+        if disc is LCFS:
+            a = np.where(e < s, np.minimum(g[0], s - e), 0.0)
+        t = np.arange(first, done.size)
+        gap = np.abs(series.peaks - (a[t - 2] + b[t - 1] + s[t]))
+        assert gap.max() <= 4 * np.spacing(horizon), gap.max() / np.spacing(horizon)
+        return blocks
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, 10.0, 4e3])
+    def test_peaks_are_the_three_terms_of_the_drawn_cycles(self, disc, ratio):
+        assert self.check(disc, ratio, 1.0, 2000.0, 3) == 1
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_peaks_are_the_three_terms_across_blocks(self, monkeypatch, disc):
+        monkeypatch.setattr(qs, "_block_size", lambda *_: 50)
+        assert self.check(disc, 2.0, 1.0, 400.0, 3) > 2
+
+
 class TestSawtooth:
     @pytest.mark.parametrize("disc", [FCFS, LCFS])
     def test_peak_is_gap_plus_previous_system_time(self, disc):
