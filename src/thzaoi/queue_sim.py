@@ -17,10 +17,11 @@ reversal the last of them survives, at the end minus G, if G < S - E.  The
 next service starts S after this one if E < S and E after it otherwise, so
 the start times are one cumulative sum, and the cost is a few array passes
 per service whatever the update rate -- four orders of magnitude above the
-service rate for THz link budgets.  Service t + 1 delivers the update
-generated at start + E of cycle t (or the LCFS survivor); the arrivals lost
-are one Poisson count per user over the summed windows, E to S (LCFS: to
-S - G, plus one per survivor), drawn after its last block of cycles.
+service rate for THz link budgets.  Neither depends on the discipline, so
+both deliver at the same instants.  Service t + 1 delivers the update
+generated at start + E of cycle t (or the LCFS survivor, never older); the
+arrivals lost are one Poisson count per user over the summed windows, E to
+S (LCFS: to S - G, plus one per survivor).
 
 All users of a ``run`` are simulated together as one stack: (users x cycles)
 arrays, a row per user, each user's draws going straight into its row and
@@ -29,7 +30,8 @@ counters and generation times are passes over the whole stack, as are, over
 a cell's users, the freshness series, the departure merge, the batch means
 and the excursions.  ``stage_series`` is the stack of one row, uncounted.
 The working set peaks at four (users x block) arrays (S, E, the start times
-and the lost windows), five for LCFS (with G), reused in place later on.
+and FCFS's lost windows), reused in place later on; LCFS adds a copy of the
+generation times and a few arrays as long as its G draws.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -39,9 +41,16 @@ for bit.  Where the periods begin is guessed from the max-plus closed form,
 which rounds differently, and checked against the exact completions.
 
 Randomness: one independent substream per user for its stage cycles, drawn
-in blocks, and one for the compute queue's service times, all derived from
-the master seed, so adding users never perturbs existing streams; stacking
-the users changes no draw and no draw's order within its substream.  The
+in blocks and followed by FCFS's Poisson count of lost arrivals; one per user
+for LCFS's G, drawn only for the delivered services with a waiter (E < S, as
+the times round: the arrival came before the end) and followed by LCFS's
+Poisson count; and one for the compute queue's service times.  All derive
+from the master seed, so adding users never perturbs existing streams, and
+stacking the users changes no draw and no draw's order within its substream.
+The cycles, FCFS's count and the compute queue are the same for both
+disciplines: ``cell_draws`` holds them for a cell, and ``run`` given it draws
+them once, so the two disciplines are simulated with common random numbers
+and an LCFS run is the same, bit for bit, alone or after FCFS.  The
 stage paths match the event loops in ``tests/sim_reference.py`` in
 distribution, not draw for draw; the compute queue, the freshness series
 and the excursions match them bit for bit when both are fed the same
@@ -80,6 +89,7 @@ BATCHES = 20
 # spawn-key tags for substream derivation
 _ARRIVAL_TAG = 0
 _COMPUTE_SVC_TAG = 2
+_GAP_TAG = 3
 
 
 class ComputeFeed(enum.Enum):
@@ -187,21 +197,79 @@ def _starts(first: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.cumsum(start, axis=1, out=start)
 
 
+@dataclass
+class _Cycles:
+    """The stage cycles of every user of a cell, which both disciplines read."""
+
+    done: np.ndarray      # (users x cycles) service end times
+    gens: np.ndarray      # FCFS generation times of the update each service delivers
+    k: np.ndarray         # services begun by the horizon, per user
+    d: np.ndarray         # services delivered by it
+    waiting: np.ndarray   # whether the straddling service has a waiter
+    tail: list | None     # the straddler's waiter's arrival to the horizon, or 0,
+    lost: list | None     # and FCFS's lost-arrival counts; both None when not counted
+
+
+class CellDraws(tuple):
+    """What the two disciplines of a cell share: the tuple is every user's arrival
+    substream, users in order; ``cycles`` (drawn from them) and ``compute`` (the
+    compute queue their deliveries feed) are made by the first ``run`` that reads
+    them, and ``key`` names the cell they belong to."""
+
+    def __new__(cls, seed: int, streams: Sequence[np.random.Generator], key=None):
+        draws = super().__new__(cls, streams)
+        draws.seed, draws.key, draws.cycles, draws.compute = seed, key, None, None
+        return draws
+
+
+def cell_draws(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
+               seed: int) -> CellDraws:
+    """The draws that ``run(config, per_user_rates, horizon, seed, draws=...)`` shares
+    with every other discipline of the cell; ``config.discipline`` is not read."""
+    key = _cell_key(config, per_user_rates, horizon, seed)
+    return CellDraws(seed, [_rng(seed, _ARRIVAL_TAG, u) for u in range(len(key[0]))], key)
+
+
+def _cell_key(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
+              seed: int) -> tuple:
+    return (tuple(float(r) for r in per_user_rates), config.stage_service_rate,
+            config.compute_service_rate, horizon, seed)
+
+
 def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
-                     rngs: Sequence[np.random.Generator], discipline: Discipline,
-                     counted: bool = True):
+                     draws: CellDraws, discipline: Discipline, counted: bool = True):
     """Every user's stage queue over [0, horizon], one service cycle at a time,
-    user ``i`` drawing from ``rngs[i]``, as (users x cycles) arrays.
+    user ``i`` drawing its cycles from ``draws[i]``, as (users x cycles) arrays.
 
     Returns (departure times, departure generation times, counters): user
     ``i``'s departures are the first ``counters[i].deliveries`` entries of row
     ``i``.  Departures are in generation order for both disciplines, so every
-    departure refreshes the stage observer.  Not ``counted``, delivery counts replace the
-    counters, and no Poisson count is drawn.  Departure t + 1 carries cycle t's start
-    + E, as ``_starts`` sums start + max(S, E) where nothing waits, ties included (or
-    LCFS's survivor, start + S - G), and the arrivals are k + waiting + lost.
+    departure refreshes the stage observer.  Not ``counted``, delivery counts replace
+    the counters, and no Poisson count is drawn.  The cycles are drawn once per
+    ``draws`` and kept there, so the departure times are the same array for both
+    disciplines, and only LCFS's backward gaps are drawn per call.
     """
+    if draws.cycles is None:
+        draws.cycles = _draw_cycles(rates, mu, horizon, draws, counted)
+    c = draws.cycles
     lcfs = discipline is Discipline.LCFS_MM12_STAR
+    gens, lost = _lcfs_gens(c, rates, draws.seed, counted) if lcfs else (c.gens, c.lost)
+    if not counted:
+        return c.done, gens, c.d
+    # every service begun took one accepted arrival; the waiter is the only other
+    counters = [UserCounters(arrivals=kk + wt + x, deliveries=dd, drops=0 if lcfs else x,
+                             preemptions=x if lcfs else 0, in_system=kk - dd + wt)
+                for x, dd, kk, wt in zip(lost, c.d.tolist(), c.k.tolist(), c.waiting.tolist())]
+    return c.done, gens, counters
+
+
+def _draw_cycles(rates: Sequence[float], mu: float, horizon: float,
+                 rngs: Sequence[np.random.Generator], counted: bool) -> _Cycles:
+    """Every user's S and E, drawn block by block from ``rngs``, summed into start
+    times; the end of service t is its departure, which carries start + E of
+    cycle t - 1 (FCFS), as ``_starts`` sums start + max(S, E) where nothing waits,
+    ties included.  ``counted``, each user's lost arrivals follow as one Poisson
+    count, the next draw of its substream."""
     rates = np.array(rates, dtype=float)
     blocks = np.array([_block_size(r, mu, horizon) for r in rates.tolist()])
     first = np.array([rng.exponential(1.0 / r) for rng, r in zip(rngs, rates.tolist())])
@@ -210,32 +278,28 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     rounds, rows, last = [], np.arange(rates.size), first.copy()
     while rows.size:
         size = blocks[rows]
-        # S, E and LCFS's backward gap G from the end of service to its last arrival
-        cycles = [np.zeros((rows.size, size.max())) for _ in range(3 if lcfs else 2)]
+        s, e = np.zeros((rows.size, size.max())), np.zeros((rows.size, size.max()))
         # indexed, not iterated: a row view left bound after a loop keeps its array alive
         for row, (i, b) in enumerate(zip(rows.tolist(), size.tolist())):
-            for c in range(len(cycles)):   # scaled below: exponential(scale, b) bit for bit
-                rngs[i].standard_exponential(out=cycles[c][row, :b])
-        cycles[0] *= 1.0 / mu
-        for c in range(1, len(cycles)):
-            cycles[c] *= 1.0 / rates[rows, None]
-        s, e = cycles[:2]
+            for x in (s, e):   # scaled below: exponential(scale, b) bit for bit
+                rngs[i].standard_exponential(out=x[row, :b])
+        s *= 1.0 / mu
+        e *= 1.0 / rates[rows, None]
         start = _starts(last[rows], s, e)
         r, end = np.arange(rows.size), size - 1
         last[rows] = start[r, end] + np.maximum(s[r, end], e[r, end])   # the start after the block
-        rounds.append((rows, size, cycles))
+        rounds.append((rows, size, (s, e)))
         rows = rows[last[rows] <= horizon]
     if len(rounds) > 1:   # a user's blocks go end to end along its row, block t at t sizes in
         width = max(((t + 1) * size).max() for t, (_, size, _) in enumerate(rounds))
-        cycles = [np.zeros((rates.size, width)) for _ in cycles]
+        s, e = np.zeros((rates.size, width)), np.zeros((rates.size, width))
         for t, (rows, size, parts) in enumerate(rounds):
             row, col = np.nonzero(np.arange(size.max()) < size[:, None])
-            for dst, src in zip(cycles, parts):
+            for dst, src in zip((s, e), parts):
                 dst[rows[row], t * size[row] + col] = src[row, col]
-        start = _starts(first, cycles[0], cycles[1])
+        del parts
+        start = _starts(first, s, e)
     del rounds
-    s, e, g = (*cycles, None)[:3]
-    del cycles
 
     k = np.count_nonzero(start <= horizon, axis=1)   # the start times never decrease along a row
     r, j = np.arange(rates.size), np.maximum(k - 1, 0)   # j: the last service begun
@@ -244,36 +308,58 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
     straddles = (k > 0) & (s[r, j] + start[r, j] > horizon)
     d = k - straddles
     waiting = (e[r, j] < s[r, j]) & (e[r, j] + start[r, j] <= horizon)   # the straddler's
-    # the windows whose arrivals are lost: E to S (FCFS), or E to S - G, the survivor,
-    # which LCFS has where that window is positive (G < S - E)
-    window = np.subtract(s, e) if counted or lcfs else None
-    if lcfs:
-        window -= g
-        w = np.flatnonzero(window > 0)
-        w = w[(w + 1) % window.shape[1] > 0]   # the last column has no next service
+    window = np.subtract(s, e) if counted else None   # E to S: FCFS loses its arrivals
     # IEEE + commutes, so these are start + s and start + e element for element
     done = np.add(s, start, out=s)
     arrived = np.add(e, start, out=e)
     gens = start   # the waiter, or else the arrival the next service begins at
     gens[:, 1:] = arrived[:, :-1]
-    if lcfs:
-        gens.ravel()[w + 1] = done.ravel()[w] - g.ravel()[w]
-        del g, w
     if not counted:
-        return done, gens, d
+        return _Cycles(done, gens, k, d, waiting, None, None)
 
     # every delivered service's window, and the straddler's from its waiter to the
-    # horizon, as one Poisson count per user; each LCFS survivor displaced its waiter
+    # horizon, as one Poisson count per user
     np.maximum(window, 0.0, out=window)
     tail = np.where(waiting, horizon - arrived[r, j], 0.0).tolist()
     lost = [int(rng.poisson(rate * (float(np.add.reduce(w[:n])) + x)))
-            + (int(np.count_nonzero(w[:n])) if lcfs else 0)
             for rng, rate, w, n, x in zip(rngs, rates.tolist(), window, d.tolist(), tail)]
-    # every service begun took one accepted arrival; the waiter is the only other
-    counters = [UserCounters(arrivals=kk + wt + x, deliveries=dd, drops=0 if lcfs else x,
-                             preemptions=x if lcfs else 0, in_system=kk - dd + wt)
-                for x, dd, kk, wt in zip(lost, d.tolist(), k.tolist(), waiting.tolist())]
-    return done, gens, counters
+    return _Cycles(done, gens, k, d, waiting, tail, lost)
+
+
+def _lcfs_gens(c: _Cycles, rates: Sequence[float], seed: int, counted: bool):
+    """LCFS's generation times and lost-arrival counts on the cycles ``c``.
+
+    A delivered service has a waiter where the next arrival came before its end
+    (E < S, as the times round).  There the last arrival came G ~ Exp(r) before the
+    end, by time reversal of the Poisson process, and survives if it came after the
+    waiter; each user draws G for those services only, from a substream of its
+    own, and then (``counted``) its lost arrivals: one Poisson count over the
+    windows from each waiter to its survivor and from the straddler's waiter to the
+    horizon, plus one for each waiter displaced.
+    """
+    ahead = np.zeros(c.done.shape, dtype=bool)
+    np.less(c.gens[:, 1:], c.done[:, :-1], out=ahead[:, :-1])
+    ahead &= np.arange(ahead.shape[1]) < c.d[:, None]
+    at = np.flatnonzero(ahead)   # user by user
+    per_user = np.count_nonzero(ahead, axis=1).tolist()
+    del ahead
+    rngs = [_rng(seed, _GAP_TAG, u) for u in range(len(per_user))]
+    later = c.done.ravel()[at]   # less G: the last arrival
+    later -= np.concatenate([rng.exponential(1.0 / r, n)
+                             for rng, r, n in zip(rngs, rates, per_user)])
+    at += 1   # the next service, which delivers the waiter or its survivor
+    waiter = c.gens.ravel()[at]
+    gens = c.gens.copy()
+    # the later of the two, so an LCFS update is never older than the FCFS one
+    gens.ravel()[at] = np.maximum(waiter, later)
+    if not counted:
+        return gens, None
+    window = np.subtract(later, waiter, out=later)
+    np.maximum(window, 0.0, out=window)
+    lost = [int(rng.poisson(r * (float(np.add.reduce(w)) + x))) + int(np.count_nonzero(w))
+            for rng, r, w, x in zip(rngs, rates, np.split(window, np.cumsum(per_user)[:-1]),
+                                    c.tail)]
+    return gens, lost
 
 
 def _freshness_series(times: np.ndarray, arrived: np.ndarray, lo: Sequence[int],
@@ -296,8 +382,10 @@ def _freshness_series(times: np.ndarray, arrived: np.ndarray, lo: Sequence[int],
 # full network
 
 def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
-        seed: int) -> PaoiSamples:
-    """Simulate the tandem network; deterministic for a fixed seed."""
+        seed: int, *, draws: CellDraws | None = None) -> PaoiSamples:
+    """Simulate the tandem network; deterministic for a fixed seed.  ``draws`` from
+    ``cell_draws`` with the same arguments lets the disciplines of a cell share
+    their stage cycles and compute queue; without it the run makes its own."""
     rates = tuple(float(r) for r in per_user_rates)
     if not rates:
         raise ValueError("need at least one user")
@@ -305,14 +393,17 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
         raise ValueError("update rates must be strictly positive")
     if not horizon > 0:
         raise ValueError("horizon must be strictly positive")
+    if draws is None:
+        draws = cell_draws(config, rates, horizon, seed)
+    elif draws.key != _cell_key(config, rates, horizon, seed):
+        raise ValueError("the draws belong to another cell")
 
     warmup = WARMUP_FRACTION * horizon
     out = PaoiSamples(config=config, rates=rates, horizon=horizon,
                       warmup=warmup, seed=seed)
     n_users = len(rates)
     done, gens, counters = _simulate_stages(
-        rates, config.stage_service_rate, horizon,
-        [_rng(seed, _ARRIVAL_TAG, u) for u in range(n_users)], config.discipline)
+        rates, config.stage_service_rate, horizon, draws, config.discipline)
     out.stage_counters = dict(enumerate(counters))
     # every delivery, users in order: a user's own deliveries are one segment
     d = np.array([c.deliveries for c in counters])
@@ -322,13 +413,14 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     hi = np.cumsum(d)
     out.stage1 = dict(enumerate(_freshness_series(times, gens, (hi - d).tolist(),
                                                   hi.tolist(), warmup)))
-    # and then in time order; the narrowest index type, so the compute queue's
-    # stable sort on it is a radix sort
-    users = np.repeat(np.arange(n_users, dtype=np.min_scalar_type(n_users - 1)), d)
-    order = np.argsort(times, kind="stable")
-    times, gens, users = times[order], gens[order], users[order]
-
-    _simulate_compute(out, times, gens, users, config, horizon, warmup, seed)
+    if draws.compute is None:
+        # the deliveries in time order; the narrowest index type, so the compute
+        # queue's stable sort on it is a radix sort
+        order = np.argsort(times, kind="stable")
+        users = np.repeat(np.arange(n_users, dtype=np.min_scalar_type(n_users - 1)), d)
+        draws.compute = _ComputeQueue.of(times[order], users[order], order, n_users,
+                                         config.compute_service_rate, horizon, warmup, seed)
+    draws.compute.read(out, gens, warmup)
     window = horizon - warmup
     n_post = int(np.count_nonzero(times >= warmup))
     out.compute_arrival_rate = n_post / window if window > 0 else 0.0
@@ -342,31 +434,58 @@ def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
     if not (rate > 0 and mu > 0 and horizon > 0):
         raise ValueError("rates and horizon must be strictly positive")
     done, gens, (d,) = _simulate_stages(
-        (rate,), mu, horizon, (_rng(seed, _ARRIVAL_TAG, 0),), discipline, counted=False)
+        (rate,), mu, horizon, CellDraws(seed, (_rng(seed, _ARRIVAL_TAG, 0),)), discipline,
+        counted=False)
     return _freshness_series(done[0, :d], gens[0, :d], (0,), (d,), WARMUP_FRACTION * horizon)[0]
+
+
+@dataclass
+class _ComputeQueue:
+    """The FCFS compute queue fed by a cell's stage deliveries, which are the same
+    for both disciplines; only the generation times they carry differ."""
+
+    agg: StageSeries
+    arrivals: int
+    delivered: int
+    e2e_times: np.ndarray   # completions, each user's in time order, users in order
+    e2e_source: np.ndarray  # the index of each of those jobs' generation times
+    e2e_bounds: tuple       # each user's (first, last + 1) in them
+
+    @classmethod
+    def of(cls, times, users, source, n_users: int, mu_c: float, horizon: float,
+           warmup: float, seed: int) -> "_ComputeQueue":
+        """The queue fed at ``times`` (in time order) by ``users``' deliveries,
+        whose generation times are at ``source`` in the array ``read`` is given."""
+        n = len(times)
+        service = _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / mu_c, n)
+        d = _departures(times, service)
+        # completions never decrease, so the jobs delivered within the horizon are a
+        # prefix, and a completion exactly at the horizon is delivered
+        k = int(np.searchsorted(d, horizon, side="right"))
+        d = d[:k]
+        agg, = _freshness_series(d, times[:k], (0,), (k,), warmup)
+        # each user's deliveries in time order: a stable sort on the user index
+        order = np.argsort(users[:k], kind="stable")
+        hi = np.cumsum(np.bincount(users[:k], minlength=n_users))
+        lo = np.concatenate(([0], hi[:-1]))
+        return cls(agg, n, k, d[order], source[order], (lo.tolist(), hi.tolist()))
+
+    def read(self, out: PaoiSamples, gens: np.ndarray, warmup: float):
+        """Fill ``out``'s compute-queue fields, its e2e series from ``gens``."""
+        out.compute_arrivals = self.arrivals
+        out.compute_delivered = self.delivered
+        out.compute_in_system = self.arrivals - self.delivered
+        out.compute_agg = self.agg
+        out.e2e = dict(enumerate(_freshness_series(self.e2e_times, gens[self.e2e_source],
+                                                   *self.e2e_bounds, warmup)))
 
 
 def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
                       horizon: float, warmup: float, seed: int):
-    """FCFS compute queue fed at ``times`` by ``users``' stage deliveries."""
-    n = len(times)
-    service = _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / config.compute_service_rate, n)
-    d = _departures(times, service)
-    # completions never decrease, so the jobs delivered within the horizon are a
-    # prefix, and a completion exactly at the horizon is delivered
-    k = int(np.searchsorted(d, horizon, side="right"))
-    d = d[:k]
-
-    out.compute_arrivals = n
-    out.compute_delivered = k
-    out.compute_in_system = n - k
-    out.compute_agg, = _freshness_series(d, times[:k], (0,), (k,), warmup)
-    # each user's deliveries in time order: a stable sort on the user index
-    order = np.argsort(users[:k], kind="stable")
-    hi = np.cumsum(np.bincount(users[:k], minlength=len(out.rates)))
-    lo = np.concatenate(([0], hi[:-1]))
-    out.e2e = dict(enumerate(_freshness_series(d[order], gens[order], lo.tolist(),
-                                               hi.tolist(), warmup)))
+    """FCFS compute queue fed at ``times`` by ``users``' stage deliveries, as
+    ``run`` makes it, on given deliveries in time order."""
+    _ComputeQueue.of(times, users, np.arange(len(times)), len(out.rates),
+                     config.compute_service_rate, horizon, warmup, seed).read(out, gens, warmup)
 
 
 # busy periods of at most this many jobs advance together, one position per

@@ -193,13 +193,15 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     for vi, value in enumerate(sweep.values):
         for rep in range(sweep.replications):
             rates = cell_rates(sweep.base, sweep.variable, value, positions[rep])
-            for di, disc in enumerate(an.Discipline):
-                seed = _derived_seed(sweep.master_seed, vi, rep, di)
-                rows.extend(_run_cell(sweep, rates, value, rep, disc, seed, sample_sink))
+            # both disciplines from one set of cycle draws, under the FCFS seed
+            seed = _derived_seed(sweep.master_seed, vi, rep, 0)
+            draws = qs.cell_draws(sweep.base.queue, rates, sweep.horizon, seed)
+            for disc in an.Discipline:
+                rows.extend(_run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink))
     return rows
 
 
-def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
+def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink) -> list[dict]:
     mu_u, mu_c = sweep.base.queue.stage_service_rate, sweep.base.queue.compute_service_rate
     base_row = {
         "sweep_var": sweep.variable.value, "value": value, "replication": rep,
@@ -212,7 +214,7 @@ def _run_cell(sweep, rates, value, rep, disc, seed, sample_sink) -> list[dict]:
         stages = tuple(an.StageLaw(float(r), mu_u, disc) for r in rates)
         sys_law = an.SystemLaw(stages)
 
-        samples = qs.run(qs.QueueConfig(disc, mu_u, mu_c), rates, sweep.horizon, seed)
+        samples = qs.run(qs.QueueConfig(disc, mu_u, mu_c), rates, sweep.horizon, seed, draws=draws)
         # completed excursions pooled across users; empirical P(M - a <= z)
         exceed = qs.exceedances([samples.stage1[u] for u in range(len(rates))], sweep.ruin_level)
         if sample_sink is not None:

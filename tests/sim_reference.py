@@ -18,8 +18,9 @@ draws, so only what does not read them must still agree: the departure
 times, FCFS generation times, deliveries and final occupancy of the cycles
 that the first block holds (see ``test_properties.py``).
 ``_simulate_stage_one_user`` is the stage simulator of one user, written on
-its own; the (users x cycles) stack must reproduce it user for user, bit for
-bit (see ``test_properties.py``).
+its own, with LCFS's backward gaps from a substream of their own; the (users x
+cycles) stack must reproduce it user for user, bit for bit (see
+``test_properties.py``).
 
 ``ks_distance``, ``aggregate_sweep`` and ``estimate_avg`` are frozen copies of
 the one-pass KS distance, the per-metric sweep aggregation and the one-sample
@@ -164,10 +165,13 @@ def _simulate_stage_blocks(rate: float, mu: float, horizon: float,
 
 
 def _simulate_stage_one_user(rate: float, mu: float, horizon: float,
-                             rng: np.random.Generator, discipline: Discipline):
+                             rng: np.random.Generator, discipline: Discipline,
+                             gap_rng: np.random.Generator | None = None):
     """``queue_sim._simulate_stages`` for one user, written on its own: each block
-    draws S, E and, for LCFS, the backward gap G from the end of a service to its
-    last arrival; after the last block one Poisson count gives the lost arrivals.
+    draws S and E; after the last block one Poisson count gives FCFS's lost
+    arrivals, whatever the discipline.  LCFS then draws, from ``gap_rng``, the
+    backward gap G from the end of a service to its last arrival for each
+    delivered service with a waiter, and its own Poisson count after them.
 
     Returns (departure times, departure generation times, counters).
     """
@@ -177,32 +181,31 @@ def _simulate_stage_one_user(rate: float, mu: float, horizon: float,
     start, cycles = np.array([rng.exponential(1.0 / rate)]), []
     while not cycles or start[-1] <= horizon:
         drawn = [rng.exponential(1.0 / mu, block), rng.exponential(1.0 / rate, block)]
-        if lcfs:
-            drawn.append(rng.exponential(1.0 / rate, block))
         cycles.append(drawn)
         steps = np.cumsum(np.concatenate((start[-1:], np.maximum(drawn[0], drawn[1]))))
         start = steps if len(cycles) == 1 else np.concatenate((start, steps[1:]))
     k = int(np.searchsorted(start, horizon, side="right"))   # services begun by the horizon
     start = start[:k]
-    s, e, *g = (np.concatenate(c)[:k] for c in zip(*cycles))
+    s, e = (np.concatenate(c)[:k] for c in zip(*cycles))
     done, arrived = start + s, start + e
     d = k - int(k > 0 and done[-1] > horizon)   # only the last service can straddle it
     # a waiter arrives in a service where E < S and is served next; otherwise the
     # next service begins with the next arrival.  Either way it was generated at
-    # start + E, unless (LCFS) later arrivals displaced it: the last of them came
-    # G before the service ended, where G < S - E
+    # start + E
     gens = np.concatenate((start[:1], arrived[:-1]))
-    window = s - e
-    if lcfs:
-        window -= g[0]
-        last = np.flatnonzero(window[:-1] > 0)
-        gens[last + 1] = done[last] - g[0][last]
-    lost_window = np.maximum(window[:d], 0.0)
     waiting = d < k and e[-1] < s[-1] and arrived[-1] <= horizon
     tail = horizon - arrived[-1] if waiting else 0.0
-    lost = int(rng.poisson(rate * (float(np.add.reduce(lost_window)) + tail)))
-    if lcfs:   # each survivor displaced its waiter
-        lost += int(np.count_nonzero(lost_window))
+    lost = int(rng.poisson(rate * (float(np.add.reduce(np.maximum(s[:d] - e[:d], 0.0)))
+                                   + tail)))
+    if lcfs:
+        # a delivered service has a waiter where its arrival came before the end; the
+        # last arrival came G before the end, and displaced the waiter if later than it
+        ahead = np.flatnonzero(arrived[:d] < done[:d])
+        later = done[ahead] - gap_rng.exponential(1.0 / rate, ahead.size)
+        gens[ahead + 1] = np.maximum(arrived[ahead], later)
+        window = np.maximum(later - arrived[ahead], 0.0)
+        lost = (int(gap_rng.poisson(rate * (float(np.add.reduce(window)) + tail)))
+                + int(np.count_nonzero(window)))
     arrivals = k + int(waiting) + lost   # a service begun took one; the waiter is the other
     counters = UserCounters(
         arrivals=arrivals, deliveries=d, drops=0 if lcfs else lost,

@@ -22,21 +22,21 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # command line (without --out) -> {file under --out: sha256}; "samples/" is the
 # digest of the sorted "<name> <sha256>" lines of the exported sample files.  The
-# sweep digests were retaken when the stage simulator began drawing one Poisson
-# count per user and placing LCFS survivors by a backward gap: FCFS drops and the
-# LCFS simulated columns and sample files moved, every other cell did not
+# sweep digests were last retaken when both disciplines of a cell began sharing one
+# set of cycle draws under the FCFS seed, with LCFS's gaps on a substream of their
+# own: the LCFS simulated columns and sample files moved, every FCFS byte did not
 GOLDEN = {
     ("analytic", "analytic_grid.json"): {
         "analytic.csv": "8924485d2faf2abdc9e951a410a1bd2f3ec07061e4d72fbd138785083d3c363d",
     },
     ("sweep", "reference_sweep.json"): {
-        "sweep.csv": "25f39c109305f53c907daab8f47e0e94b8ada10bc0f3902740881fb149995005",
-        "sweep_aggregate.csv": "5af0e3bf632f72e3a5769eddbe2508d497ca886108f8bba04b1c525865561320",
+        "sweep.csv": "3aae2e7e3659c95d982598f3a2b4d57167513f2c85f6bddd398954f6e6934a3a",
+        "sweep_aggregate.csv": "6f66c22962a328a980cb894ac6b015ffc09754257baf53db1f0bbf992fdac844",
     },
     ("sweep", "bandwidth_sweep.json", "--export-samples"): {
-        "sweep.csv": "42dcd8cfdd4c1a3ab00207c851cf009048c7b63d3427a0cfc89a7d85866a10d1",
-        "sweep_aggregate.csv": "30a61a81c35a3542184ba824fa1a5550c3198f578a3c49b92258b0bb1accfcd7",
-        "samples/": "fa52cb4393315099e2d7ea67e7d652f5bd2e7e1177689933485fc4be19868d35",
+        "sweep.csv": "0596efb97c759de1e0cf27791a904a00653f4ee2d3fb90cb659e7d02d0887198",
+        "sweep_aggregate.csv": "47259eda01391b45a6348bc6b61a484f44072c744e13a24a1aebe204044041dd",
+        "samples/": "18053cd0e7c299c9816e3bcd79adada0465dd279f4ad6830df026cd0b8bbc21b",
     },
     ("validate", "analytic_grid.json"): {
         "lcfs_cdf_discrepancy.csv":

@@ -210,7 +210,7 @@ def test_in_place_stage_draws_what_the_block_copies_drew(ratio, mu, disc, servic
     rate, horizon = ratio * mu, services / min(ratio * mu, mu)
     with mock.patch.object(qs, "_block_size", lambda *_: block) if block else nullcontext():
         done, gens, (counters,) = qs._simulate_stages(
-            (rate,), mu, horizon, (qs._rng(seed, qs._ARRIVAL_TAG, 0),), disc)
+            (rate,), mu, horizon, qs.CellDraws(seed, (qs._rng(seed, qs._ARRIVAL_TAG, 0),)), disc)
         want = ref._simulate_stage_blocks(rate, mu, horizon,
                                           qs._rng(seed, qs._ARRIVAL_TAG, 0), disc)
         first = qs._block_size(rate, mu, horizon)
@@ -267,11 +267,11 @@ def test_stacked_stages_are_each_users_own_run(users, mu, disc, services, seed):
     rates = [ratio * mu for ratio, _ in users]
     patched = {rate: block for rate, (_, block) in zip(rates, users) if block}
     horizon, own = services / mu, qs._block_size
-    rngs = [qs._rng(seed, qs._ARRIVAL_TAG, u) for u in range(len(rates))]
+    draws = qs.CellDraws(seed, [qs._rng(seed, qs._ARRIVAL_TAG, u) for u in range(len(rates))])
     with mock.patch.object(qs, "_block_size", lambda r, m, h: patched.get(r) or own(r, m, h)):
-        done, gens, counters = qs._simulate_stages(rates, mu, horizon, rngs, disc)
-        want = [ref._simulate_stage_one_user(rate, mu, horizon,
-                                             qs._rng(seed, qs._ARRIVAL_TAG, u), disc)
+        done, gens, counters = qs._simulate_stages(rates, mu, horizon, draws, disc)
+        want = [ref._simulate_stage_one_user(rate, mu, horizon, qs._rng(seed, qs._ARRIVAL_TAG, u),
+                                             disc, qs._rng(seed, qs._GAP_TAG, u))
                 for u, rate in enumerate(rates)]
     for u, (times, gen_times, c) in enumerate(want):
         assert astuple(counters[u]) == astuple(c)

@@ -114,27 +114,32 @@ class TestStageDraws:
         assert rng.calls["standard_exponential"] == 2   # S and E of one block
         assert rng.calls["poisson"] == 0
 
-    @pytest.mark.parametrize("disc,per_block", [(FCFS, 2), (LCFS, 3)])
-    def test_stage_series_draws_no_n_on_any_block(self, spies, monkeypatch, disc, per_block):
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_stage_series_draws_no_n_on_any_block(self, spies, monkeypatch, disc):
         monkeypatch.setattr(qs, "_block_size", lambda *_: 7)
         qs.stage_series(disc, 2.0, 1.0, 400.0, 5)
-        (rng,) = spies
-        blocks, rest = divmod(rng.calls["standard_exponential"], per_block)
+        rng = spies[0]   # S and E of each block; LCFS's G come from a substream of their own
+        blocks, rest = divmod(rng.calls["standard_exponential"], 2)
         assert blocks > 2 and rest == 0
-        assert rng.variates["standard_exponential"] == 7 * per_block * blocks
-        assert rng.calls["poisson"] == rng.calls["random"] == 0
+        assert rng.variates["standard_exponential"] == 7 * 2 * blocks
+        assert all(r.calls["poisson"] == r.calls["random"] == 0 for r in spies)
 
     def test_lcfs_stage_series_draws_only_s_e_and_g(self, spies):
-        qs.stage_series(LCFS, 2.0, 1.0, 400.0, 5)
-        (rng,) = spies   # S, E and G of one block, and no uniform
-        assert rng.calls["standard_exponential"] == 3
-        assert rng.variates["standard_exponential"] == 3 * qs._block_size(2.0, 1.0, 400.0)
-        assert rng.calls["poisson"] == rng.calls["random"] == 0
+        series = qs.stage_series(LCFS, 2.0, 1.0, 400.0, 5)
+        rng, gaps = spies   # S and E of one block, then one G per delivered waiter
+        assert rng.calls["standard_exponential"] == 2
+        assert rng.variates["standard_exponential"] == 2 * qs._block_size(2.0, 1.0, 400.0)
+        assert gaps.calls["exponential"] == 1
+        # about r/(r + mu) of the deliveries have a waiter, and nothing else draws G
+        assert 0.55 * len(series) < gaps.variates["exponential"] < 0.8 * len(series)
+        assert all(r.calls["poisson"] == r.calls["random"] == 0 for r in spies)
 
     @pytest.mark.parametrize("disc", [FCFS, LCFS])
     def test_run_draws_one_poisson_count_per_user(self, spies, disc):
         qs.run(config(disc), [2.0, 0.5, 4000.0, 1e-9], 400.0, 5)
-        for rng in spies[:4]:   # the last generator is the compute queue's
+        # the arrival substreams, LCFS's gap substreams, and then the compute queue's
+        assert len(spies) == (9 if disc is LCFS else 5)
+        for rng in spies[:-1]:   # FCFS's count on the arrival substream, LCFS's on its gaps'
             assert (rng.calls["poisson"], rng.variates["poisson"]) == (1, 1)
             assert rng.calls["random"] == 0
 
@@ -148,13 +153,19 @@ class TestStageDraws:
         rates = [2.0, 0.5, 4000.0]
         qs.run(config(disc), rates, 400.0, 5)
         for u, rate in enumerate(rates):
-            want = CountingRng(np.random.default_rng(
-                np.random.SeedSequence(5, spawn_key=(qs._ARRIVAL_TAG, u))))
-            ref._simulate_stage_one_user(rate, 1.0, 400.0, want, disc)
-            got = spies[u]   # S and E come as standard draws times the scale, the same ones
-            for name in ("poisson", "random"):
-                assert (got.calls[name], got.variates[name]) == (want.calls[name], want.variates[name])
-            assert got.rng.bit_generator.state == want.rng.bit_generator.state
+            want, want_gaps = (CountingRng(np.random.default_rng(np.random.SeedSequence(
+                5, spawn_key=(tag, u)))) for tag in (qs._ARRIVAL_TAG, qs._GAP_TAG))
+            ref._simulate_stage_one_user(rate, 1.0, 400.0, want, disc, want_gaps)
+            # S and E come as standard draws times the scale, the same ones; G as
+            # exponential draws in both
+            pairs = [(spies[u], want, ("poisson", "random"))]
+            if disc is LCFS:
+                pairs.append((spies[len(rates) + u], want_gaps, ("exponential", "poisson")))
+            for got, wanted, names in pairs:
+                for name in names:
+                    assert ((got.calls[name], got.variates[name])
+                            == (wanted.calls[name], wanted.variates[name]))
+                assert got.rng.bit_generator.state == wanted.rng.bit_generator.state
 
 
 class TiedRng:
@@ -194,16 +205,18 @@ def test_generation_times_hold_at_exact_ties(monkeypatch, disc, block):
         monkeypatch.setattr(qs, "_block_size", lambda *_: block)
     rate = mu = 3.0
 
-    def tied(per_block=3 if disc is LCFS else 2):
+    def tied(per_block=2):
         return TiedRng(qs._rng(4, qs._ARRIVAL_TAG, 0), per_block)
 
-    done, gens, (counters,) = qs._simulate_stages((rate,), mu, 40.0, (tied(),), disc)
-    want = ref._simulate_stage_one_user(rate, mu, 40.0, tied(), disc)
+    done, gens, (counters,) = qs._simulate_stages((rate,), mu, 40.0, qs.CellDraws(4, (tied(),)),
+                                                  disc)
+    want = ref._simulate_stage_one_user(rate, mu, 40.0, tied(), disc, qs._rng(4, qs._GAP_TAG, 0))
     d = counters.deliveries
     assert d > 20 and astuple(counters) == astuple(want[2])
     for a, b in zip((done[0, :d], gens[0, :d]), want[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    alone, alone_gens, (d_alone,) = qs._simulate_stages((rate,), mu, 40.0, (tied(),), disc,
+    alone, alone_gens, (d_alone,) = qs._simulate_stages((rate,), mu, 40.0,
+                                                        qs.CellDraws(4, (tied(),)), disc,
                                                         counted=False)
     assert d_alone == d
     assert np.array_equal(alone[0, :d], done[0, :d])
@@ -221,7 +234,8 @@ def test_generation_times_hold_at_exact_ties(monkeypatch, disc, block):
 # counters (arrivals, deliveries, drops, preemptions, in system) at mu = 1,
 # seed 17.  The FCFS digests date from before the lost arrivals became one
 # Poisson count per user, which moved only the drops and arrivals; the LCFS ones
-# from when survivors were first placed by the backward gap G, with no power
+# from when G moved to a substream of its own, drawn only behind a delivered
+# waiter, with LCFS's Poisson count after it there
 GOLDEN_STAGE = {
     (FCFS, 0.5): ("1daea6ffb8c8fddf0ae0da2eac7b55e51d8c25d3bb4882dc633db4563352ffa5",
                   (2347, 2046, 300, 0, 1)),
@@ -229,12 +243,12 @@ GOLDEN_STAGE = {
                   (9881, 4159, 5720, 0, 2)),
     (FCFS, 4000.0): ("24533e3ebedd1d1a9456fa9bd1ef4d24aa59e715d28f7e6c9960f7041a798ab3",
                      (8003873, 1932, 8001939, 0, 2)),
-    (LCFS, 0.5): ("364868ea2b8f56fcb6e9c1b8be9c62270726d19b5dcc825335ebfadc235b6ea0",
-                  (2376, 2046, 0, 329, 1)),
-    (LCFS, 2.0): ("6fd37cb60acdaacfbe736a05abe61b2721351039a42eb4b241607842c3bac291",
-                  (10006, 4159, 0, 5845, 2)),
-    (LCFS, 4000.0): ("dd073307a7a526daaf2c2d115d1038847a6ea1873d56c366f4ff43373a8f8418",
-                     (8004513, 1932, 0, 8002579, 2)),
+    (LCFS, 0.5): ("11fcbc3e0b9a3b8998595a6cd950704a82f326867c24d03c3a15832ea3d3f4e0",
+                  (2371, 2046, 0, 324, 1)),
+    (LCFS, 2.0): ("b545c1fbdc45f634918341cf1feb80e491214e28ca13c9e0955a34136ebc956d",
+                  (9887, 4159, 0, 5726, 2)),
+    (LCFS, 4000.0): ("3b10b6c91485499acc7b5e2b3033a1743cbb4f34587f10321f4e609c8678743a",
+                     (7998262, 1932, 0, 7996328, 2)),
 }
 
 
@@ -247,8 +261,8 @@ def test_stage_draws_are_pinned(disc, ratio):
     # the sweep CSVs stay byte-identical only while every draw and its order do;
     # no stage path takes numpy's SIMD power any more, so every CPU runs all six
     horizon = 2000.0 if ratio > 100 else 5000.0
-    done, gens, (counters,) = qs._simulate_stages((ratio,), 1.0, horizon,
-                                                  (qs._rng(17, qs._ARRIVAL_TAG, 0),), disc)
+    done, gens, (counters,) = qs._simulate_stages(
+        (ratio,), 1.0, horizon, qs.CellDraws(17, (qs._rng(17, qs._ARRIVAL_TAG, 0),)), disc)
     done, gens = done[0, :counters.deliveries], gens[0, :counters.deliveries]
     digest, expected = GOLDEN_STAGE[disc, ratio]
     assert astuple(counters) == expected
@@ -282,7 +296,7 @@ def test_severity_size_stage_run_peak_memory(disc, limit_mib):
 # its peak (S, E, the start times and the windows whose arrivals are lost): 14.11 MiB
 def test_counted_severity_size_stage_run_peak_memory():
     peak = traced_peak(lambda: qs._simulate_stages(
-        (2.0,), 1.0, 420_000.0, (qs._rng(7, qs._ARRIVAL_TAG, 0),), FCFS))
+        (2.0,), 1.0, 420_000.0, qs.CellDraws(7, (qs._rng(7, qs._ARRIVAL_TAG, 0),)), FCFS))
     assert peak <= 15 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
@@ -405,29 +419,114 @@ class TestBurkeGap:
         assert abs(gaps.mean() - expect) <= 4.0 * se, (gaps.mean(), expect, se)
 
 
+class TestPairedDisciplines:
+    """Both disciplines of a cell from one ``cell_draws``: the same S, E and compute
+    service draws, so the same delivery instants, and an LCFS peak, whose update is
+    never older, never above the FCFS one."""
+
+    CELL = dict(rates=[0.5, 2.0, 4e3, 1e-9], mu=1.0, mu_c=50.0, horizon=1500.0, seed=23)
+    # one user whose cycles span several blocks of 50
+    BLOCKS = dict(rates=[2.0], mu=1.0, mu_c=50.0, horizon=400.0, seed=31)
+
+    @staticmethod
+    def paired(rates, mu, mu_c, horizon, seed, first=FCFS):
+        draws = qs.cell_draws(config(FCFS, mu, mu_c), rates, horizon, seed)
+        order = (first, LCFS if first is FCFS else FCFS)
+        out = {disc: qs.run(config(disc, mu, mu_c), rates, horizon, seed, draws=draws)
+               for disc in order}
+        return out[FCFS], out[LCFS]
+
+    @pytest.fixture(params=["CELL", "BLOCKS"])
+    def cell(self, request, monkeypatch):
+        if request.param == "BLOCKS":
+            monkeypatch.setattr(qs, "_block_size", lambda *_: 50)
+        return getattr(self, request.param)
+
+    def test_both_deliver_at_the_same_instants(self, cell):
+        fcfs, lcfs = self.paired(**cell)
+        assert sum(len(s) for s in fcfs.stage1.values()) > 300
+        for table in ("stage1", "e2e"):
+            for u in range(len(cell["rates"])):
+                a, b = getattr(fcfs, table)[u].times, getattr(lcfs, table)[u].times
+                assert a.tobytes() == b.tobytes()
+        assert fcfs.compute_agg.peaks.tobytes() == lcfs.compute_agg.peaks.tobytes()
+        assert fcfs.compute_arrival_rate == lcfs.compute_arrival_rate   # the Burke gap too
+        for u in range(len(cell["rates"])):
+            f, g = fcfs.stage_counters[u], lcfs.stage_counters[u]
+            assert (f.deliveries, f.in_system) == (g.deliveries, g.in_system)
+
+    def test_an_lcfs_peak_never_exceeds_the_fcfs_one(self, cell):
+        fcfs, lcfs = self.paired(**cell)
+        below = 0
+        for table in ("stage1", "e2e"):
+            for u in range(len(cell["rates"])):
+                a, b = getattr(fcfs, table)[u].peaks, getattr(lcfs, table)[u].peaks
+                assert (b <= a).all()
+                below += int(np.count_nonzero(b < a))
+        assert below > 100
+
+    def test_lcfs_is_the_same_alone_shared_and_in_either_order(self, cell):
+        rates, mu, mu_c, horizon, seed = (cell[k] for k in ("rates", "mu", "mu_c", "horizon",
+                                                            "seed"))
+        alone = qs.run(config(LCFS, mu, mu_c), rates, horizon, seed)
+        after = self.paired(**cell)[1]
+        before = self.paired(**cell, first=LCFS)[1]
+        for other in (after, before):
+            assert other.stage_counters == alone.stage_counters
+            for table in ("stage1", "e2e"):
+                for u in range(len(rates)):
+                    for name in ("times", "peaks", "post_ages"):
+                        a = getattr(getattr(alone, table)[u], name)
+                        assert a.tobytes() == getattr(getattr(other, table)[u], name).tobytes()
+        series = qs.stage_series(LCFS, rates[0], mu, horizon, seed)
+        for name in ("times", "peaks", "post_ages"):
+            assert getattr(series, name).tobytes() == getattr(alone.stage1[0], name).tobytes()
+
+    def test_draws_belong_to_one_cell(self):
+        c = self.CELL
+        draws = qs.cell_draws(config(FCFS, c["mu"], c["mu_c"]), c["rates"], c["horizon"], c["seed"])
+        with pytest.raises(ValueError):
+            qs.run(config(LCFS, c["mu"], c["mu_c"]), c["rates"], c["horizon"], c["seed"] + 1,
+                   draws=draws)
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0, 4e3])
+    def test_mean_peak_gap_is_the_identity(self, ratio):
+        # one shared run; each user's FCFS - LCFS stage peaks, delivery by delivery,
+        # have mean r^2 / (mu (r + mu)^2), and their batch means spread less than
+        # those of two independent series would
+        mu, horizon = 1.0, 6000.0
+        fcfs, lcfs = self.paired([ratio * mu], mu, 50.0, horizon, 41)
+        a, b = fcfs.stage1[0].peaks, lcfs.stage1[0].peaks
+        t975 = qs.student_t_975(qs.BATCHES - 1)
+        gap, alone_f, alone_l = (e.halfwidth / t975 for e in qs._estimate_avgs([a - b, a, b]))
+        r = ratio * mu
+        exact = r * r / (mu * (r + mu) ** 2)
+        mean = float(np.mean(a - b))
+        assert abs(mean - exact) <= 4.0 * gap, (mean, exact, gap)
+        assert gap < math.hypot(alone_f, alone_l), (gap, alone_f, alone_l)
+
+
 class TestThreeTermMap:
     """``stage_series`` peaks against the cycles it drew, redrawn here: the peak at
     delivery t is A(t - 2) + B(t - 1) + S(t), with B = max(S, E) and A = (S - E)+ for
     FCFS, or min(G, S - E) where E < S, else 0, for LCFS."""
 
     @staticmethod
-    def redraw(disc, rate, mu, horizon, seed):
+    def redraw(rate, mu, horizon, seed):
         """The user's cycles, one block at a time until the start after a block passes
         the horizon, and the start times as the simulator sums them."""
         rng = qs._rng(seed, qs._ARRIVAL_TAG, 0)
         first, size, blocks = rng.exponential(1.0 / rate), qs._block_size(rate, mu, horizon), []
         while True:
             blocks.append([rng.exponential(1.0 / mu, size), rng.exponential(1.0 / rate, size)])
-            if disc is LCFS:
-                blocks[-1].append(rng.exponential(1.0 / rate, size))
-            s, e, *g = (np.concatenate(c) for c in zip(*blocks))
+            s, e = (np.concatenate(c) for c in zip(*blocks))
             start = np.cumsum(np.concatenate([[first], np.maximum(s, e)[:-1]]))
             if start[-1] + max(s[-1], e[-1]) > horizon:
-                return len(blocks), s, e, g, start
+                return len(blocks), s, e, start
 
     @staticmethod
     def check(disc, rate, mu, horizon, seed):
-        blocks, s, e, g, start = TestThreeTermMap.redraw(disc, rate, mu, horizon, seed)
+        blocks, s, e, start = TestThreeTermMap.redraw(rate, mu, horizon, seed)
         series = qs.stage_series(disc, rate, mu, horizon, seed)
         done = start + s
         done = done[done <= horizon]   # done never decreases: a delivery ends by the next start
@@ -436,7 +535,12 @@ class TestThreeTermMap:
         b = np.maximum(s, e)
         a = np.maximum(s - e, 0.0)
         if disc is LCFS:
-            a = np.where(e < s, np.minimum(g[0], s - e), 0.0)
+            # G from the gap substream, one per delivered cycle whose next arrival
+            # came before its end (E < S, as the times round), in cycle order
+            ahead = np.flatnonzero((start + e < start + s)[:done.size])
+            g = qs._rng(seed, qs._GAP_TAG, 0).exponential(1.0 / rate, ahead.size)
+            a = np.zeros_like(s)
+            a[ahead] = np.minimum(g, s[ahead] - e[ahead])
         t = np.arange(first, done.size)
         gap = np.abs(series.peaks - (a[t - 2] + b[t - 1] + s[t]))
         assert gap.max() <= 4 * np.spacing(horizon), gap.max() / np.spacing(horizon)

@@ -216,8 +216,8 @@ class TestSweep:
         real_run = qs.run
         runs = []
 
-        def skew_user_1(*args):
-            out = real_run(*args)
+        def skew_user_1(*args, **kwargs):
+            out = real_run(*args, **kwargs)
             out.stage1[1].peaks = out.stage1[1].peaks + 0.2
             runs.append(out)
             return out
