@@ -38,7 +38,10 @@ Within a busy period that is a running sum from the first job's arrival,
 so it is evaluated period by period with every addition the per-job loop
 makes, in the loop's order, and the completion times equal the loop's bit
 for bit.  Where the periods begin is guessed from the max-plus closed form,
-which rounds differently, and checked against the exact completions.
+which rounds differently, and checked against the exact completions.  The
+completions go back through the time sort into the stage layout, user by user,
+with no second sort: a user's end-to-end series is a slice of them read against
+the generation times its stage series reads.
 
 Randomness: one independent substream per user for its stage cycles, drawn
 in blocks and followed by FCFS's Poisson count of lost arrivals; one per user
@@ -212,8 +215,8 @@ class _Cycles:
 
 class CellDraws(tuple):
     """What the two disciplines of a cell share: the tuple is every user's arrival
-    substream, users in order; ``cycles`` (drawn from them) and ``compute`` (the
-    compute queue their deliveries feed) are made by the first ``run`` that reads
+    substream, users in order; ``cycles`` (drawn from them) and ``compute``
+    (``_compute_queue`` on their deliveries) are made by the first ``run`` that reads
     them, and ``key`` names the cell they belong to."""
 
     def __new__(cls, seed: int, streams: Sequence[np.random.Generator], key=None):
@@ -401,7 +404,6 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     warmup = WARMUP_FRACTION * horizon
     out = PaoiSamples(config=config, rates=rates, horizon=horizon,
                       warmup=warmup, seed=seed)
-    n_users = len(rates)
     done, gens, counters = _simulate_stages(
         rates, config.stage_service_rate, horizon, draws, config.discipline)
     out.stage_counters = dict(enumerate(counters))
@@ -410,20 +412,19 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     delivered = np.arange(done.shape[1]) < d[:, None]
     times, gens = done[delivered], gens[delivered]
     del done, delivered
-    hi = np.cumsum(d)
-    out.stage1 = dict(enumerate(_freshness_series(times, gens, (hi - d).tolist(),
-                                                  hi.tolist(), warmup)))
+    lo = np.cumsum(d) - d
+    out.stage1 = dict(enumerate(_freshness_series(times, gens, lo.tolist(),
+                                                  (lo + d).tolist(), warmup)))
     if draws.compute is None:
-        # the deliveries in time order; the narrowest index type, so the compute
-        # queue's stable sort on it is a radix sort
-        order = np.argsort(times, kind="stable")
-        users = np.repeat(np.arange(n_users, dtype=np.min_scalar_type(n_users - 1)), d)
-        draws.compute = _ComputeQueue.of(times[order], users[order], order, n_users,
-                                         config.compute_service_rate, horizon, warmup, seed)
-    draws.compute.read(out, gens, warmup)
-    window = horizon - warmup
-    n_post = int(np.count_nonzero(times >= warmup))
-    out.compute_arrival_rate = n_post / window if window > 0 else 0.0
+        draws.compute = _compute_queue(times, d, config.compute_service_rate, horizon,
+                                       warmup, seed)
+    completions, served, out.compute_agg, k = draws.compute
+    out.compute_arrivals, out.compute_delivered = times.size, k
+    out.compute_in_system = times.size - k
+    # each user's end-to-end series reads the first served[u] jobs of its segment
+    out.e2e = dict(enumerate(_freshness_series(completions, gens, lo.tolist(),
+                                               (lo + served).tolist(), warmup)))
+    out.compute_arrival_rate = int(np.count_nonzero(times >= warmup)) / (horizon - warmup)
     return out
 
 
@@ -439,53 +440,27 @@ def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
     return _freshness_series(done[0, :d], gens[0, :d], (0,), (d,), WARMUP_FRACTION * horizon)[0]
 
 
-@dataclass
-class _ComputeQueue:
-    """The FCFS compute queue fed by a cell's stage deliveries, which are the same
-    for both disciplines; only the generation times they carry differ."""
+def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float,
+                   warmup: float, seed: int):
+    """The FCFS compute queue fed the stage deliveries ``times``: ``d[u]`` of them
+    user ``u``'s, users in order, each user's in time order.
 
-    agg: StageSeries
-    arrivals: int
-    delivered: int
-    e2e_times: np.ndarray   # completions, each user's in time order, users in order
-    e2e_source: np.ndarray  # the index of each of those jobs' generation times
-    e2e_bounds: tuple       # each user's (first, last + 1) in them
-
-    @classmethod
-    def of(cls, times, users, source, n_users: int, mu_c: float, horizon: float,
-           warmup: float, seed: int) -> "_ComputeQueue":
-        """The queue fed at ``times`` (in time order) by ``users``' deliveries,
-        whose generation times are at ``source`` in the array ``read`` is given."""
-        n = len(times)
-        service = _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / mu_c, n)
-        d = _departures(times, service)
-        # completions never decrease, so the jobs delivered within the horizon are a
-        # prefix, and a completion exactly at the horizon is delivered
-        k = int(np.searchsorted(d, horizon, side="right"))
-        d = d[:k]
-        agg, = _freshness_series(d, times[:k], (0,), (k,), warmup)
-        # each user's deliveries in time order: a stable sort on the user index
-        order = np.argsort(users[:k], kind="stable")
-        hi = np.cumsum(np.bincount(users[:k], minlength=n_users))
-        lo = np.concatenate(([0], hi[:-1]))
-        return cls(agg, n, k, d[order], source[order], (lo.tolist(), hi.tolist()))
-
-    def read(self, out: PaoiSamples, gens: np.ndarray, warmup: float):
-        """Fill ``out``'s compute-queue fields, its e2e series from ``gens``."""
-        out.compute_arrivals = self.arrivals
-        out.compute_delivered = self.delivered
-        out.compute_in_system = self.arrivals - self.delivered
-        out.compute_agg = self.agg
-        out.e2e = dict(enumerate(_freshness_series(self.e2e_times, gens[self.e2e_source],
-                                                   *self.e2e_bounds, warmup)))
-
-
-def _simulate_compute(out: PaoiSamples, times, gens, users, config: QueueConfig,
-                      horizon: float, warmup: float, seed: int):
-    """FCFS compute queue fed at ``times`` by ``users``' stage deliveries, as
-    ``run`` makes it, on given deliveries in time order."""
-    _ComputeQueue.of(times, users, np.arange(len(times)), len(out.rates),
-                     config.compute_service_rate, horizon, warmup, seed).read(out, gens, warmup)
+    Returns (completions, served, agg, k): each job's completion time, laid out as
+    ``times``; how many of each user's jobs complete by the horizon, the first of
+    its own; the aggregate series; and the jobs completed in all.  The completions
+    depend on the delivery times only, so both disciplines of a cell share them."""
+    order = np.argsort(times, kind="stable")   # tied deliveries keep their users' order
+    arrived = times[order]
+    done = _departures(arrived, _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / mu_c, times.size))
+    # completions never decrease, so the jobs delivered within the horizon are a
+    # prefix, and a completion exactly at the horizon is delivered; each user's of
+    # them are a prefix of its own too
+    k = int(np.searchsorted(done, horizon, side="right"))
+    agg, = _freshness_series(done[:k], arrived[:k], (0,), (k,), warmup)
+    served = np.bincount(np.repeat(np.arange(d.size), d)[order[:k]], minlength=d.size)
+    completions = np.empty_like(done)
+    completions[order] = done
+    return completions, served, agg, k
 
 
 # busy periods of at most this many jobs advance together, one position per

@@ -108,8 +108,7 @@ def place_users(scenario: Scenario) -> np.ndarray:
     side = scenario.room.side_length
     pts = np.empty((scenario.num_users, 2))
     for u in range(scenario.num_users):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(scenario.placement_seed, spawn_key=(_PLACEMENT_TAG, u)))
+        rng = qs._rng(scenario.placement_seed, _PLACEMENT_TAG, u)
         x, y = rng.uniform(0.0, side, size=2)
         while x <= 0.0 or x >= side or y <= 0.0 or y >= side:
             x, y = rng.uniform(0.0, side, size=2)

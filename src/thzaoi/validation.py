@@ -257,7 +257,6 @@ def check_e2e_average(seed: int):
         ok = ok and good
         lines.append(f"{disc.value}: sim={est.mean:.4f}+-{est.halfwidth:.4f} "
                      f"analytic={analytic:.4f} rel={rel:.4%} burke_gap={gap:+.3f}/s")
-        del out   # freed before the next discipline runs, which lowers the peak RSS
     anomaly = an.avg_paoi_compute(an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.AS_WRITTEN))
     exact = (abs(anomaly.value - 1515000.0233333333) < 1e-4
              and anomaly.validity is an.Validity.INVALID)

@@ -120,7 +120,7 @@ def test_c05_c07_stage_checks_never_reach_the_compute_queue(monkeypatch):
         raise AssertionError("the KS and excursion checks read the stage queue only")
 
     monkeypatch.setattr(val.qs, "run", no_compute)
-    monkeypatch.setattr(val.qs, "_simulate_compute", no_compute)
+    monkeypatch.setattr(val.qs, "_compute_queue", no_compute)
     report = val.ValidationReport()
     seed = val.MASTER_SEED
     for check in (val.check_stage_ks(seed), val.check_severity(seed, report)):

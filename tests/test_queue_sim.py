@@ -599,17 +599,17 @@ class TestAgainstClosedForms:
         expect = an.avg_paoi_stage(an.StageLaw(1e4, 5.0, FCFS))
         assert got == pytest.approx(expect, rel=0.02)
 
-    def test_poisson_fed_compute_queue_matches_corrected_formula(self):
+    def test_poisson_fed_compute_queue_matches_corrected_formula(self, monkeypatch):
         # the compute queue alone, fed a Poisson stream at 75/s by one user; over seeds
         # 0-49 the largest error is 3.8% at a 2,000 s horizon and 1.2% at 20,000 s
         horizon, seed = 20000.0, 21
         times = np.cumsum(np.random.default_rng(seed).exponential(1.0 / 75.0, 1_600_000))
         assert times[-1] > horizon
         times = times[times <= horizon]
-        cfg = config(mu_c=100.0)
-        out = qs.PaoiSamples(cfg, (75.0,), horizon, qs.WARMUP_FRACTION * horizon, seed)
-        qs._simulate_compute(out, times, times, np.zeros(times.size, dtype=int), cfg,
-                             horizon, out.warmup, seed)
+        # a stage that delivers that stream, each update generated on delivery
+        monkeypatch.setattr(qs, "_simulate_stages", lambda *args: (
+            times[None], times[None], [qs.UserCounters(deliveries=times.size)]))
+        out = qs.run(config(mu_c=100.0), [75.0], horizon, seed)
         got = float(np.mean(out.compute_agg.peaks))
         expect = an.avg_paoi_compute(
             an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.CORRECTED)).value

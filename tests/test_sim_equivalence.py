@@ -36,15 +36,23 @@ def assert_series_equal(got: qs.StageSeries, want: qs.StageSeries):
 
 
 def assert_runs_equal(got: qs.PaoiSamples, want: qs.PaoiSamples):
-    for table in ("stage1", "e2e"):
-        a, b = getattr(got, table), getattr(want, table)
-        assert sorted(a) == sorted(b), table
-        for u in b:
-            assert_series_equal(a[u], b[u])
-    assert_series_equal(got.compute_agg, want.compute_agg)
+    assert_series_equal_by_user(got.stage1, want.stage1)
+    assert_compute_equal(got, want)
     assert got.stage_counters == want.stage_counters
-    for name in ("compute_arrivals", "compute_delivered", "compute_in_system",
-                 "compute_arrival_rate"):
+    assert got.compute_arrival_rate == want.compute_arrival_rate
+
+
+def assert_series_equal_by_user(got: dict, want: dict):
+    assert sorted(got) == sorted(want)
+    for u in want:
+        assert_series_equal(got[u], want[u])
+
+
+def assert_compute_equal(got: qs.PaoiSamples, want: qs.PaoiSamples):
+    """The compute queue's series and counters, the end-to-end series included."""
+    assert_series_equal_by_user(got.e2e, want.e2e)
+    assert_series_equal(got.compute_agg, want.compute_agg)
+    for name in ("compute_arrivals", "compute_delivered", "compute_in_system"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -315,8 +323,28 @@ def test_no_job_before_the_first_stage_arrival(monkeypatch):
     assert_runs_equal(got, want)
 
 
+def fed(monkeypatch, config, times, gens, users, horizon, seed):
+    """Both compute queues fed the deliveries ``times`` (in time order, ties in
+    user order), carrying ``gens``, by ``users``.
+
+    ``qs.run`` gets them from a stand-in for its stage stack, laid out as the
+    stack lays them out: a zero-padded row per user, each in time order.
+    """
+    rows = [np.flatnonzero(users == u) for u in range(int(users.max()) + 1)]
+    d = [r.size for r in rows]
+    done, arrived = np.zeros((len(rows), max(d))), np.zeros((len(rows), max(d)))
+    for u, r in enumerate(rows):
+        done[u, :r.size], arrived[u, :r.size] = times[r], gens[r]
+    monkeypatch.setattr(qs, "_simulate_stages", lambda *args: (
+        done, arrived, [qs.UserCounters(deliveries=n) for n in d]))
+    got = qs.run(config, [1.0] * len(rows), horizon, seed)
+    want = qs.PaoiSamples(config, got.rates, horizon, got.warmup, seed)
+    ref._simulate_compute(want, times, gens, users, config, horizon, got.warmup, seed)
+    return got, want
+
+
 @pytest.mark.parametrize("job", [0, 7, 300])
-def test_completion_exactly_at_the_horizon_is_delivered(job):
+def test_completion_exactly_at_the_horizon_is_delivered(monkeypatch, job):
     config = qs.QueueConfig(FCFS, 1.0, 3.0)
     seed = 6
     rng = np.random.default_rng(8)
@@ -327,11 +355,29 @@ def test_completion_exactly_at_the_horizon_is_delivered(job):
     done = assert_departures_exact(times, service)
     horizon = float(done[job])
     assert done[job + 1] > horizon
-    got, want = (qs.PaoiSamples(config, (1.0, 1.0), horizon, 0.0, seed) for _ in range(2))
-    qs._simulate_compute(got, times, gens, users, config, horizon, 0.0, seed)
-    ref._simulate_compute(want, times, gens, users, config, horizon, 0.0, seed)
+    got, want = fed(monkeypatch, config, times, gens, users, horizon, seed)
     assert got.compute_delivered == job + 1
-    assert_runs_equal(got, want)
+    assert_compute_equal(got, want)
+
+
+@pytest.mark.parametrize("horizon", [150.0, 400.0, 2000.0])
+def test_deliveries_tied_across_users(monkeypatch, horizon):
+    # four users deliver on one integer grid, so many deliveries of different
+    # users fall at the same instant; the queue takes tied ones in user order
+    rng = np.random.default_rng(33)
+    grid = [np.flatnonzero(rng.random(600) < p) for p in (0.5, 0.4, 0.3, 0.2)]
+    times = np.concatenate(grid).astype(float)
+    users = np.repeat(np.arange(len(grid)), [g.size for g in grid])
+    order = np.argsort(times, kind="stable")
+    times, users = times[order], users[order]
+    gens = times - rng.uniform(0.0, 3.0, times.size)
+    assert np.count_nonzero(times[1:] == times[:-1]) > 300
+    # a compute queue at load about 0.8, so busy periods span many tied deliveries
+    config = qs.QueueConfig(FCFS, 1.0, 1.7)
+    got, want = fed(monkeypatch, config, times, gens, users, horizon, 3)
+    # cut mid-stream, or past the last delivery with time for the queue to drain
+    assert (got.compute_delivered == times.size) == (horizon > times[-1])
+    assert_compute_equal(got, want)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
