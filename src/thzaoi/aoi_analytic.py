@@ -74,8 +74,8 @@ class StageLaw:
     discipline: Discipline = Discipline.FCFS_MM12
 
     def __post_init__(self):
-        if not (self.update_rate > 0 and self.service_rate > 0):
-            raise ValueError("rates must be strictly positive")
+        if not (0 < self.update_rate < math.inf and 0 < self.service_rate < math.inf):
+            raise ValueError("rates must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ def cdf_reference(law: StageLaw) -> Callable[[np.ndarray], np.ndarray]:
     """
     kernel = _cdf_kernel(law, CdfSource.REFERENCE)
     r, mu = law.update_rate, law.service_rate
-    return lambda a: kernel(r, mu, np.asarray(a, dtype=float))
+    return lambda a: kernel(r, mu, _check_age(a))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,15 @@ arrivals lost are one Poisson count per user over the summed windows, E to
 S (LCFS: to S - G, plus one per survivor).
 
 All users of a ``run`` are simulated together as one stack: (users x cycles)
-arrays, a row per user, each user's draws going straight into its row and
-the row zero past them.  Only the draws are made user by user; the sums,
-counters and generation times are passes over the whole stack, as are, over
-a cell's users, the freshness series, the departure merge, the batch means
-and the excursions.  ``stage_series`` is the stack of one row, uncounted.
-The working set peaks at four (users x block) arrays (S, E, the start times
-and FCFS's lost windows), reused in place later on; LCFS adds a copy of the
-generation times and a few arrays as long as its G draws.
+arrays, a row per user, each user's blocks drawn in place end to end along its
+row and the row zero past them; the stack widens only when a block needs the
+room.  Only the draws are made user by user; the sums, counters and generation
+times are passes over the whole stack, as are, over a cell's users, the
+freshness series, the departure merge, the batch means and the excursions.
+``stage_series`` is the stack of one row, uncounted.  The working set peaks
+at four (users x cycles) arrays (S, E, the start times and FCFS's lost
+windows), reused in place later on; LCFS adds a copy of the generation times
+and a few arrays as long as its G draws.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -117,8 +118,9 @@ class QueueConfig:
     compute_feed: ComputeFeed = ComputeFeed.TANDEM
 
     def __post_init__(self):
-        if not (self.stage_service_rate > 0 and self.compute_service_rate > 0):
-            raise ValueError("service rates must be strictly positive")
+        if not (0 < self.stage_service_rate < math.inf
+                and 0 < self.compute_service_rate < math.inf):
+            raise ValueError("service rates must be strictly positive and finite")
 
 
 @dataclass
@@ -189,17 +191,6 @@ def _block_size(rate: float, mu: float, horizon: float) -> int:
     return int(1.1 * min(rate, mu) * horizon) + 64
 
 
-def _starts(first: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Service start times per row: ``first``, then max(S, E) on per cycle, one
-    sequential sum per row, so a block's sum continued from the last start of the
-    one before is the sum over both bit for bit.  A zero past a row's cycles
-    repeats the start after its last one."""
-    start = np.empty(s.shape)
-    start[:, 0] = first
-    np.maximum(s[:, :-1], e[:, :-1], out=start[:, 1:])
-    return np.cumsum(start, axis=1, out=start)
-
-
 @dataclass
 class _Cycles:
     """The stage cycles of every user of a cell, which both disciplines read."""
@@ -268,41 +259,37 @@ def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
 
 def _draw_cycles(rates: Sequence[float], mu: float, horizon: float,
                  rngs: Sequence[np.random.Generator], counted: bool) -> _Cycles:
-    """Every user's S and E, drawn block by block from ``rngs``, summed into start
-    times; the end of service t is its departure, which carries start + E of
-    cycle t - 1 (FCFS), as ``_starts`` sums start + max(S, E) where nothing waits,
-    ties included.  ``counted``, each user's lost arrivals follow as one Poisson
-    count, the next draw of its substream."""
+    """Every user's S and E, drawn block by block from ``rngs`` straight into its
+    row, block t at t block sizes in, and summed into start times: the first
+    arrival, then max(S, E) on per cycle, one sequential sum per row.  The end of
+    service t is its departure, which carries start + E of cycle t - 1 (FCFS), as
+    the sum gives start + max(S, E) where nothing waits, ties included.
+    ``counted``, each user's lost arrivals follow as one Poisson count, the next
+    draw of its substream."""
     rates = np.array(rates, dtype=float)
     blocks = np.array([_block_size(r, mu, horizon) for r in rates.tolist()])
     first = np.array([rng.exponential(1.0 / r) for rng, r in zip(rngs, rates.tolist())])
-    # every user draws one block, and more while its cycles fall short of the horizon;
-    # a row is zero past its user's block, so a step there is max(0, 0) = 0
-    rounds, rows, last = [], np.arange(rates.size), first.copy()
+    s, e = np.zeros((rates.size, blocks.max())), np.zeros((rates.size, blocks.max()))
+    # every user draws one block, and more while its next start is by the horizon; a
+    # row is zero past its user's draws, so a step there is max(0, 0) = 0 and the
+    # start after its last cycle repeats
+    rows, t = np.arange(rates.size), 0
     while rows.size:
-        size = blocks[rows]
-        s, e = np.zeros((rows.size, size.max())), np.zeros((rows.size, size.max()))
-        # indexed, not iterated: a row view left bound after a loop keeps its array alive
-        for row, (i, b) in enumerate(zip(rows.tolist(), size.tolist())):
-            for x in (s, e):   # scaled below: exponential(scale, b) bit for bit
-                rngs[i].standard_exponential(out=x[row, :b])
-        s *= 1.0 / mu
-        e *= 1.0 / rates[rows, None]
-        start = _starts(last[rows], s, e)
-        r, end = np.arange(rows.size), size - 1
-        last[rows] = start[r, end] + np.maximum(s[r, end], e[r, end])   # the start after the block
-        rounds.append((rows, size, (s, e)))
-        rows = rows[last[rows] <= horizon]
-    if len(rounds) > 1:   # a user's blocks go end to end along its row, block t at t sizes in
-        width = max(((t + 1) * size).max() for t, (_, size, _) in enumerate(rounds))
-        s, e = np.zeros((rates.size, width)), np.zeros((rates.size, width))
-        for t, (rows, size, parts) in enumerate(rounds):
-            row, col = np.nonzero(np.arange(size.max()) < size[:, None])
-            for dst, src in zip((s, e), parts):
-                dst[rows[row], t * size[row] + col] = src[row, col]
-        del parts
-        start = _starts(first, s, e)
-    del rounds
+        ends = (t + 1) * blocks[rows]
+        if ends.max() > s.shape[1]:
+            pad = ((0, 0), (0, int(ends.max()) - s.shape[1]))
+            s, e = np.pad(s, pad), np.pad(e, pad)
+        for i, b, scale in zip(rows.tolist(), blocks[rows].tolist(), (1.0 / rates[rows]).tolist()):
+            for x, c in ((s[i, t * b:(t + 1) * b], 1.0 / mu), (e[i, t * b:(t + 1) * b], scale)):
+                rngs[i].standard_exponential(out=x)
+                x *= c   # exponential(1 / c, b) bit for bit
+        start = np.empty(s.shape)
+        start[:, 0] = first
+        np.maximum(s[:, :-1], e[:, :-1], out=start[:, 1:])
+        np.cumsum(start, axis=1, out=start)
+        end = ends - 1   # each continuing user's last cycle, and the start after it
+        rows = rows[start[rows, end] + np.maximum(s[rows, end], e[rows, end]) <= horizon]
+        t += 1
 
     k = np.count_nonzero(start <= horizon, axis=1)   # the start times never decrease along a row
     r, j = np.arange(rates.size), np.maximum(k - 1, 0)   # j: the last service begun
@@ -392,10 +379,10 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     rates = tuple(float(r) for r in per_user_rates)
     if not rates:
         raise ValueError("need at least one user")
-    if not all(r > 0 for r in rates):
-        raise ValueError("update rates must be strictly positive")
-    if not horizon > 0:
-        raise ValueError("horizon must be strictly positive")
+    if not all(0 < r < math.inf for r in rates):
+        raise ValueError("update rates must be strictly positive and finite")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be strictly positive and finite")
     if draws is None:
         draws = cell_draws(config, rates, horizon, seed)
     elif draws.key != _cell_key(config, rates, horizon, seed):
@@ -432,8 +419,8 @@ def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
                  seed: int) -> StageSeries:
     """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for
     bit, drawing no Poisson count of lost arrivals, which only counters read."""
-    if not (rate > 0 and mu > 0 and horizon > 0):
-        raise ValueError("rates and horizon must be strictly positive")
+    if not (0 < rate < math.inf and 0 < mu < math.inf and 0 < horizon < math.inf):
+        raise ValueError("rates and horizon must be strictly positive and finite")
     done, gens, (d,) = _simulate_stages(
         (rate,), mu, horizon, CellDraws(seed, (_rng(seed, _ARRIVAL_TAG, 0),)), discipline,
         counted=False)

@@ -1,5 +1,6 @@
 """Property tests: stage kernels and simulator bookkeeping over wide rate ranges,
-the config boundary over malformed numbers, and NaN at every positivity check.
+the config boundary over malformed numbers, and NaN at every positivity check
+(and infinities where a rate or horizon must be finite).
 
 r/mu is drawn log-uniformly over [1e-3, 1e5], from lightly loaded stages to
 the saturated ones the THz link budget produces.  Examples are derandomized
@@ -7,6 +8,7 @@ so every run draws the same cases.
 """
 
 import copy
+import functools
 import io
 import json
 import math
@@ -78,6 +80,9 @@ def test_negative_float_age_is_rejected():
         an._check_age(-1.0)
     with pytest.raises(ValueError):
         an.pdf_paoi(an.StageLaw(2.0, 1.0), -1.0)
+    for disc in an.Discipline:
+        with pytest.raises(ValueError):
+            an.cdf_reference(an.StageLaw(2.0, 1.0, disc))(-1.0)
 
 
 NAN = math.nan
@@ -91,22 +96,32 @@ def sweep(ruin=1.0, z=3.0, horizon=100.0):
     return sc.Sweep(sc.SweepVariable.NUM_USERS, (1.0,), 1, base, ruin, z, horizon, 0)
 
 
+# the stage law and the simulator also take no infinity, which `x > 0` lets through
+# to a wrong CDF, a float-to-integer conversion or numpy's Poisson: (id, a build
+# from the bad number, message)
+FINITE_SITES = [
+    ("stage-rate", lambda x: an.StageLaw(x, 1.0), "rates must be strictly positive"),
+    ("stage-mu", lambda x: an.StageLaw(2.0, x), "rates must be strictly positive"),
+    ("queue-mu-u", lambda x: qs.QueueConfig(FCFS, x, 1.0), "service rates must be strictly positive"),
+    ("queue-mu-c", lambda x: qs.QueueConfig(FCFS, 1.0, x), "service rates must be strictly positive"),
+    ("run-rate", lambda x: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0, x], 100.0, 0),
+     "update rates must be strictly positive"),
+    ("run-horizon", lambda x: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0], x, 0),
+     "horizon must be strictly positive"),
+    ("series-rate", lambda x: qs.stage_series(FCFS, x, 1.0, 100.0, 0), "rates and horizon must be"),
+    ("series-mu", lambda x: qs.stage_series(FCFS, 2.0, x, 100.0, 0), "rates and horizon must be"),
+    ("series-horizon", lambda x: qs.stage_series(FCFS, 2.0, 1.0, x, 0), "rates and horizon must be"),
+]
+BAD_NUMBERS = {"": NAN, "-inf": math.inf, "-neg-inf": -math.inf}
+
+
 # NaN compares false, so `x <= 0` lets it through; each site's own message must
 # name the rejection, not a later failure such as a NaN-to-integer conversion
 @pytest.mark.parametrize("build,message", [
-    (lambda: an.StageLaw(NAN, 1.0), "rates must be strictly positive"),
-    (lambda: an.StageLaw(2.0, NAN), "rates must be strictly positive"),
+    (functools.partial(build, bad), message)
+    for _, build, message in FINITE_SITES for bad in BAD_NUMBERS.values()] + [
     (lambda: an.ComputeQueueLaw(NAN, 1.0), "rates must be strictly positive"),
     (lambda: an.ComputeQueueLaw(1.0, NAN), "rates must be strictly positive"),
-    (lambda: qs.QueueConfig(FCFS, NAN, 1.0), "service rates must be strictly positive"),
-    (lambda: qs.QueueConfig(FCFS, 1.0, NAN), "service rates must be strictly positive"),
-    (lambda: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0, NAN], 100.0, 0),
-     "update rates must be strictly positive"),
-    (lambda: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0], NAN, 0),
-     "horizon must be strictly positive"),
-    (lambda: qs.stage_series(FCFS, NAN, 1.0, 100.0, 0), "rates and horizon must be"),
-    (lambda: qs.stage_series(FCFS, 2.0, NAN, 100.0, 0), "rates and horizon must be"),
-    (lambda: qs.stage_series(FCFS, 2.0, 1.0, NAN, 0), "rates and horizon must be"),
     (lambda: qs.excursion_severity(qs.stage_series(FCFS, 2.0, 1.0, 100.0, 0), NAN),
      "ruin level must be strictly positive"),
     (lambda: sc.Room(NAN), "side_length must be strictly positive"),
@@ -118,10 +133,10 @@ def sweep(ruin=1.0, z=3.0, horizon=100.0):
     (lambda: tl.channel_gain(NAN, tl.LinkParams(**LINK)), "distance must be strictly positive"),
     (lambda: tl.ris_array_gain(NAN), "meta-surface count must be >= 1"),
     (lambda: tl.update_rate(NAN, tl.LinkParams(**LINK)), "rate must be non-negative"),
-], ids=["stage-rate", "stage-mu", "compute-lambda", "compute-mu", "queue-mu-u", "queue-mu-c",
-        "run-rate", "run-horizon", "series-rate", "series-mu", "series-horizon", "excursion",
-        "room", "sweep-ruin", "sweep-z", "sweep-horizon", "link-carrier", "link-surfaces",
-        "channel-gain", "array-gain", "update-rate"])
+], ids=[site + suffix for site, _, _ in FINITE_SITES for suffix in BAD_NUMBERS] + [
+        "compute-lambda", "compute-mu", "excursion", "room", "sweep-ruin", "sweep-z",
+        "sweep-horizon", "link-carrier", "link-surfaces", "channel-gain", "array-gain",
+        "update-rate"])
 def test_nan_fails_each_positivity_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()

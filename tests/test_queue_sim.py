@@ -167,6 +167,36 @@ class TestStageDraws:
                             == (wanted.calls[name], wanted.variates[name]))
                 assert got.rng.bit_generator.state == wanted.rng.bit_generator.state
 
+    def test_ragged_blocks_of_one_cell_are_each_users_own(self, spies, monkeypatch):
+        # block sizes that differ by user, so a user's block t starts at its own
+        # column t * b; the user at 1e-9 stops after one block, the others need
+        # 15 to 66, and the stack widens as they go
+        monkeypatch.setattr(qs, "_block_size", lambda r, mu, h: 5 if r > 1 else 9)
+        rates, horizon = [2.0, 0.5, 4000.0, 7.0, 1e-9, 0.9], 300.0
+        draws = qs.cell_draws(config(FCFS), rates, horizon, 5)
+        out = {disc: qs.run(config(disc), rates, horizon, 5, draws=draws) for disc in (FCFS, LCFS)}
+        # the arrival substreams, the compute queue's, then LCFS's gap substreams
+        assert len(spies) == 2 * len(rates) + 1
+        blocks = [rng.calls["standard_exponential"] // 2 for rng in spies[:len(rates)]]
+        assert blocks[4] == 1 and min(blocks[:4] + blocks[5:]) > 10 and max(blocks) > 50
+
+        def fresh(tag, u):   # a copy of a substream the cell drew from, unread
+            return np.random.default_rng(np.random.SeedSequence(5, spawn_key=(tag, u)))
+
+        for u, rate in enumerate(rates):
+            for disc in (FCFS, LCFS):
+                want, want_gaps = fresh(qs._ARRIVAL_TAG, u), fresh(qs._GAP_TAG, u)
+                done, gens, counters = ref._simulate_stage_one_user(rate, 1.0, horizon, want, disc,
+                                                                     want_gaps)
+                assert out[disc].stage_counters[u] == counters
+                series, = qs._freshness_series(done, gens, (0,), (done.size,), out[disc].warmup)
+                for name in ("times", "peaks", "post_ages"):
+                    got = getattr(out[disc].stage1[u], name)
+                    assert got.tobytes() == getattr(series, name).tobytes()
+                got = spies[u] if disc is FCFS else spies[len(rates) + 1 + u]
+                wanted = want if disc is FCFS else want_gaps
+                assert got.rng.bit_generator.state == wanted.bit_generator.state
+
 
 class TiedRng:
     """``rng``, except that each block's E repeats that block's S standard draws,
