@@ -98,8 +98,8 @@ class ComputeQueueLaw:
     formula_mode: AvgMode = AvgMode.CORRECTED
 
     def __post_init__(self):
-        if not (self.arrival_rate > 0 and self.service_rate > 0):
-            raise ValueError("rates must be strictly positive")
+        if not (0 < self.arrival_rate < math.inf and 0 < self.service_rate < math.inf):
+            raise ValueError("rates must be strictly positive and finite")
 
 
 @dataclass(frozen=True)
@@ -283,13 +283,14 @@ _GL_NODES = np.concatenate((-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES))
 _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
-def _quad_pdf(law: StageLaw, grid, moment: int = 0) -> np.ndarray:
-    """Integral of a^moment pdf(a) from ``grid[0]`` to each point of the ascending ``grid``.
+def _quad_pdf(law: StageLaw, grid, moment: int | tuple[int, ...] = 0) -> np.ndarray:
+    """Integral of a^moment pdf(a) from ``grid[0]`` to each point of the ascending ``grid``;
+    for a tuple of moments, one such row per moment from one evaluation of the density.
 
     20-point Gauss-Legendre on panels cut at the grid, at the time scales 1/(r + mu),
     1/r, 1/mu, 3/mu and at 1/(64 max(r, mu)) times powers of 1.5, all in one call of
-    ``pdf_paoi``.  ``ArithmeticError`` if halving every panel moves a value by more
-    than ``_QUAD_SELF_CHECK_TOL`` times the largest value (at least 1).
+    ``pdf_paoi``.  ``ArithmeticError`` if halving every panel moves a row's value by more
+    than ``_QUAD_SELF_CHECK_TOL`` times the row's largest value (at least 1).
     """
     grid = _check_age(grid)
     r, mu = law.update_rate, law.service_rate
@@ -300,22 +301,25 @@ def _quad_pdf(law: StageLaw, grid, moment: int = 0) -> np.ndarray:
         (grid, [1.0 / (r + mu), 1.0 / r, 1.0 / mu, 3.0 / mu], first * 1.5 ** np.arange(steps))))
     # repeats dropped by hand: np.unique would load numpy.ma on first use
     edges = edges[(edges >= lo) & (edges <= hi) & np.append(True, edges[1:] != edges[:-1])]
+    moments = moment if isinstance(moment, tuple) else (moment,)
 
     def cumulative(edges):
         half = 0.5 * np.diff(edges)
         t = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-        panels = half * ((pdf_paoi(law, t) * t ** moment) @ _GL_WEIGHTS)
-        return np.cumsum(np.concatenate(([0.0], panels)))
+        f = pdf_paoi(law, t)
+        # a row at a time: a stacked 3-D matmul may round apart from the 2-D one
+        return np.array([np.cumsum(np.concatenate(([0.0], half * ((f * t ** m) @ _GL_WEIGHTS))))
+                         for m in moments])
 
     at = np.searchsorted(edges, grid)
-    cum = cumulative(edges)[at]
+    cum = cumulative(edges)[:, at]
     halved = np.sort(np.concatenate((edges, edges[:-1] + 0.5 * np.diff(edges))))
-    check = cumulative(halved)[2 * at]
-    moved = np.max(np.abs(cum - check))
-    if not moved <= _QUAD_SELF_CHECK_TOL * max(1.0, np.max(np.abs(check))):
+    check = cumulative(halved)[:, 2 * at]
+    moved = np.max(np.abs(cum - check), axis=1)
+    if not np.all(moved <= _QUAD_SELF_CHECK_TOL * np.maximum(1.0, np.max(np.abs(check), axis=1))):
         raise ArithmeticError(
-            f"quadrature failed on [{lo}, {hi}]: halving its panels moved it by {moved}")
-    return cum
+            f"quadrature failed on [{lo}, {hi}]: halving its panels moved it by {np.max(moved)}")
+    return cum if isinstance(moment, tuple) else cum[0]
 
 
 def _flag_probability(value: float) -> Validity:

@@ -29,7 +29,8 @@ row and the row zero past them; the stack widens only when a block needs the
 room.  Only the draws are made user by user; the sums, counters and generation
 times are passes over the whole stack, as are, over a cell's users, the
 freshness series, the departure merge, the batch means and the excursions.
-``stage_series`` is the stack of one row, uncounted.  The working set peaks
+``stage_series`` is the stack of one row, uncounted, and given ``draws=`` from
+``stage_draws`` both disciplines read one set of its cycles.  The working set peaks
 at four (users x cycles) arrays (S, E, the start times and FCFS's lost
 windows), reused in place later on; LCFS adds a copy of the generation times
 and a few arrays as long as its G draws.
@@ -416,15 +417,23 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
 
 
 def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
-                 seed: int) -> StageSeries:
+                 seed: int, *, draws: CellDraws | None = None) -> StageSeries:
     """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for
-    bit, drawing no Poisson count of lost arrivals, which only counters read."""
+    bit, drawing no Poisson count of lost arrivals, which only counters read.  Given
+    ``draws`` from ``stage_draws`` with the same arguments, disciplines share cycles."""
     if not (0 < rate < math.inf and 0 < mu < math.inf and 0 < horizon < math.inf):
         raise ValueError("rates and horizon must be strictly positive and finite")
-    done, gens, (d,) = _simulate_stages(
-        (rate,), mu, horizon, CellDraws(seed, (_rng(seed, _ARRIVAL_TAG, 0),)), discipline,
-        counted=False)
+    if draws is None:
+        draws = stage_draws(rate, mu, horizon, seed)
+    elif draws.key != ((float(rate),), mu, None, horizon, seed):
+        raise ValueError("the draws belong to another stage")
+    done, gens, (d,) = _simulate_stages((rate,), mu, horizon, draws, discipline, counted=False)
     return _freshness_series(done[0, :d], gens[0, :d], (0,), (d,), WARMUP_FRACTION * horizon)[0]
+
+
+def stage_draws(rate: float, mu: float, horizon: float, seed: int) -> CellDraws:
+    """The uncounted draws of ``stage_series``: no compute rate in ``key``, so no run reads them."""
+    return CellDraws(seed, [_rng(seed, _ARRIVAL_TAG, 0)], ((float(rate),), mu, None, horizon, seed))
 
 
 def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float,

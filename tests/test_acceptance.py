@@ -128,6 +128,26 @@ def test_c05_c07_stage_checks_never_reach_the_compute_queue(monkeypatch):
     assert len(report.artifacts["severity_deviation"]) == 6
 
 
+def test_c05_ks_check_draws_each_rates_cycles_once(monkeypatch):
+    # FCFS and LCFS at one rate share their seed, so they read one set of cycles
+    drawn, own = [], val.qs._draw_cycles
+    monkeypatch.setattr(val.qs, "_draw_cycles", lambda *a: drawn.append(a) or own(*a))
+    check = val.check_stage_ks(val.MASTER_SEED)
+    assert check.passed, check.details
+    assert [a[0] for a in drawn] == [(0.5,), (2.0,), (10.0,)]
+    assert check.details.count("fcfs") == check.details.count("lcfs") == 3
+
+
+def test_c01_c04_moment_checks_share_one_quadrature_pass(monkeypatch):
+    calls, own = [], val.an._quad_pdf
+    monkeypatch.setattr(val.an, "_quad_pdf", lambda *a: calls.append(a) or own(*a))
+    val._moment_gaps.cache_clear()
+    checks = [val.check_normalization(), val.check_moment_consistency()]
+    assert all(c.passed for c in checks), [c.details for c in checks]
+    assert len(calls) == 2 * len(val._grid_laws(val.an.Discipline.FCFS_MM12)) == 28
+    assert all(a[2] == (0, 1) for a in calls)
+
+
 def test_c08_figure_trends(report):
     check = _check(report, "figure_trends_corrected_average")
     _emit(8, check)

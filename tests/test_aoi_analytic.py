@@ -264,6 +264,30 @@ class TestQuadrature:
         with pytest.raises(ArithmeticError):
             an.cdf_paoi(law(2, 1), 1.0, an.CdfSource.QUADRATURE)
 
+    def test_moment_rows_are_the_single_moment_passes_bit_for_bit(self, monkeypatch):
+        grid = [0.0, 0.3, 1.0, 4.0, 20.0]
+        density, calls = an.pdf_paoi, []
+        monkeypatch.setattr(an, "pdf_paoi", lambda *a: calls.append(a) or density(*a))
+        for stage in self.LAWS:
+            rows = an._quad_pdf(stage, grid, (0, 1, 2))
+            assert len(calls) == 2   # the panels and the halved panels, for every row
+            assert rows.shape == (3, len(grid))
+            for m, row in enumerate(rows):
+                assert row.tobytes() == an._quad_pdf(stage, grid, m).tobytes()
+            calls.clear()
+
+    def test_each_moment_row_is_self_checked(self, monkeypatch):
+        # a step inside a panel moves the mass by about 2e-13 when the panels are halved,
+        # below the tolerance, and the second moment, weighted by a^2 ~ 234, by 5e-11,
+        # five times its tolerance
+        density = an.pdf_paoi
+        monkeypatch.setattr(an, "pdf_paoi",
+                            lambda stage, a: density(stage, a) + 3e-12 * (a > 15.3))
+        stage = law(2, 1)
+        an._quad_pdf(stage, [0.0, 20.0], (0,))
+        with pytest.raises(ArithmeticError):
+            an._quad_pdf(stage, [0.0, 20.0], (0, 2))
+
     @pytest.mark.parametrize("mu", GRID_MU)
     def test_fcfs_at_equal_rates_is_erlang3(self, mu):
         # r = mu: the FCFS density is mu^3 a^2 exp(-mu a) / 2

@@ -79,6 +79,41 @@ class TestStageOnly:
         with pytest.raises(ValueError):
             qs.stage_series(FCFS, rate, mu, horizon, 0)
 
+    @pytest.mark.parametrize("first", [FCFS, LCFS])
+    @pytest.mark.parametrize("block", [None, 50])
+    def test_shared_draws_give_each_discipline_its_own_series(self, monkeypatch, first, block):
+        if block:   # the cycles then span several blocks
+            monkeypatch.setattr(qs, "_block_size", lambda *_: block)
+        drawn, own = [], qs._draw_cycles
+        monkeypatch.setattr(qs, "_draw_cycles", lambda *a: drawn.append(a) or own(*a))
+        draws = qs.stage_draws(2.0, 1.0, 400.0, 5)
+        order = (first, LCFS if first is FCFS else FCFS)
+        shared = {disc: qs.stage_series(disc, 2.0, 1.0, 400.0, 5, draws=draws) for disc in order}
+        assert len(drawn) == 1
+        for disc in order:
+            fresh = qs.stage_series(disc, 2.0, 1.0, 400.0, 5)
+            assert len(fresh) > 300
+            for name in ("times", "peaks", "post_ages"):
+                assert getattr(shared[disc], name).tobytes() == getattr(fresh, name).tobytes()
+        assert len(drawn) == 3
+
+    @pytest.mark.parametrize("foreign", [
+        dict(rate=2.5), dict(mu=2.0), dict(horizon=401.0), dict(seed=6), dict(counted=True)],
+        ids=["rate", "mu", "horizon", "seed", "run-cell"])
+    def test_foreign_draws_are_refused(self, foreign):
+        key = dict(rate=2.0, mu=1.0, horizon=400.0, seed=5)
+        if foreign.pop("counted", False):   # a run's cell draws, after the run drew them
+            draws = qs.cell_draws(config(FCFS), [2.0], 400.0, 5)
+            qs.run(config(FCFS), [2.0], 400.0, 5, draws=draws)
+        else:
+            draws = qs.stage_draws(**{**key, **foreign})
+        with pytest.raises(ValueError, match="another stage"):
+            qs.stage_series(FCFS, **key, draws=draws)
+
+    def test_a_run_refuses_stage_draws(self):
+        with pytest.raises(ValueError, match="another cell"):
+            qs.run(config(FCFS), [2.0], 400.0, 5, draws=qs.stage_draws(2.0, 1.0, 400.0, 5))
+
 
 class CountingRng:
     """A generator that passes every draw through and counts, per method, its
