@@ -159,7 +159,7 @@ def _tail_where_overflowed(value, r: float, mu: float, a, coef: float, power: in
 
 def _check_age(a):
     arr = np.asarray(a, dtype=float)
-    if (arr < 0).any():
+    if not (arr >= 0).all():   # NaN fails too
         raise ValueError("age must be non-negative")
     return arr[()]   # one age as a numpy scalar: scalar arithmetic beats 0-d arrays
 
@@ -346,7 +346,7 @@ def cdf_paoi(law: StageLaw, a, source: CdfSource = CdfSource.REFERENCE) -> Flagg
     clamped); QUADRATURE integrates the density (``_quad_pdf``), an oracle.
     """
     a = float(a)
-    if a < 0:   # NaN passes, as it does through _check_age
+    if not a >= 0:   # NaN fails too, as it does in _check_age
         raise ValueError("age must be non-negative")
     if source is CdfSource.QUADRATURE:
         val = float(_quad_pdf(law, [0.0, a])[-1])

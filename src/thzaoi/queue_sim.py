@@ -29,11 +29,11 @@ row and the row zero past them; the stack widens only when a block needs the
 room.  Only the draws are made user by user; the sums, counters and generation
 times are passes over the whole stack, as are, over a cell's users, the
 freshness series, the departure merge, the batch means and the excursions.
-``stage_series`` is the stack of one row, uncounted, and given ``draws=`` from
-``stage_draws`` both disciplines read one set of its cycles.  The working set peaks
-at four (users x cycles) arrays (S, E, the start times and FCFS's lost
-windows), reused in place later on; LCFS adds a copy of the generation times
-and a few arrays as long as its G draws.
+``stage_series`` is the stack of one row, uncounted, and yields each discipline's
+series from one set of its cycles.  The working set peaks at four (users x
+cycles) arrays (S, E, the start times and FCFS's lost windows), reused in place
+later on; LCFS adds a copy of the generation times and a few arrays as long as
+its G draws.
 
 The compute queue is the Lindley recursion d[i] = max(a[i], d[i-1]) + s[i].
 Within a busy period that is a running sum from the first job's arrival,
@@ -81,7 +81,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,25 +232,22 @@ def _cell_key(config: QueueConfig, per_user_rates: Sequence[float], horizon: flo
 
 
 def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
-                     draws: CellDraws, discipline: Discipline, counted: bool = True):
+                     draws: CellDraws, discipline: Discipline):
     """Every user's stage queue over [0, horizon], one service cycle at a time,
     user ``i`` drawing its cycles from ``draws[i]``, as (users x cycles) arrays.
 
     Returns (departure times, departure generation times, counters): user
     ``i``'s departures are the first ``counters[i].deliveries`` entries of row
     ``i``.  Departures are in generation order for both disciplines, so every
-    departure refreshes the stage observer.  Not ``counted``, delivery counts replace
-    the counters, and no Poisson count is drawn.  The cycles are drawn once per
+    departure refreshes the stage observer.  The cycles are drawn once per
     ``draws`` and kept there, so the departure times are the same array for both
     disciplines, and only LCFS's backward gaps are drawn per call.
     """
     if draws.cycles is None:
-        draws.cycles = _draw_cycles(rates, mu, horizon, draws, counted)
+        draws.cycles = _draw_cycles(rates, mu, horizon, draws, True)
     c = draws.cycles
     lcfs = discipline is Discipline.LCFS_MM12_STAR
-    gens, lost = _lcfs_gens(c, rates, draws.seed, counted) if lcfs else (c.gens, c.lost)
-    if not counted:
-        return c.done, gens, c.d
+    gens, lost = _lcfs_gens(c, rates, draws.seed) if lcfs else (c.gens, c.lost)
     # every service begun took one accepted arrival; the waiter is the only other
     counters = [UserCounters(arrivals=kk + wt + x, deliveries=dd, drops=0 if lcfs else x,
                              preemptions=x if lcfs else 0, in_system=kk - dd + wt)
@@ -317,16 +314,16 @@ def _draw_cycles(rates: Sequence[float], mu: float, horizon: float,
     return _Cycles(done, gens, k, d, waiting, tail, lost)
 
 
-def _lcfs_gens(c: _Cycles, rates: Sequence[float], seed: int, counted: bool):
+def _lcfs_gens(c: _Cycles, rates: Sequence[float], seed: int):
     """LCFS's generation times and lost-arrival counts on the cycles ``c``.
 
     A delivered service has a waiter where the next arrival came before its end
     (E < S, as the times round).  There the last arrival came G ~ Exp(r) before the
     end, by time reversal of the Poisson process, and survives if it came after the
     waiter; each user draws G for those services only, from a substream of its
-    own, and then (``counted``) its lost arrivals: one Poisson count over the
-    windows from each waiter to its survivor and from the straddler's waiter to the
-    horizon, plus one for each waiter displaced.
+    own, and then, where ``c`` holds FCFS's counts, its lost arrivals: one Poisson
+    count over the windows from each waiter to its survivor and from the
+    straddler's waiter to the horizon, plus one for each waiter displaced.
     """
     ahead = np.zeros(c.done.shape, dtype=bool)
     np.less(c.gens[:, 1:], c.done[:, :-1], out=ahead[:, :-1])
@@ -343,7 +340,7 @@ def _lcfs_gens(c: _Cycles, rates: Sequence[float], seed: int, counted: bool):
     gens = c.gens.copy()
     # the later of the two, so an LCFS update is never older than the FCFS one
     gens.ravel()[at] = np.maximum(waiter, later)
-    if not counted:
+    if c.lost is None:
         return gens, None
     window = np.subtract(later, waiter, out=later)
     np.maximum(window, 0.0, out=window)
@@ -416,24 +413,20 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     return out
 
 
-def stage_series(discipline: Discipline, rate: float, mu: float, horizon: float,
-                 seed: int, *, draws: CellDraws | None = None) -> StageSeries:
-    """One user's stage queue alone: ``run``'s ``stage1[0]`` for that user, bit for
-    bit, drawing no Poisson count of lost arrivals, which only counters read.  Given
-    ``draws`` from ``stage_draws`` with the same arguments, disciplines share cycles."""
+def stage_series(disciplines: Iterable[Discipline], rate: float, mu: float, horizon: float,
+                 seed: int) -> Iterator[StageSeries]:
+    """One user's stage queue alone, each of ``disciplines`` in turn from one draw of
+    its cycles, made at the call: ``run``'s ``stage1[0]`` for that user, bit for bit,
+    drawing no Poisson count of lost arrivals, which only counters read."""
     if not (0 < rate < math.inf and 0 < mu < math.inf and 0 < horizon < math.inf):
         raise ValueError("rates and horizon must be strictly positive and finite")
-    if draws is None:
-        draws = stage_draws(rate, mu, horizon, seed)
-    elif draws.key != ((float(rate),), mu, None, horizon, seed):
-        raise ValueError("the draws belong to another stage")
-    done, gens, (d,) = _simulate_stages((rate,), mu, horizon, draws, discipline, counted=False)
-    return _freshness_series(done[0, :d], gens[0, :d], (0,), (d,), WARMUP_FRACTION * horizon)[0]
-
-
-def stage_draws(rate: float, mu: float, horizon: float, seed: int) -> CellDraws:
-    """The uncounted draws of ``stage_series``: no compute rate in ``key``, so no run reads them."""
-    return CellDraws(seed, [_rng(seed, _ARRIVAL_TAG, 0)], ((float(rate),), mu, None, horizon, seed))
+    c = _draw_cycles((rate,), mu, horizon, (_rng(seed, _ARRIVAL_TAG, 0),), False)
+    d, warmup, lcfs = int(c.d[0]), WARMUP_FRACTION * horizon, Discipline.LCFS_MM12_STAR
+    # no name holds LCFS's generation times, so they go once its series is made
+    return (_freshness_series(c.done[0, :d],
+                              (_lcfs_gens(c, (rate,), seed)[0] if disc is lcfs else c.gens)[0, :d],
+                              (0,), (d,), warmup)[0]
+            for disc in disciplines)
 
 
 def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float,

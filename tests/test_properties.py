@@ -108,15 +108,25 @@ FINITE_SITES = [
      "update rates must be strictly positive"),
     ("run-horizon", lambda x: qs.run(qs.QueueConfig(FCFS, 1.0, 50.0), [2.0], x, 0),
      "horizon must be strictly positive"),
-    ("series-rate", lambda x: qs.stage_series(FCFS, x, 1.0, 100.0, 0), "rates and horizon must be"),
-    ("series-mu", lambda x: qs.stage_series(FCFS, 2.0, x, 100.0, 0), "rates and horizon must be"),
-    ("series-horizon", lambda x: qs.stage_series(FCFS, 2.0, 1.0, x, 0), "rates and horizon must be"),
+    ("series-rate", lambda x: qs.stage_series((FCFS,), x, 1.0, 100.0, 0), "rates and horizon must be"),
+    ("series-mu", lambda x: qs.stage_series((FCFS,), 2.0, x, 100.0, 0), "rates and horizon must be"),
+    ("series-horizon", lambda x: qs.stage_series((FCFS,), 2.0, 1.0, x, 0), "rates and horizon must be"),
     ("compute-lambda", lambda x: an.ComputeQueueLaw(x, 1.0),
      "rates must be strictly positive and finite"),
     ("compute-mu", lambda x: an.ComputeQueueLaw(1.0, x),
      "rates must be strictly positive and finite"),
 ]
 BAD_NUMBERS = {"": NAN, "-inf": math.inf, "-neg-inf": -math.inf}
+# each age check, whose message must name a NaN age: (id, a build from a NaN age)
+AGE_SITES = [
+    ("pdf-age", lambda: an.pdf_paoi(an.StageLaw(2.0, 1.0), NAN)),
+    *[(f"cdf-age-{source.value}", functools.partial(an.cdf_paoi, an.StageLaw(2.0, 1.0), NAN, source))
+      for source in an.CdfSource],
+    *[(f"reference-age-{disc.value}",
+       functools.partial(lambda d: an.cdf_reference(an.StageLaw(2.0, 1.0, d))([1.0, NAN]), disc))
+      for disc in an.Discipline],
+    ("quad-grid", lambda: an._quad_pdf(an.StageLaw(2.0, 1.0), [0.0, NAN])),
+]
 
 
 # NaN compares false, so `x <= 0` lets it through; each site's own message must
@@ -124,7 +134,7 @@ BAD_NUMBERS = {"": NAN, "-inf": math.inf, "-neg-inf": -math.inf}
 @pytest.mark.parametrize("build,message", [
     (functools.partial(build, bad), message)
     for _, build, message in FINITE_SITES for bad in BAD_NUMBERS.values()] + [
-    (lambda: qs.excursion_severity(qs.stage_series(FCFS, 2.0, 1.0, 100.0, 0), NAN),
+    (lambda: qs.excursion_severity(next(qs.stage_series((FCFS,), 2.0, 1.0, 100.0, 0)), NAN),
      "ruin level must be strictly positive"),
     (lambda: sc.Room(NAN), "side_length must be strictly positive"),
     (lambda: sweep(ruin=NAN), "ruin_level must be strictly positive"),
@@ -135,9 +145,10 @@ BAD_NUMBERS = {"": NAN, "-inf": math.inf, "-neg-inf": -math.inf}
     (lambda: tl.channel_gain(NAN, tl.LinkParams(**LINK)), "distance must be strictly positive"),
     (lambda: tl.ris_array_gain(NAN), "meta-surface count must be >= 1"),
     (lambda: tl.update_rate(NAN, tl.LinkParams(**LINK)), "rate must be non-negative"),
-], ids=[site + suffix for site, _, _ in FINITE_SITES for suffix in BAD_NUMBERS] + [
+] + [(build, "age must be non-negative") for _, build in AGE_SITES],
+    ids=[site + suffix for site, _, _ in FINITE_SITES for suffix in BAD_NUMBERS] + [
         "excursion", "room", "sweep-ruin", "sweep-z", "sweep-horizon", "link-carrier",
-        "link-surfaces", "channel-gain", "array-gain", "update-rate"])
+        "link-surfaces", "channel-gain", "array-gain", "update-rate"] + [site for site, _ in AGE_SITES])
 def test_nan_fails_each_positivity_check(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -253,7 +264,7 @@ def test_stage_series_is_the_runs_stage1(ratio, mu, disc, services, block, seed)
     # few cycles makes a user draw many blocks
     rate, horizon = ratio * mu, services / min(ratio * mu, mu)
     with mock.patch.object(qs, "_block_size", lambda *_: block) if block else nullcontext():
-        alone = qs.stage_series(disc, rate, mu, horizon, seed)
+        alone, = qs.stage_series((disc,), rate, mu, horizon, seed)
         full = qs.run(qs.QueueConfig(disc, mu, 10.0), [rate], horizon, seed).stage1[0]
     for name in ("times", "peaks", "post_ages"):
         a, b = getattr(alone, name), getattr(full, name)
