@@ -23,6 +23,7 @@ Gauss-Legendre quadrature of the density (``CdfSource.QUADRATURE``, see
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -348,10 +349,17 @@ def cdf_paoi(law: StageLaw, a, source: CdfSource = CdfSource.REFERENCE) -> Flagg
     a = float(a)
     if not a >= 0:   # NaN fails too, as it does in _check_age
         raise ValueError("age must be non-negative")
-    if source is CdfSource.QUADRATURE:
-        val = float(_quad_pdf(law, [0.0, a])[-1])
-    else:
-        val = float(_cdf_kernel(law, source)(law.update_rate, law.service_rate, a))
+    if source is not CdfSource.QUADRATURE:
+        return _kernel_value(_cdf_kernel(law, source), law.update_rate, law.service_rate, a)
+    val = float(_quad_pdf(law, [0.0, a])[-1])
+    return FlaggedValue(val, _flag_probability(val))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _kernel_value(kernel, r: float, mu: float, a: float) -> FlaggedValue:
+    """``kernel`` at one age, flagged, evaluated once per (kernel, rates, age): a sweep's
+    cells share users, so its severities read each stage's few ages many times over."""
+    val = float(kernel(r, mu, a))
     return FlaggedValue(val, _flag_probability(val))
 
 

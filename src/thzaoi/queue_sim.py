@@ -28,7 +28,8 @@ arrays, a row per user, each user's blocks drawn in place end to end along its
 row and the row zero past them; the stack widens only when a block needs the
 room.  Only the draws are made user by user; the sums, counters and generation
 times are passes over the whole stack, as are, over a cell's users, the
-freshness series, the departure merge, the batch means and the excursions.
+freshness series, the departure merge and the excursions, and, over all of a
+sweep's cells of one discipline, the batch means.
 ``stage_series`` is the stack of one row, uncounted, and yields each discipline's
 series from one set of its cycles.  The working set peaks at four (users x
 cycles) arrays (S, E, the start times and FCFS's lost windows), reused in place
@@ -41,9 +42,11 @@ so it is evaluated period by period with every addition the per-job loop
 makes, in the loop's order, and the completion times equal the loop's bit
 for bit.  Where the periods begin is guessed from the max-plus closed form,
 which rounds differently, and checked against the exact completions.  The
-completions go back through the time sort into the stage layout, user by user,
-with no second sort: a user's end-to-end series is a slice of them read against
-the generation times its stage series reads.
+jobs enter in the order of a stable time sort, so tied deliveries keep their
+users' order; it is numpy's default sort with each run of ties put back in
+index order.  The completions go back through the time sort into the stage
+layout, user by user, with no second sort: a user's end-to-end series is a
+slice of them read against the generation times its stage series reads.
 
 Randomness: one independent substream per user for its stage cycles, drawn
 in blocks and followed by FCFS's Poisson count of lost arrivals; one per user
@@ -66,8 +69,9 @@ The KS estimator reads the CDF at every m-th point of each sorted segment
 (m about half its cube root) and then only between those knots whose bounds
 on D+ and D-, the CDF being monotone, can reach the largest term found: the
 same maximum over the same float terms as a full pass, from a few percent of
-the reads, at most ``_KS_CHUNK`` points a call.  A sweep cell passes its
-users' peaks as consecutive segments; ``ks_distance`` passes one.
+the reads, at most ``_KS_CHUNK`` points a call.  A sweep passes the users'
+peaks of all its cells of one discipline as consecutive segments, and
+``ks_distance`` passes one.
 Of the one-sample names, ``PaoiSamples.series``, ``empirical_cdf`` and
 ``excursion_severity`` remain only for ``perfbench/worker.py``, and
 ``EmpiricalCdf`` and ``ks_distance`` for it and ``validate``'s KS check.
@@ -438,7 +442,7 @@ def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float
     ``times``; how many of each user's jobs complete by the horizon, the first of
     its own; the aggregate series; and the jobs completed in all.  The completions
     depend on the delivery times only, so both disciplines of a cell share them."""
-    order = np.argsort(times, kind="stable")   # tied deliveries keep their users' order
+    order = _time_order(times)
     arrived = times[order]
     done = _departures(arrived, _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / mu_c, times.size))
     # completions never decrease, so the jobs delivered within the horizon are a
@@ -450,6 +454,18 @@ def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float
     completions = np.empty_like(done)
     completions[order] = done
     return completions, served, agg, k
+
+
+def _time_order(times: np.ndarray) -> np.ndarray:
+    """``np.argsort(times, kind="stable")`` from numpy's default sort, which is faster but
+    may order tied times either way: each run of ties is then sorted back by index."""
+    order = np.argsort(times)
+    t = times[order]
+    tied = np.append(t[1:] == t[:-1], False)
+    if tied.any():   # every member of a run, which keeps its place among the others
+        at = np.flatnonzero(tied | np.roll(tied, 1))
+        order[at] = order[at][np.lexsort((order[at], t[at]))]
+    return order
 
 
 # busy periods of at most this many jobs advance together, one position per
@@ -683,12 +699,25 @@ def e2e_average_estimate(samples: PaoiSamples) -> AvgEstimate:
     """Network-wide average peak age: per-user stage means plus the
     aggregate compute-queue mean, composed the same way as the analytic
     end-to-end expression; half-widths combine in quadrature."""
-    ests = _estimate_avgs([samples.stage1[u].peaks for u in range(len(samples.rates))])
+    return _e2e_composed(_estimate_avgs(_e2e_samples(samples)))
+
+
+def _e2e_samples(samples: PaoiSamples) -> list[np.ndarray]:
+    """What ``e2e_average_estimate`` reads: each user's stage peaks, users in order,
+    then the compute queue's; ``EmptyDataError`` where an estimate would lack samples."""
+    peaks = [samples.stage1[u].peaks for u in range(len(samples.rates))]
+    if min(p.size for p in peaks) < 2:
+        raise EmptyDataError("need at least two samples")
     if samples.compute_agg is None or len(samples.compute_agg) < 2:
         raise EmptyDataError("no compute-queue samples")
+    return peaks + [samples.compute_agg.peaks]
+
+
+def _e2e_composed(ests: Sequence[AvgEstimate]) -> AvgEstimate:
+    """The end-to-end estimate from the estimates of ``_e2e_samples``, in its order."""
     total = 0.0
     var = 0.0
-    for est in ests + _estimate_avgs([samples.compute_agg.peaks]):
+    for est in ests:
         total += est.mean
         var += est.halfwidth ** 2
     return AvgEstimate(total, math.sqrt(var))

@@ -184,11 +184,14 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     ``sample_sink(value, replication, discipline, samples, excursions)``
     receives each cell's raw simulator output and one ``ExcursionStats``
     pooling its users' stage excursions above the ruin level, in user
-    order, e.g. for CSV export.
+    order, e.g. for CSV export.  Each cell keeps only its stage and compute-queue
+    peaks for its ``ks_stage`` and ``avg_sim`` columns, which come, once every cell
+    is run, from one pass per discipline over its cells that are not error rows.
     """
     positions = [replication_positions(sweep.base, sweep.variable, sweep.values, rep)
                  for rep in range(sweep.replications)]
     rows: list[dict] = []
+    pending: dict[an.Discipline, list] = {}
     for vi, value in enumerate(sweep.values):
         for rep in range(sweep.replications):
             rates = cell_rates(sweep.base, sweep.variable, value, positions[rep])
@@ -196,11 +199,17 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
             seed = _derived_seed(sweep.master_seed, vi, rep, 0)
             draws = qs.cell_draws(sweep.base.queue, rates, sweep.horizon, seed)
             for disc in an.Discipline:
-                rows.extend(_run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink))
+                cell = _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink)
+                rows.extend(cell[0])
+                if cell[1]:   # not an error row
+                    pending.setdefault(disc, []).append(cell)
+    for cells in pending.values():
+        _estimate_cells(cells)
     return rows
 
 
-def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink) -> list[dict]:
+def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink):
+    """A cell's rows, stage laws and ``qs._e2e_samples`` (an error row: no laws, no samples)."""
     mu_u, mu_c = sweep.base.queue.stage_service_rate, sweep.base.queue.compute_service_rate
     base_row = {
         "sweep_var": sweep.variable.value, "value": value, "replication": rep,
@@ -218,19 +227,16 @@ def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink) -> list[
         exceed = qs.exceedances([samples.stage1[u] for u in range(len(rates))], sweep.ruin_level)
         if sample_sink is not None:
             sample_sink(value, rep, disc, samples, qs.ExcursionStats(sweep.ruin_level, exceed))
-        sim_avg = qs.e2e_average_estimate(samples)
+        estimated = qs._e2e_samples(samples)
         sev_below = float(np.mean(exceed <= sweep.threshold_z)) if exceed.size else math.nan
-        # every user has samples here: the estimate above needs two peaks from each
-        ks = stage_ks([samples.stage1[u].peaks for u in range(len(rates))], stages)
         drops = sum(c.drops for c in samples.stage_counters.values())
         preempts = sum(c.preemptions for c in samples.stage_counters.values())
         burke_gap = mu_u * len(rates) - samples.compute_arrival_rate
     except qs.EmptyDataError as exc:
         row = dict(base_row)
         row["error"] = str(exc)
-        return [row]
+        return [row], (), ()
 
-    n_users = len(rates)
     sev_pair = an.severity_both_modes(sys_law, sweep.ruin_level, sweep.threshold_z)
     out = []
     for avg_mode in (an.AvgMode.CORRECTED, an.AvgMode.AS_WRITTEN):
@@ -244,26 +250,43 @@ def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink) -> list[
         for psi_mode in (an.PsiMode.AS_WRITTEN_CDF, an.PsiMode.SURVIVAL):
             sev = sev_pair[psi_mode]
             row = dict(base_row)
+            # the simulator's estimates and ks_stage are filled in by _estimate_cells
             row.update({
                 "avg_analytic_mode": avg_mode.value,
                 "avg_analytic": avg_val,
-                "avg_sim": sim_avg.mean, "avg_sim_ci": sim_avg.halfwidth,
+                "avg_sim": None, "avg_sim_ci": None,
                 "severity_mode": psi_mode.value,
                 "j_z": sev.value, "j_validity": sev.validity.value,
-                "ks_stage": ks, "drops": drops, "preemptions": preempts,
-                "avg_analytic_per_user": avg_val / n_users,
-                "avg_sim_per_user": sim_avg.mean / n_users,
+                "ks_stage": None, "drops": drops, "preemptions": preempts,
+                "avg_analytic_per_user": avg_val / len(rates),
+                "avg_sim_per_user": None,
                 "sim_severity_below_z": sev_below, "sim_excursions": exceed.size,
                 "lambda_c": lam_c, "burke_gap": burke_gap,
                 "error": avg_err,
             })
             out.append(row)
-    return out
+    return out, stages, estimated
 
 
-def stage_ks(peaks: Sequence[np.ndarray], stages: Sequence[an.StageLaw]) -> float:
-    """The largest of the users' KS distances between ``peaks[u]`` and the reference
-    CDF of ``stages[u]``, the stages of one cell (one discipline and service rate).
+def _estimate_cells(cells):
+    """Fill in the ``ks_stage`` and ``avg_sim`` columns of one discipline's ``cells`` (rows,
+    stages, samples): each cell's largest user distance of one ``stage_ks`` pass, and its
+    samples' estimates of one ``_estimate_avgs`` pass, composed as for one cell."""
+    users = np.array([len(stages) for _, stages, _ in cells])
+    ks = stage_ks([p for *_, samples in cells for p in samples[:-1]],
+                  [law for _, stages, _ in cells for law in stages])
+    cell_ks = np.maximum.reduceat(ks, np.cumsum(users) - users).tolist()
+    ests = iter(qs._estimate_avgs([v for *_, samples in cells for v in samples]))
+    for (rows, stages, samples), k in zip(cells, cell_ks):
+        avg = qs._e2e_composed([next(ests) for _ in samples])
+        for row in rows:
+            row.update(avg_sim=avg.mean, avg_sim_ci=avg.halfwidth, ks_stage=k,
+                       avg_sim_per_user=avg.mean / len(stages))
+
+
+def stage_ks(peaks: Sequence[np.ndarray], stages: Sequence[an.StageLaw]) -> np.ndarray:
+    """Each user's KS distance between ``peaks[u]`` and the reference CDF of
+    ``stages[u]``, for stages of one discipline and service rate, from one or many cells.
 
     The users' sorted peaks are one array, and the reference kernel reads it with
     each user's update rate repeated per point: the kernels are elementwise in
@@ -273,12 +296,12 @@ def stage_ks(peaks: Sequence[np.ndarray], stages: Sequence[an.StageLaw]) -> floa
     rates = np.repeat([law.update_rate for law in stages], lengths)
     kernel = an._cdf_kernel(stages[0], an.CdfSource.REFERENCE)
     mu = stages[0].service_rate
-    return float(qs.ks_segments(points, lengths,
-                                lambda idx: kernel(rates[idx], mu, points[idx])).max())
+    return qs.ks_segments(points, lengths, lambda idx: kernel(rates[idx], mu, points[idx]))
 
 
 def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
-    """Replication means and 95% half-widths per (value, discipline, modes)."""
+    """Replication means and 95% half-widths per (value, discipline, modes): the
+    groups of one replication count are reduced together, a row per (group, metric)."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         if row.get("error"):
@@ -286,30 +309,31 @@ def aggregate_sweep(rows: Sequence[dict]) -> list[dict]:
         key = (row["sweep_var"], row["value"], row["discipline"],
                row["avg_analytic_mode"], row["severity_mode"])
         groups.setdefault(key, []).append(row)
-    out = []
     metrics = ["avg_analytic", "avg_sim", "avg_analytic_per_user",
                "avg_sim_per_user", "j_z", "ks_stage", "sim_severity_below_z"]
-    for key in sorted(groups):
-        members = groups[key]
-        n = len(members)
-        # one row per metric: each reduction runs along a contiguous row, so it sums
-        # as the one-dimensional call on that metric's replications would
-        vals = np.array([[r[m] for r in members] for m in metrics], dtype=float)
-        means = np.full(len(metrics), math.nan)
+    out = {key: {"sweep_var": key[0], "value": key[1], "discipline": key[2],
+                 "avg_analytic_mode": key[3], "severity_mode": key[4],
+                 "replications": len(groups[key])} for key in sorted(groups)}
+    for n in {len(members) for members in groups.values()}:
+        keys = [key for key in out if len(groups[key]) == n]
+        # each reduction runs along a contiguous row, so it sums as the
+        # one-dimensional call on that metric's replications would
+        vals = np.array([[r[m] for r in groups[key]] for key in keys for m in metrics],
+                        dtype=float)
+        means = np.full(len(vals), math.nan)
         some = ~np.isnan(vals).all(axis=1)
         means[some] = np.nanmean(vals[some], axis=1)
-        hws = np.zeros(len(metrics))
+        hws = np.zeros(len(vals))
         if n > 1:
             finite = np.isfinite(vals).all(axis=1)
             hws[finite] = (qs.student_t_975(n - 1)
                            * np.std(vals[finite], axis=1, ddof=1) / math.sqrt(n))
-        agg = {"sweep_var": key[0], "value": key[1], "discipline": key[2],
-               "avg_analytic_mode": key[3], "severity_mode": key[4], "replications": n}
-        for m, mean, hw in zip(metrics, means.tolist(), hws.tolist()):
-            agg[f"{m}_mean"] = mean
-            agg[f"{m}_hw"] = hw
-        out.append(agg)
-    return out
+        for key, mean_row, hw_row in zip(keys, means.reshape(len(keys), -1).tolist(),
+                                         hws.reshape(len(keys), -1).tolist()):
+            for m, mean, hw in zip(metrics, mean_row, hw_row):
+                out[key][f"{m}_mean"] = mean
+                out[key][f"{m}_hw"] = hw
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ cycles) stack must reproduce it user for user, bit for bit (see
 the one-pass KS distance, the per-metric sweep aggregation and the one-sample
 batch means as they were before they became array passes over many segments,
 metrics or samples at once; the passes must reproduce them bit for bit (see
-``test_properties.py``).
+``test_properties.py``).  ``aggregate_sweep_by_group`` is the aggregation as it
+was before all groups of one replication count became one array pass: one
+pass per group over its metrics (see ``test_scenario.py``).
 """
 
 from __future__ import annotations
@@ -374,6 +376,39 @@ def aggregate_sweep(rows) -> list[dict]:
                            * np.std(vals, ddof=1) / math.sqrt(vals.size))
             else:
                 hw = 0.0
+            agg[f"{m}_hw"] = hw
+        out.append(agg)
+    return out
+
+
+def aggregate_sweep_by_group(rows) -> list[dict]:
+    """``scenario.aggregate_sweep`` before its pass over all groups: one group at a time."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        if row.get("error"):
+            continue
+        key = (row["sweep_var"], row["value"], row["discipline"],
+               row["avg_analytic_mode"], row["severity_mode"])
+        groups.setdefault(key, []).append(row)
+    out = []
+    metrics = ["avg_analytic", "avg_sim", "avg_analytic_per_user",
+               "avg_sim_per_user", "j_z", "ks_stage", "sim_severity_below_z"]
+    for key in sorted(groups):
+        members = groups[key]
+        n = len(members)
+        vals = np.array([[r[m] for r in members] for m in metrics], dtype=float)
+        means = np.full(len(metrics), math.nan)
+        some = ~np.isnan(vals).all(axis=1)
+        means[some] = np.nanmean(vals[some], axis=1)
+        hws = np.zeros(len(metrics))
+        if n > 1:
+            finite = np.isfinite(vals).all(axis=1)
+            hws[finite] = (qs.student_t_975(n - 1)
+                           * np.std(vals[finite], axis=1, ddof=1) / math.sqrt(n))
+        agg = {"sweep_var": key[0], "value": key[1], "discipline": key[2],
+               "avg_analytic_mode": key[3], "severity_mode": key[4], "replications": n}
+        for m, mean, hw in zip(metrics, means.tolist(), hws.tolist()):
+            agg[f"{m}_mean"] = mean
             agg[f"{m}_hw"] = hw
         out.append(agg)
     return out

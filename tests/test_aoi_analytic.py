@@ -236,6 +236,52 @@ class TestCdfReference:
         assert an.cdf_paoi(stage, 1.0).value == pytest.approx(0.1323938838573952, abs=1e-12)
 
 
+class TestCdfCache:
+    # cdf_paoi reads each kernel value through a bounded cache, keyed by the kernel,
+    # the rates and the age; a value read from it is the fresh kernel value
+    LAWS = [(2, 1), (0.5, 1), (2e4, 5)]
+    AGES = (0.0, 1e-3, 0.3, 1.0, 4.0)
+
+    @pytest.mark.parametrize("source", [an.CdfSource.CLOSED_FORM, an.CdfSource.REFERENCE])
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_a_cached_value_is_the_fresh_kernel_value(self, disc, source):
+        for r, mu in self.LAWS:
+            stage = law(r, mu, disc)
+            for a in self.AGES:
+                first = an.cdf_paoi(stage, a, source)
+                hits = an._kernel_value.cache_info().hits
+                again = an.cdf_paoi(stage, a, source)
+                assert an._kernel_value.cache_info().hits == hits + 1
+                fresh = float(an._cdf_kernel(stage, source)(r, mu, a))
+                assert first == again == an.FlaggedValue(fresh, an._flag_probability(fresh))
+
+    @pytest.mark.parametrize("disc", [FCFS, LCFS])
+    def test_quadrature_is_not_cached(self, disc):
+        stage = law(2, 1, disc)
+        before = an._kernel_value.cache_info()
+        got = an.cdf_paoi(stage, 1.0, an.CdfSource.QUADRATURE)
+        assert an._kernel_value.cache_info() == before
+        assert got.value == float(an._quad_pdf(stage, [0.0, 1.0])[-1])
+
+    def test_lcfs_readings_are_cached_apart(self):
+        stage = law(2, 1, LCFS)
+        for a in self.AGES:
+            reference = an.cdf_paoi(stage, a).value
+            published = an.cdf_paoi(stage, a, an.CdfSource.CLOSED_FORM).value
+            assert reference != published
+            assert reference == float(an._cdf_lcfs_integrated(2, 1, a))
+            assert published == float(an._cdf_lcfs_published(2, 1, a))
+            assert an.cdf_paoi(stage, a).value == reference
+
+    def test_the_cache_is_bounded(self):
+        maxsize = an._kernel_value.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+        stage = law(3, 1)
+        for a in np.linspace(0.5, 1.5, maxsize + 1).tolist():
+            an.cdf_paoi(stage, a)
+        assert an._kernel_value.cache_info().currsize == maxsize
+
+
 class TestQuadrature:
     LAWS = TestCdfReference.LAWS
 

@@ -326,6 +326,20 @@ def cell_peaks(rng, law, n, ties):
     return rng.choice(a[:max(1, n // 8)], n) if ties else a
 
 
+# the compute queue's input: users' delivery times, each user's sorted, end to end,
+# drawn from a few distinct instants, so most of them tie across users (and within)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.integers(0, 600), min_size=1, max_size=12), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+@example(users=[0], distinct=1, seed=0)
+@example(users=[1], distinct=1, seed=0)
+def test_time_order_is_the_stable_argsort(users, distinct, seed):
+    rng = np.random.default_rng(seed)
+    instants = rng.exponential(10.0, distinct)
+    times = np.concatenate([np.sort(rng.choice(instants, n)) for n in users])
+    assert np.array_equal(qs._time_order(times), np.argsort(times, kind="stable"))
+
+
 # 1 point to more than two KS chunks per user, so segments straddle the chunk edges
 CELL_USERS = st.lists(st.tuples(CLAIM_RATIO, log_uniform(1, 2.5 * qs._KS_CHUNK).map(round)),
                       min_size=1, max_size=40)
@@ -346,7 +360,7 @@ def test_cell_ks_is_the_largest_user_ks_bit_for_bit(users, mu, disc, ties, seed)
                 for p, law in zip(peaks, laws)]
     assert per_user == [ref.ks_distance(qs.EmpiricalCdf(p), an.cdf_reference(law))
                         for p, law in zip(peaks, laws)]
-    assert sc.stage_ks(peaks, laws) == max(per_user)
+    assert sc.stage_ks(peaks, laws).tolist() == per_user
 
 
 # a cell's samples: 2 to 200 points each, so batch counts from 2 to 20 mix in one pass
@@ -411,8 +425,10 @@ def test_aggregate_sweep_matches_the_per_metric_loop(groups, kinds, seed):
     # +inf and -inf in one metric make an inf - inf in both sums
     with np.errstate(invalid="ignore"):
         got, want = sc.aggregate_sweep(rows), ref.aggregate_sweep(rows)
+        by_group = ref.aggregate_sweep_by_group(rows)
     assert [[(k, repr(v)) for k, v in agg.items()] for agg in got] == \
-        [[(k, repr(v)) for k, v in agg.items()] for agg in want]
+        [[(k, repr(v)) for k, v in agg.items()] for agg in want] == \
+        [[(k, repr(v)) for k, v in agg.items()] for agg in by_group]
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

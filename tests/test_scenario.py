@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sim_reference as ref
 from thzaoi import aoi_analytic as an
 from thzaoi import queue_sim as qs
 from thzaoi import scenario as sc
@@ -234,11 +235,11 @@ class TestSweep:
             assert len(cell) == 4 and all(r["ks_stage"] == ks[1] for r in cell)
 
     @pytest.mark.parametrize("users", [2, 3])
-    def test_ks_stage_reads_the_reference_kernel_at_most_twice_per_cell(self, monkeypatch,
-                                                                         users):
+    def test_ks_stage_reads_the_reference_kernel_at_most_twice_per_discipline(
+            self, monkeypatch, users):
         # severity reads the kernels one age at a time; the KS column reads them
-        # over the whole cell's peaks, once at its knots and once between them, so
-        # a per-user loop would call them per user
+        # over every cell's peaks, once at their knots and once between them, so
+        # a per-cell or per-user loop would call them per cell or per user
         calls = []
         for name in ("_cdf_fcfs_closed", "_cdf_lcfs_integrated"):
             def spy(r, mu, a, kernel=getattr(an, name)):
@@ -248,9 +249,57 @@ class TestSweep:
             monkeypatch.setattr(an, name, spy)
         rows = sc.run_sweep(self.small_sweep(values=(float(users),), reps=2))
         assert not any(r["error"] for r in rows)
-        # 2 replications x 2 disciplines, each cell's few hundred peaks inside one KS
-        # chunk: a knot read over every user of the cell, and at most one more read
-        assert len(calls) <= 8 and calls.count(users) >= 4
+        # 2 disciplines, each over both replications' cells of a few hundred peaks per
+        # user, inside one KS chunk: a knot read over every user of every cell, and at
+        # most one more read
+        assert len(calls) <= 4 and calls.count(2 * users) >= 2
+
+    @pytest.mark.parametrize("variable,values", [
+        (sc.SweepVariable.NUM_USERS, (2.0, 3.0, 4.0)),
+        (sc.SweepVariable.BANDWIDTH, (1e10, 2e10, 4e10))], ids=["num_users", "bandwidth"])
+    def test_sweep_passes_give_each_cell_its_own_estimates(self, monkeypatch, variable,
+                                                           values):
+        # every cell's KS and batch-means columns come from passes over all cells of
+        # its discipline; they must be what the cell's own run gives, bit for bit,
+        # with one cell failing in between: the 4th run (the first value's second
+        # replication, LCFS) keeps one peak of its user 1
+        real_run, runs = qs.run, []
+
+        def one_peak_in_run_4(*args, **kwargs):
+            out = real_run(*args, **kwargs)
+            if len(runs) == 3:
+                s = out.stage1[1]
+                out.stage1[1] = qs.StageSeries(s.times[:1], s.peaks[:1], s.post_ages[:1])
+            runs.append(out)
+            return out
+
+        monkeypatch.setattr(qs, "run", one_peak_in_run_4)
+        sweep = self.small_sweep(variable, values, reps=2)
+        rows = sc.run_sweep(sweep)
+        assert len(runs) == len(values) * 2 * 2
+        cells = {}
+        for row in rows:
+            cells.setdefault((row["value"], row["replication"], row["discipline"]), []).append(row)
+        assert list(cells) == [(v, rep, d.value) for v in values for rep in range(2)
+                               for d in an.Discipline]
+        for out, cell in zip(runs, cells.values()):
+            if out is runs[3]:
+                assert [r["error"] for r in cell] == ["need at least two samples"]
+                continue
+            assert len(cell) == 4
+            est = qs.e2e_average_estimate(out)
+            ks = max(qs.ks_distance(qs.EmpiricalCdf(out.stage1[u].peaks),
+                                    an.cdf_reference(an.StageLaw(r, 5.0, out.config.discipline)))
+                     for u, r in enumerate(out.rates))
+            for row in cell:
+                assert (row["ks_stage"], row["avg_sim"], row["avg_sim_ci"],
+                        row["avg_sim_per_user"]) == (ks, est.mean, est.halfwidth,
+                                                     est.mean / len(out.rates))
+        # the failed cell leaves its group one replication short, so two counts mix
+        agg = sc.aggregate_sweep(rows)
+        assert sorted({a["replications"] for a in agg}) == [1, 2]
+        assert [[(k, repr(v)) for k, v in a.items()] for a in agg] == \
+            [[(k, repr(v)) for k, v in a.items()] for a in ref.aggregate_sweep_by_group(rows)]
 
     @pytest.mark.parametrize("variable,values,most", [
         (sc.SweepVariable.NUM_USERS, (2.0, 3.0, 5.0), 5),
