@@ -56,9 +56,9 @@ Poisson count; and one for the compute queue's service times.  All derive
 from the master seed, so adding users never perturbs existing streams, and
 stacking the users changes no draw and no draw's order within its substream.
 The cycles, FCFS's count and the compute queue are the same for both
-disciplines: ``cell_draws`` holds them for a cell, and ``run`` given it draws
-them once, so the two disciplines are simulated with common random numbers
-and an LCFS run is the same, bit for bit, alone or after FCFS.  The
+disciplines: ``cell_runs`` draws them once for a cell and runs each discipline
+on them, so the disciplines are simulated with common random numbers and each
+run is the same, bit for bit, as a fresh ``run``, in either order.  The
 stage paths match the event loops in ``tests/sim_reference.py`` in
 distribution, not draw for draw; the compute queue, the freshness series
 and the excursions match them bit for bit when both are fed the same
@@ -210,29 +210,15 @@ class _Cycles:
 
 
 class CellDraws(tuple):
-    """What the two disciplines of a cell share: the tuple is every user's arrival
+    """What the disciplines of a cell share: the tuple is every user's arrival
     substream, users in order; ``cycles`` (drawn from them) and ``compute``
     (``_compute_queue`` on their deliveries) are made by the first ``run`` that reads
-    them, and ``key`` names the cell they belong to."""
+    them."""
 
-    def __new__(cls, seed: int, streams: Sequence[np.random.Generator], key=None):
+    def __new__(cls, seed: int, streams: Sequence[np.random.Generator]):
         draws = super().__new__(cls, streams)
-        draws.seed, draws.key, draws.cycles, draws.compute = seed, key, None, None
+        draws.seed, draws.cycles, draws.compute = seed, None, None
         return draws
-
-
-def cell_draws(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
-               seed: int) -> CellDraws:
-    """The draws that ``run(config, per_user_rates, horizon, seed, draws=...)`` shares
-    with every other discipline of the cell; ``config.discipline`` is not read."""
-    key = _cell_key(config, per_user_rates, horizon, seed)
-    return CellDraws(seed, [_rng(seed, _ARRIVAL_TAG, u) for u in range(len(key[0]))], key)
-
-
-def _cell_key(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
-              seed: int) -> tuple:
-    return (tuple(float(r) for r in per_user_rates), config.stage_service_rate,
-            config.compute_service_rate, horizon, seed)
 
 
 def _simulate_stages(rates: Sequence[float], mu: float, horizon: float,
@@ -375,9 +361,9 @@ def _freshness_series(times: np.ndarray, arrived: np.ndarray, lo: Sequence[int],
 
 def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
         seed: int, *, draws: CellDraws | None = None) -> PaoiSamples:
-    """Simulate the tandem network; deterministic for a fixed seed.  ``draws`` from
-    ``cell_draws`` with the same arguments lets the disciplines of a cell share
-    their stage cycles and compute queue; without it the run makes its own."""
+    """Simulate the tandem network; deterministic for a fixed seed.  ``draws`` is
+    passed only by ``cell_runs``, whose runs share their stage cycles and compute
+    queue through it; without it the run makes its own."""
     rates = tuple(float(r) for r in per_user_rates)
     if not rates:
         raise ValueError("need at least one user")
@@ -386,9 +372,7 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be strictly positive and finite")
     if draws is None:
-        draws = cell_draws(config, rates, horizon, seed)
-    elif draws.key != _cell_key(config, rates, horizon, seed):
-        raise ValueError("the draws belong to another cell")
+        draws = CellDraws(seed, [_rng(seed, _ARRIVAL_TAG, u) for u in range(len(rates))])
 
     warmup = WARMUP_FRACTION * horizon
     out = PaoiSamples(config=config, rates=rates, horizon=horizon,
@@ -415,6 +399,15 @@ def run(config: QueueConfig, per_user_rates: Sequence[float], horizon: float,
                                                (lo + served).tolist(), warmup)))
     out.compute_arrival_rate = int(np.count_nonzero(times >= warmup)) / (horizon - warmup)
     return out
+
+
+def cell_runs(disciplines: Iterable[Discipline], per_user_rates: Sequence[float], mu: float,
+              mu_c: float, horizon: float, seed: int) -> Iterator[PaoiSamples]:
+    """A cell's ``run`` for each of ``disciplines`` in turn, from one draw of its stage
+    cycles and one compute queue: each the ``PaoiSamples`` of a fresh ``run``, bit for bit."""
+    draws = CellDraws(seed, [_rng(seed, _ARRIVAL_TAG, u) for u in range(len(per_user_rates))])
+    return (run(QueueConfig(disc, mu, mu_c), per_user_rates, horizon, seed, draws=draws)
+            for disc in disciplines)
 
 
 def stage_series(disciplines: Iterable[Discipline], rate: float, mu: float, horizon: float,
@@ -553,8 +546,8 @@ def ks_distance(empirical: EmpiricalCdf, analytic) -> float:
     return float(ks_segments(x, [empirical.n], lambda idx: analytic(x[idx]))[0])
 
 
-# the KS pass reads at most this many points per CDF call, so its temporaries are a
-# few chunk-length arrays whatever the sample size (the reference kernel's over 8,192
+# the KS pass reads at most this many points per CDF call, so a kernel's temporaries are
+# a few chunk-length arrays whatever the sample size (the reference kernel's over 8,192
 # points raised the reference sweep's peak RSS by 0.45 MB)
 _KS_CHUNK = 1 << 12
 # how far a CDF may fall between sorted points and still bound the terms it skips:
@@ -570,40 +563,43 @@ def ks_segments(points: np.ndarray, lengths: Sequence[int], cdf) -> np.ndarray:
     A segment's distance is the larger of D+ = max(i/n - F) and D- = max(F - (i-1)/n)
     over its points, i = 1..n, each term as the one-segment formula rounds it.  Between
     knots a and b the terms are at most (i_b - 1)/n - F_a (D+) and F_b - i_a/n (D-), and
-    a block whose bound plus ``_KS_SLACK`` does not exceed the largest term read is skipped.
+    a block whose bound plus ``_KS_SLACK`` does not exceed the largest term at the knots
+    is skipped.  The blocks that survive are read through the same chunked reader as
+    the knots; their index arrays are as long as all their points together, not bounded
+    by the chunk size, which makes them large only where most blocks survive.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.size == 0 or lengths.min() < 1:
         raise EmptyDataError("every KS segment needs a sample")
     starts = np.cumsum(lengths) - lengths
+
+    def read(idx):
+        return np.concatenate([np.asarray(cdf(idx[lo:lo + _KS_CHUNK]), dtype=float)
+                               for lo in range(0, idx.size, _KS_CHUNK)])
+
     stride = np.maximum(np.rint(np.cbrt(lengths) / 2).astype(np.intp), 1)
     count = (lengths - 2) // stride + 2   # offsets 0, m, 2m, ... below n - 1, then n - 1
     seg = np.repeat(np.arange(lengths.size), count)
     heads = np.cumsum(count) - count
     off = np.minimum((np.arange(seg.size) - heads[seg]) * stride[seg], lengths[seg] - 1)
-    g = np.concatenate([np.asarray(cdf(starts[seg[lo:lo + _KS_CHUNK]] + off[lo:lo + _KS_CHUNK]),
-                                   dtype=float) for lo in range(0, seg.size, _KS_CHUNK)])
+    g = read(starts[seg] + off)
     n = lengths[seg]
     best = np.maximum.reduceat(np.maximum((off + 1) / n - g, g - off / n), heads)
-    # a block runs from a knot to the next of its segment, exclusive; each chunk of
-    # blocks read may raise the maxima that the blocks after it must reach
+    # a block runs from a knot to the next of its segment, exclusive
     a = np.flatnonzero(off[1:] > off[:-1] + 1)
     bound = np.maximum(off[a + 1] / n[a] - g[a], g[a + 1] - (off[a] + 1) / n[a]) + _KS_SLACK
-    while True:
-        keep = bound > best[seg[a]]
-        a, bound = a[keep], bound[keep]
-        if not a.size:
-            return best
-        inner = off[a + 1] - off[a] - 1   # below the stride, so a chunk holds whole blocks
-        take = max(1, int(np.searchsorted(np.cumsum(inner), _KS_CHUNK, side="right")))
-        blocks, counts, a, bound = a[:take], inner[:take], a[take:], bound[take:]
-        cuts = np.cumsum(counts) - counts   # each point's offset in its segment is i
-        i = np.arange(cuts[-1] + counts[-1]) - np.repeat(cuts - off[blocks] - 1, counts)
-        s = seg[blocks]
-        gi = np.asarray(cdf(np.repeat(starts[s], counts) + i), dtype=float)
-        ni = np.repeat(lengths[s], counts)
-        terms = np.maximum((i + 1) / ni - gi, gi - i / ni)
-        np.maximum.at(best, s, np.maximum.reduceat(terms, cuts))
+    a = a[bound > best[seg[a]]]
+    if not a.size:
+        return best
+    counts = off[a + 1] - off[a] - 1
+    cuts = np.cumsum(counts) - counts   # each point's offset in its segment is i
+    i = np.arange(cuts[-1] + counts[-1]) - np.repeat(cuts - off[a] - 1, counts)
+    s = seg[a]
+    gi = read(np.repeat(starts[s], counts) + i)
+    ni = np.repeat(lengths[s], counts)
+    terms = np.maximum((i + 1) / ni - gi, gi - i / ni)
+    np.maximum.at(best, s, np.maximum.reduceat(terms, cuts))
+    return best
 
 
 def excursion_severity(trace: StageSeries, ruin_level: float) -> ExcursionStats:

@@ -190,16 +190,21 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     """
     positions = [replication_positions(sweep.base, sweep.variable, sweep.values, rep)
                  for rep in range(sweep.replications)]
+    mu_u, mu_c = sweep.base.queue.stage_service_rate, sweep.base.queue.compute_service_rate
     rows: list[dict] = []
     pending: dict[an.Discipline, list] = {}
     for vi, value in enumerate(sweep.values):
         for rep in range(sweep.replications):
             rates = cell_rates(sweep.base, sweep.variable, value, positions[rep])
+            if np.any(rates <= 0):   # the link budget's SNR underflowed to a zero Shannon rate
+                rows.extend(_row(sweep, value, rep, disc, "a user's link gives a zero update "
+                                 "rate and no samples") for disc in an.Discipline)
+                continue
             # both disciplines from one set of cycle draws, under the FCFS seed
-            seed = _derived_seed(sweep.master_seed, vi, rep, 0)
-            draws = qs.cell_draws(sweep.base.queue, rates, sweep.horizon, seed)
-            for disc in an.Discipline:
-                cell = _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink)
+            runs = qs.cell_runs(an.Discipline, rates, mu_u, mu_c, sweep.horizon,
+                                _derived_seed(sweep.master_seed, vi, rep, 0))
+            for disc, samples in zip(an.Discipline, runs):
+                cell = _run_cell(sweep, rates, value, rep, disc, samples, sample_sink)
                 rows.extend(cell[0])
                 if cell[1]:   # not an error row
                     pending.setdefault(disc, []).append(cell)
@@ -208,21 +213,21 @@ def run_sweep(sweep: Sweep, sample_sink=None) -> list[dict]:
     return rows
 
 
-def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink):
-    """A cell's rows, stage laws and ``qs._e2e_samples`` (an error row: no laws, no samples)."""
+def _row(sweep, value, rep, disc, error=""):
+    return {"sweep_var": sweep.variable.value, "value": value, "replication": rep,
+            "discipline": disc.value, "error": error}
+
+
+def _run_cell(sweep, rates, value, rep, disc, samples, sample_sink):
+    """A cell's rows, stage laws and ``qs._e2e_samples`` from its ``samples`` (an error row:
+    no laws, no samples)."""
     mu_u, mu_c = sweep.base.queue.stage_service_rate, sweep.base.queue.compute_service_rate
-    base_row = {
-        "sweep_var": sweep.variable.value, "value": value, "replication": rep,
-        "discipline": disc.value, "error": "",
-    }
+    base_row = _row(sweep, value, rep, disc)
     try:
-        if np.any(rates <= 0):   # the link budget's SNR underflowed to a zero Shannon rate
-            raise qs.EmptyDataError("a user's link gives a zero update rate and no samples")
         lam_c = compute_arrival_rate(rates, mu_u, sweep.arrival_mode)
         stages = tuple(an.StageLaw(float(r), mu_u, disc) for r in rates)
         sys_law = an.SystemLaw(stages)
 
-        samples = qs.run(qs.QueueConfig(disc, mu_u, mu_c), rates, sweep.horizon, seed, draws=draws)
         # completed excursions pooled across users; empirical P(M - a <= z)
         exceed = qs.exceedances([samples.stage1[u] for u in range(len(rates))], sweep.ruin_level)
         if sample_sink is not None:
@@ -233,9 +238,7 @@ def _run_cell(sweep, rates, value, rep, disc, seed, draws, sample_sink):
         preempts = sum(c.preemptions for c in samples.stage_counters.values())
         burke_gap = mu_u * len(rates) - samples.compute_arrival_rate
     except qs.EmptyDataError as exc:
-        row = dict(base_row)
-        row["error"] = str(exc)
-        return [row], (), ()
+        return [_row(sweep, value, rep, disc, str(exc))], (), ()
 
     sev_pair = an.severity_both_modes(sys_law, sweep.ruin_level, sweep.threshold_z)
     out = []

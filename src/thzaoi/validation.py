@@ -247,11 +247,9 @@ def check_e2e_average(seed: int):
     lam_c = sc.compute_arrival_rate(rates, 5.0, sc.ArrivalRateMode.BURKE)
     lines = []
     ok = True
-    draws = qs.cell_draws(qs.QueueConfig(an.Discipline.FCFS_MM12, 5.0, 100.0), rates,
-                          E2E_HORIZON, seed + 5)
-    for disc in an.Discipline:
+    for disc, out in zip(an.Discipline,
+                         qs.cell_runs(an.Discipline, rates, 5.0, 100.0, E2E_HORIZON, seed + 5)):
         analytic = _corrected_e2e(rates, 5.0, 100.0, disc)
-        out = qs.run(qs.QueueConfig(disc, 5.0, 100.0), rates, E2E_HORIZON, seed + 5, draws=draws)
         est = qs.e2e_average_estimate(out)
         rel = abs(est.mean - analytic) / analytic
         gap = lam_c - out.compute_arrival_rate
@@ -340,6 +338,7 @@ def check_sweep_determinism(seed: int):
                      1.0, 3.0, 30.0, seed + 13)
     blobs = []
     for _ in range(2):
+        an._kernel_value.cache_clear()   # so the second run computes what the first one cached
         rows = sc.run_sweep(sweep)
         buf = io.StringIO()
         write_rows_csv(buf, sc.SWEEP_COLUMNS, rows)

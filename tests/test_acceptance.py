@@ -235,6 +235,17 @@ def test_c09_sweep_cli_byte_identical(tmp_path):
     assert same
 
 
+def test_c09_sweep_determinism_computes_both_sweeps(monkeypatch):
+    # a stand-in FCFS kernel whose scalar reads drift by 1e-12 a call: two sweeps that
+    # each compute their stage-CDF values differ, where a second sweep that read the
+    # values the first one cached would repeat its bytes
+    exact, calls = val.an._cdf_fcfs_closed, itertools.count(1)
+    monkeypatch.setattr(val.an, "_cdf_fcfs_closed", lambda r, mu, a: exact(r, mu, a) + (
+        1e-12 * next(calls) if np.ndim(a) == 0 else 0.0))
+    check = val.check_sweep_determinism(val.MASTER_SEED)
+    assert not check.passed and "byte-identical = False" in check.details, check.details
+
+
 def test_c10_verdict_ignores_the_clock(monkeypatch):
     ticks = itertools.count(step=1e6)
     monkeypatch.setattr(val, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))

@@ -87,6 +87,7 @@ def test_negative_float_age_is_rejected():
 
 NAN = math.nan
 FCFS = an.Discipline.FCFS_MM12
+LCFS = an.Discipline.LCFS_MM12_STAR
 LINK = dict(bandwidth_hz=1e10, carrier_hz=1e12, tx_power_w=1.0, absorption_per_m=0.0016,
             temperature_k=300.0, meta_surfaces=100, image_size_bits=1e7)
 
@@ -312,6 +313,41 @@ def test_stacked_stages_are_each_users_own_run(users, mu, disc, services, seed):
         assert 2 in {c.in_system for c in counters} and min(c.in_system for c in counters) < 2
     # a row is padded with finite numbers, so whole-stack differences raise no warning
     assert np.isfinite(done).all() and np.isfinite(gens).all()
+
+
+def assert_same_samples(a: qs.PaoiSamples, b: qs.PaoiSamples):
+    """Every series array, byte for byte, and every counter and compute field."""
+    for table in ("stage1", "e2e"):
+        assert getattr(a, table).keys() == getattr(b, table).keys()
+    pairs = [(getattr(a, t)[u], getattr(b, t)[u]) for t in ("stage1", "e2e") for u in a.stage1]
+    for x, y in pairs + [(a.compute_agg, b.compute_agg)]:
+        for name in ("times", "peaks", "post_ages"):
+            p, q = getattr(x, name), getattr(y, name)
+            assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+    assert a.stage_counters == b.stage_counters
+    fields = ("config", "rates", "horizon", "warmup", "seed", "compute_arrivals",
+              "compute_delivered", "compute_in_system", "compute_arrival_rate")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(log_uniform(1e-3, 4e3), max_size=3), st.integers(0, 3), CLAIM_MU,
+       log_uniform(1e-1, 3e2), st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+# a slow user alone, and one among users that need dozens of blocks
+@example(ratios=[], slow=0, mu=1.0, services=30.0, block=3, lcfs_first=False, seed=0)
+@example(ratios=[4e3, 0.5, 2.0], slow=1, mu=1.0, services=300.0, block=7, lcfs_first=True,
+         seed=5)
+def test_cell_runs_are_each_a_fresh_run(ratios, slow, mu, services, block, lcfs_first, seed):
+    # 1-4 users, one of them too slow to deliver, over horizons of a tenth of a service
+    # to 300 of them; a patched block of a few cycles makes the users span many blocks
+    rates = [r * mu for r in ratios]
+    rates.insert(min(slow, len(rates)), 1e-9 * mu)
+    order = (LCFS, FCFS) if lcfs_first else (FCFS, LCFS)
+    horizon, mu_c = services / mu, 50.0 * mu
+    with mock.patch.object(qs, "_block_size", lambda *_: block):
+        for disc, samples in zip(order, qs.cell_runs(order, rates, mu, mu_c, horizon, seed)):
+            assert_same_samples(samples, qs.run(qs.QueueConfig(disc, mu, mu_c), rates, horizon,
+                                                seed))
 
 
 def cell_peaks(rng, law, n, ties):

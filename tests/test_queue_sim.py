@@ -193,8 +193,7 @@ class TestStageDraws:
         # 15 to 66, and the stack widens as they go
         monkeypatch.setattr(qs, "_block_size", lambda r, mu, h: 5 if r > 1 else 9)
         rates, horizon = [2.0, 0.5, 4000.0, 7.0, 1e-9, 0.9], 300.0
-        draws = qs.cell_draws(config(FCFS), rates, horizon, 5)
-        out = {disc: qs.run(config(disc), rates, horizon, 5, draws=draws) for disc in (FCFS, LCFS)}
+        out = dict(zip((FCFS, LCFS), qs.cell_runs((FCFS, LCFS), rates, 1.0, 50.0, horizon, 5)))
         # the arrival substreams, the compute queue's, then LCFS's gap substreams
         assert len(spies) == 2 * len(rates) + 1
         blocks = [rng.calls["standard_exponential"] // 2 for rng in spies[:len(rates)]]
@@ -472,7 +471,7 @@ class TestBurkeGap:
 
 
 class TestPairedDisciplines:
-    """Both disciplines of a cell from one ``cell_draws``: the same S, E and compute
+    """Both disciplines of a cell from one ``cell_runs``: the same S, E and compute
     service draws, so the same delivery instants, and an LCFS peak, whose update is
     never older, never above the FCFS one."""
 
@@ -482,10 +481,8 @@ class TestPairedDisciplines:
 
     @staticmethod
     def paired(rates, mu, mu_c, horizon, seed, first=FCFS):
-        draws = qs.cell_draws(config(FCFS, mu, mu_c), rates, horizon, seed)
         order = (first, LCFS if first is FCFS else FCFS)
-        out = {disc: qs.run(config(disc, mu, mu_c), rates, horizon, seed, draws=draws)
-               for disc in order}
+        out = dict(zip(order, qs.cell_runs(order, rates, mu, mu_c, horizon, seed)))
         return out[FCFS], out[LCFS]
 
     @pytest.fixture(params=["CELL", "BLOCKS"])
@@ -533,18 +530,6 @@ class TestPairedDisciplines:
         series, = qs.stage_series((LCFS,), rates[0], mu, horizon, seed)
         for name in ("times", "peaks", "post_ages"):
             assert getattr(series, name).tobytes() == getattr(alone.stage1[0], name).tobytes()
-
-    # draws made for a cell that differs from the run's in one field of the key
-    @pytest.mark.parametrize("other", [
-        dict(rates=[0.5, 2.0, 4e3, 2e-9]), dict(mu=2.0), dict(mu_c=60.0), dict(horizon=1501.0),
-        dict(seed=24)], ids=["rates", "stage-rate", "compute-rate", "horizon", "seed"])
-    def test_draws_belong_to_one_cell(self, other):
-        c, made = self.CELL, {**self.CELL, **other}
-        draws = qs.cell_draws(config(FCFS, made["mu"], made["mu_c"]), made["rates"],
-                              made["horizon"], made["seed"])
-        with pytest.raises(ValueError, match="another cell"):
-            qs.run(config(LCFS, c["mu"], c["mu_c"]), c["rates"], c["horizon"], c["seed"],
-                   draws=draws)
 
     @pytest.mark.parametrize("ratio", [0.5, 2.0, 4e3])
     def test_mean_peak_gap_is_the_identity(self, ratio):
