@@ -531,6 +531,32 @@ class TestPairedDisciplines:
         for name in ("times", "peaks", "post_ages"):
             assert getattr(series, name).tobytes() == getattr(alone.stage1[0], name).tobytes()
 
+    @staticmethod
+    def drawn(samples: qs.PaoiSamples) -> tuple:
+        """What a run drew: every series array and counter, not the cell it was asked for."""
+        series = [s for t in (samples.stage1, samples.e2e) for s in t.values()]
+        return (_sha256(*(getattr(s, n) for s in series + [samples.compute_agg]
+                          for n in ("times", "peaks", "post_ages"))),
+                samples.stage_counters, samples.compute_arrivals, samples.compute_delivered,
+                samples.compute_in_system)
+
+    # a cell that differs from CELL in one field, run while CELL's runs are half read:
+    # each of them is its own cell's fresh run, not one from the other cell's draws
+    @pytest.mark.parametrize("other", [
+        dict(rates=[0.5, 2.5, 4e3, 1e-9]), dict(mu=2.0), dict(mu_c=60.0), dict(horizon=1501.0),
+        dict(seed=24)], ids=["rates", "stage-rate", "compute-rate", "horizon", "seed"])
+    def test_draws_belong_to_one_cell(self, other):
+        cells = dict(own=self.CELL, other={**self.CELL, **other})
+        runs = {k: qs.cell_runs((FCFS, LCFS), *c.values()) for k, c in cells.items()}
+        got = {(disc, k): next(runs[k]) for disc, k in ((FCFS, "own"), (FCFS, "other"),
+                                                         (LCFS, "other"), (LCFS, "own"))}
+        for disc in (FCFS, LCFS):
+            for k, c in cells.items():
+                fresh = qs.run(config(disc, c["mu"], c["mu_c"]), c["rates"], c["horizon"],
+                               c["seed"])
+                assert self.drawn(got[disc, k]) == self.drawn(fresh)
+            assert self.drawn(got[disc, "own"]) != self.drawn(got[disc, "other"])
+
     @pytest.mark.parametrize("ratio", [0.5, 2.0, 4e3])
     def test_mean_peak_gap_is_the_identity(self, ratio):
         # one shared run; each user's FCFS - LCFS stage peaks, delivery by delivery,
