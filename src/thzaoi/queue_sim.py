@@ -43,8 +43,7 @@ makes, in the loop's order, and the completion times equal the loop's bit
 for bit.  Where the periods begin is guessed from the max-plus closed form,
 which rounds differently, and checked against the exact completions.  The
 jobs enter in the order of a stable time sort, so tied deliveries keep their
-users' order; it is numpy's default sort with each run of ties put back in
-index order.  The completions go back through the time sort into the stage
+users' order.  The completions go back through the time sort into the stage
 layout, user by user, with no second sort: a user's end-to-end series is a
 slice of them read against the generation times its stage series reads.
 
@@ -435,7 +434,7 @@ def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float
     ``times``; how many of each user's jobs complete by the horizon, the first of
     its own; the aggregate series; and the jobs completed in all.  The completions
     depend on the delivery times only, so both disciplines of a cell share them."""
-    order = _time_order(times)
+    order = np.argsort(times, kind="stable")
     arrived = times[order]
     done = _departures(arrived, _rng(seed, _COMPUTE_SVC_TAG, 0).exponential(1.0 / mu_c, times.size))
     # completions never decrease, so the jobs delivered within the horizon are a
@@ -447,18 +446,6 @@ def _compute_queue(times: np.ndarray, d: np.ndarray, mu_c: float, horizon: float
     completions = np.empty_like(done)
     completions[order] = done
     return completions, served, agg, k
-
-
-def _time_order(times: np.ndarray) -> np.ndarray:
-    """``np.argsort(times, kind="stable")`` from numpy's default sort, which is faster but
-    may order tied times either way: each run of ties is then sorted back by index."""
-    order = np.argsort(times)
-    t = times[order]
-    tied = np.append(t[1:] == t[:-1], False)
-    if tied.any():   # every member of a run, which keeps its place among the others
-        at = np.flatnonzero(tied | np.roll(tied, 1))
-        order[at] = order[at][np.lexsort((order[at], t[at]))]
-    return order
 
 
 # busy periods of at most this many jobs advance together, one position per

@@ -362,20 +362,6 @@ def cell_peaks(rng, law, n, ties):
     return rng.choice(a[:max(1, n // 8)], n) if ties else a
 
 
-# the compute queue's input: users' delivery times, each user's sorted, end to end,
-# drawn from a few distinct instants, so most of them tie across users (and within)
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(st.lists(st.integers(0, 600), min_size=1, max_size=12), st.integers(1, 40),
-       st.integers(0, 2 ** 32 - 1))
-@example(users=[0], distinct=1, seed=0)
-@example(users=[1], distinct=1, seed=0)
-def test_time_order_is_the_stable_argsort(users, distinct, seed):
-    rng = np.random.default_rng(seed)
-    instants = rng.exponential(10.0, distinct)
-    times = np.concatenate([np.sort(rng.choice(instants, n)) for n in users])
-    assert np.array_equal(qs._time_order(times), np.argsort(times, kind="stable"))
-
-
 # 1 point to more than two KS chunks per user, so segments straddle the chunk edges
 CELL_USERS = st.lists(st.tuples(CLAIM_RATIO, log_uniform(1, 2.5 * qs._KS_CHUNK).map(round)),
                       min_size=1, max_size=40)

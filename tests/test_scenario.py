@@ -331,6 +331,31 @@ class TestSweep:
                 assert (sc.cell_rates(base, variable, value, positions).tolist()
                         == sc.realize_rates(cell).tolist())
 
+    def test_counter_columns_are_each_cells_own_counts(self):
+        # drops, preemptions and burke_gap are read off a cell's own counters and compute
+        # arrival rate; without this, only the golden digests catch them computed over
+        # the wrong users or the wrong counts
+        cells = {}
+
+        def sink(value, rep, disc, samples, excursions):
+            cells[value, rep, disc.value] = samples
+
+        sweep = self.small_sweep(values=(1.0, 2.0, 3.0), reps=2)
+        rows = [r for r in sc.run_sweep(sweep, sample_sink=sink) if not r["error"]]
+        assert len(cells) == 3 * 2 * 2
+        assert {r["discipline"] for r in rows} == {d.value for d in an.Discipline}
+        mu_u = sweep.base.queue.stage_service_rate
+        for row in rows:
+            samples = cells[row["value"], row["replication"], row["discipline"]]
+            counters = samples.stage_counters.values()
+            assert len(samples.stage_counters) == int(row["value"])
+            assert row["burke_gap"] == mu_u * int(row["value"]) - samples.compute_arrival_rate
+            assert row["drops"] == sum(c.drops for c in counters)
+            assert row["preemptions"] == sum(c.preemptions for c in counters)
+            lcfs = row["discipline"] == an.Discipline.LCFS_MM12_STAR.value
+            assert row["drops" if lcfs else "preemptions"] == 0
+            assert row["preemptions" if lcfs else "drops"] > 0
+
     def test_zero_update_rate_is_an_error_row(self):
         # an absorption this high underflows every user's SNR to a zero Shannon rate
         sweep = self.small_sweep(values=(2.0,), absorption_per_m=2.5)
