@@ -397,13 +397,12 @@ def severity_both_modes(sys_law: SystemLaw, ruin_level: float,
     yields NOT_COMPUTABLE (NaN), never a clamp.
     """
     points = (ruin_level, ruin_level + threshold_z, threshold_z)
-    cdf = {x: system_cdf(sys_law, x).value for x in points}   # a repeated point is read once
-    raw = [cdf[x] for x in points]
+    raw = [system_cdf(sys_law, x).value for x in points]
     out = {}
     for mode in (PsiMode.AS_WRITTEN_CDF, PsiMode.SURVIVAL):
         psi_a, psi_az, psi_z = raw if mode is PsiMode.AS_WRITTEN_CDF else [1.0 - c for c in raw]
         denom = psi_a * (1.0 - psi_z)
-        if psi_a == 0.0 or denom == 0.0:
+        if denom == 0.0:
             out[mode] = FlaggedValue(math.nan, Validity.NOT_COMPUTABLE)
             continue
         val = (psi_a - psi_az) / denom

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -165,10 +164,7 @@ class PaoiSamples:
     compute_arrival_rate: float = 0.0   # measured post-warmup
 
     def series(self, user: int, stage: Stage) -> StageSeries:
-        table = self.stage1 if stage is Stage.STAGE1 else self.e2e
-        if user not in table:
-            raise KeyError(f"no user {user}")
-        return table[user]
+        return (self.stage1 if stage is Stage.STAGE1 else self.e2e)[user]
 
 
 @dataclass
@@ -519,10 +515,7 @@ class EmpiricalCdf:
 
 
 def empirical_cdf(samples: PaoiSamples, user: int, stage: Stage) -> EmpiricalCdf:
-    series = samples.series(user, stage)
-    if len(series) == 0:
-        raise EmptyDataError(f"user {user} has no {stage.value} samples")
-    return EmpiricalCdf(series.peaks)
+    return EmpiricalCdf(samples.series(user, stage).peaks)
 
 
 def ks_distance(empirical: EmpiricalCdf, analytic) -> float:
@@ -644,7 +637,6 @@ _T975 = (
     2.045229642132703, 2.0422724563012378)
 
 
-@functools.lru_cache(maxsize=None)
 def student_t_975(dof: int) -> float:
     """Student-t 0.975 quantile (a 95% two-sided interval) for ``dof`` degrees of freedom."""
     if 1 <= dof <= len(_T975):
@@ -691,7 +683,7 @@ def _e2e_samples(samples: PaoiSamples) -> list[np.ndarray]:
     peaks = [samples.stage1[u].peaks for u in range(len(samples.rates))]
     if min(p.size for p in peaks) < 2:
         raise EmptyDataError("need at least two samples")
-    if samples.compute_agg is None or len(samples.compute_agg) < 2:
+    if len(samples.compute_agg) < 2:
         raise EmptyDataError("no compute-queue samples")
     return peaks + [samples.compute_agg.peaks]
 
@@ -722,18 +714,16 @@ def write_samples_csv(path, tagged_samples: Sequence[tuple[int, PaoiSamples]]):
             tagged = [(u, stage.value, table[u])
                       for stage, table in ((Stage.STAGE1, samples.stage1), (Stage.E2E, samples.e2e))
                       for u in sorted(table)]
-            if samples.compute_agg is not None:
-                tagged.append((-1, "compute", samples.compute_agg))
+            tagged.append((-1, "compute", samples.compute_agg))
             for u, stage, s in tagged:
                 w.writerows(zip(repeat(rep), repeat(u), repeat(stage),
                                 s.times.tolist(), s.peaks.tolist()))
 
 
-def write_excursions_csv(path, tagged_stats: Sequence[tuple[int, ExcursionStats]]):
-    """CSV export: (replication, ruin_level, exceedance)."""
+def write_excursions_csv(path, rep: int, stats: ExcursionStats):
+    """CSV export of one replication's excursions: (replication, ruin_level, exceedance)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["replication", "ruin_level", "exceedance"])
-        for rep, stats_ in tagged_stats:
-            w.writerows(zip(repeat(rep), repeat(float(stats_.ruin_level)),
-                            stats_.exceedances.tolist()))
+        w.writerows(zip(repeat(rep), repeat(float(stats.ruin_level)),
+                        stats.exceedances.tolist()))

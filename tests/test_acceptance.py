@@ -148,6 +148,22 @@ def test_c01_c04_moment_checks_share_one_quadrature_pass(monkeypatch):
     assert all(a[2] == (0, 1) for a in calls)
 
 
+def test_c01_c04_moment_checks_read_their_own_runs_pass(monkeypatch):
+    # a density moved by 1e-3 must fail both moment checks of the run that reads it,
+    # though an earlier run in this interpreter passed them
+    first = {c.name: c for c in val.run_validation().checks}
+    monkeypatch.setattr(val.an, "_h2", lambda x, h2=val.an._h2: 1.001 * h2(x))
+    try:
+        second = {c.name: c for c in val.run_validation().checks}
+    finally:   # neither cache may keep values of the moved density
+        val._moment_gaps.cache_clear()
+        val.an._kernel_value.cache_clear()
+    for name in ("density_normalization", "stage_mean_moment_consistency"):
+        assert first[name].passed, first[name].details
+        assert not second[name].passed, second[name].details
+        assert second[name].details != first[name].details
+
+
 def test_c08_figure_trends(report):
     check = _check(report, "figure_trends_corrected_average")
     _emit(8, check)

@@ -4,12 +4,13 @@ import argparse
 import csv
 import json
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from thzaoi import cli
+from thzaoi import cli, svg_chart
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -33,6 +34,11 @@ def scenario_section(num_users=3, mu_c=200.0):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_finite_svg(doc):
+    assert ET.fromstring(doc).tag == "{http://www.w3.org/2000/svg}svg"
+    assert not re.search(r"\b(nan|inf)\b", doc, re.IGNORECASE), doc   # as Python formats them
 
 
 class TestAnalyticCommand:
@@ -161,6 +167,12 @@ class TestSweepCommand:
         doc = (tmp_path / "out" / "sweep_avg.svg").read_text()
         assert doc.startswith("<svg") and "polyline" in doc
 
+    def test_one_value_svg_is_a_finite_document(self, tmp_path):
+        rc = cli.main(["sweep", "--config", str(self.config(tmp_path, values=(2,))),
+                       "--out", str(tmp_path / "out"), "--svg"])
+        assert rc == 0
+        assert_finite_svg((tmp_path / "out" / "sweep_avg.svg").read_text())
+
     def test_export_samples(self, tmp_path):
         rc = cli.main(["sweep", "--config", str(self.config(tmp_path, values=(2,))),
                        "--out", str(tmp_path / "out"), "--export-samples"])
@@ -229,6 +241,15 @@ class TestSweepCommand:
         assert rc == 0
         agg = read_csv(tmp_path / "out" / "sweep_aggregate.csv")
         assert agg and all(r["sim_severity_below_z_mean"] == "nan" for r in agg)
+
+
+class TestSvgChart:
+    @pytest.mark.parametrize("series", [
+        pytest.param({}, id="no-series"),
+        pytest.param({"one": ([2.0], [3.5])}, id="one-point"),
+    ])
+    def test_degenerate_range_is_a_finite_document(self, series):
+        assert_finite_svg(svg_chart.line_chart(series, "t", "x", "y"))
 
 
 class TestValidateCommand:
@@ -367,6 +388,30 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert f"scenario.{section}: unknown keys ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,drop,message", [
+        ("analytic", "analytic", "config: analytic section required"),
+        ("sweep", "scenario", "config: scenario section required"),
+        ("sweep", "sweep", "config: sweep section required"),
+    ])
+    def test_missing_section_is_usage_error(self, tmp_path, capsys, command, drop, message):
+        payload = {"analytic": {"laws": [], "ages": []}, "scenario": scenario_section(),
+                   "sweep": {"variable": "num_users", "values": [2], "replications": 1,
+                             "ruin_level_s": 1.0, "threshold_z_s": 3.0, "horizon_s": 10.0}}
+        del payload[drop]
+        cfg = write_config(tmp_path, payload)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,message", [
+        pytest.param({"scenario": {**scenario_section(), "room": 5}, "sweep": {}},
+                     "scenario.room: expected an object", id="room"),
+        pytest.param([scenario_section()], "config: expected an object", id="top-level-list"),
+    ])
+    def test_non_object_section_is_usage_error(self, tmp_path, capsys, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
 
     def test_feed_flag_is_rejected_by_argparse(self, tmp_path, capsys):
         # every setting but the sweep's seed comes from the config file alone

@@ -852,7 +852,7 @@ class TestExports:
         out = single_user_run(FCFS, 2.0, 1.0, 5000.0)
         stats = qs.excursion_severity(out.stage1[0], 1.0)
         path = tmp_path / "exc.csv"
-        qs.write_excursions_csv(path, [(0, stats)])
+        qs.write_excursions_csv(path, 0, stats)
         lines = path.read_text().splitlines()
         assert lines[0] == "replication,ruin_level,exceedance"
         assert len(lines) == 1 + len(stats.exceedances)

@@ -58,9 +58,16 @@ class TestPlacement:
         assert np.all(pts > 0.0) and np.all(pts < 50.0)
 
     def test_mean_converges_to_room_center(self):
-        pts = sc.place_users(scenario(num_users=100000, seed=3))
+        n = 20_000
+        pts = sc.place_users(scenario(num_users=n, seed=3))
         center = np.array([25.0, 25.0])
         assert np.all(np.abs(pts.mean(axis=0) - center) < 0.01 * 50.0)
+        # each coordinate is uniform on the side: its KS distance stays under 1.95 / sqrt(n),
+        # the asymptotic 0.999 quantile, as in test_cycle_terms
+        f = np.sort(pts, axis=0) / 50.0
+        i = np.arange(1, n + 1)[:, None]
+        ks = np.maximum(i / n - f, f - (i - 1) / n).max(axis=0)
+        assert np.all(ks < 1.95 / math.sqrt(n)), ks
 
 
 class TestAssociation:
