@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,7 +298,8 @@ def _quad_pdf(law: StageLaw, grid, moment: int | tuple[int, ...] = 0) -> np.ndar
     r, mu = law.update_rate, law.service_rate
     lo, hi = float(grid[0]), float(grid[-1])
     first = 1.0 / (64.0 * max(r, mu))
-    steps = math.ceil(math.log(hi / first, 1.5)) if hi > first else 0
+    # the ratio overflows from ages of about 1.4e306; capped, it drops only edges where pdf = 0
+    steps = math.ceil(math.log(min(hi / first, sys.float_info.max), 1.5)) if hi > first else 0
     edges = np.sort(np.concatenate(
         (grid, [1.0 / (r + mu), 1.0 / r, 1.0 / mu, 3.0 / mu], first * 1.5 ** np.arange(steps))))
     # repeats dropped by hand: np.unique would load numpy.ma on first use

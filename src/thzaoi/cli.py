@@ -205,7 +205,10 @@ def _sample_sink(out: Path, written: list[str]):
     def sink(value, rep, disc, samples, excursions):
         tag = f"{value!r}_rep{rep}_{disc.value}"
         qs.write_samples_csv(samples_dir / f"paoi_{tag}.csv", [(rep, samples)])
-        qs.write_excursions_csv(samples_dir / f"excursions_{tag}.csv", rep, excursions)
+        val.write_csv(samples_dir / f"excursions_{tag}.csv",
+                      ["replication", "ruin_level", "exceedance"],
+                      [{"replication": rep, "ruin_level": excursions.ruin_level, "exceedance": x}
+                       for x in excursions.exceedances.tolist()])
         written.extend((f"samples/paoi_{tag}.csv", f"samples/excursions_{tag}.csv"))
 
     return sink

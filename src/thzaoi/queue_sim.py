@@ -718,12 +718,3 @@ def write_samples_csv(path, tagged_samples: Sequence[tuple[int, PaoiSamples]]):
             for u, stage, s in tagged:
                 w.writerows(zip(repeat(rep), repeat(u), repeat(stage),
                                 s.times.tolist(), s.peaks.tolist()))
-
-
-def write_excursions_csv(path, rep: int, stats: ExcursionStats):
-    """CSV export of one replication's excursions: (replication, ruin_level, exceedance)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replication", "ruin_level", "exceedance"])
-        w.writerows(zip(repeat(rep), repeat(float(stats.ruin_level)),
-                        stats.exceedances.tolist()))

@@ -252,27 +252,24 @@ def _run_cell(sweep, rates, value, rep, disc, samples, sample_sink):
             avg_err = str(exc)
         for psi_mode in (an.PsiMode.AS_WRITTEN_CDF, an.PsiMode.SURVIVAL):
             sev = sev_pair[psi_mode]
-            row = dict(base_row)
-            # the simulator's estimates and ks_stage are filled in by _estimate_cells
-            row.update({
+            # _estimate_cells adds the simulator's estimates and ks_stage
+            out.append({
+                **base_row,
                 "avg_analytic_mode": avg_mode.value,
                 "avg_analytic": avg_val,
-                "avg_sim": None, "avg_sim_ci": None,
                 "severity_mode": psi_mode.value,
                 "j_z": sev.value, "j_validity": sev.validity.value,
-                "ks_stage": None, "drops": drops, "preemptions": preempts,
+                "drops": drops, "preemptions": preempts,
                 "avg_analytic_per_user": avg_val / len(rates),
-                "avg_sim_per_user": None,
                 "sim_severity_below_z": sev_below, "sim_excursions": exceed.size,
                 "lambda_c": lam_c, "burke_gap": burke_gap,
                 "error": avg_err,
             })
-            out.append(row)
     return out, stages, estimated
 
 
 def _estimate_cells(cells):
-    """Fill in the ``ks_stage`` and ``avg_sim`` columns of one discipline's ``cells`` (rows,
+    """Add the ``ks_stage`` and ``avg_sim`` columns to one discipline's ``cells`` (rows,
     stages, samples): each cell's largest user distance of one ``stage_ks`` pass, and its
     samples' estimates of one ``_estimate_avgs`` pass, composed as for one cell."""
     users = np.array([len(stages) for _, stages, _ in cells])

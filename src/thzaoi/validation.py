@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -88,14 +89,6 @@ def _grid_laws(disc):
     return laws
 
 
-@functools.cache
-def _moment_gaps() -> tuple[float, float]:
-    """Worst |mass - 1| and |mean - avg_paoi_stage| over the grid laws, one pass per law."""
-    gaps = [an._quad_pdf(law, [0.0, an.support_bound(law)], (0, 1))[:, -1]
-            - (1.0, an.avg_paoi_stage(law)) for disc in an.Discipline for law in _grid_laws(disc)]
-    return tuple(np.abs(gaps).max(axis=0).tolist())
-
-
 def _timed_check(name: str):
     """Make ``fn(...) -> (passed, details)`` return a timed ``CheckResult``."""
     def decorate(fn):
@@ -111,10 +104,22 @@ def _timed_check(name: str):
 # ---------------------------------------------------------------------------
 # individual checks
 
-@_timed_check("density_normalization")
-def check_normalization():
-    worst = _moment_gaps()[0]
-    return worst <= NORMALIZATION_TOL, f"max |mass - 1| = {worst:.3e}"
+def check_moments() -> tuple[CheckResult, CheckResult]:
+    """``density_normalization`` and ``stage_mean_moment_consistency`` from one pass per
+    grid law for its mass and mean; the first check's duration carries the pass."""
+    start = time.perf_counter()
+    gaps = [an._quad_pdf(law, [0.0, an.support_bound(law)], (0, 1))[:, -1]
+            - (1.0, an.avg_paoi_stage(law)) for disc in an.Discipline for law in _grid_laws(disc)]
+    mass, mean = np.abs(gaps).max(axis=0).tolist()
+    end = time.perf_counter()
+    spot_f = abs(an.avg_paoi_stage(an.StageLaw(2, 1)) - 17.0 / 6.0)
+    spot_l = abs(an.avg_paoi_stage(
+        an.StageLaw(2, 1, an.Discipline.LCFS_MM12_STAR)) - 43.0 / 18.0)
+    ok = mean <= MOMENT_TOL and spot_f < 1e-12 and spot_l < 1e-12
+    return (CheckResult("density_normalization", mass <= NORMALIZATION_TOL,
+                        f"max |mass - 1| = {mass:.3e}", end - start),
+            CheckResult("stage_mean_moment_consistency", ok,
+                        f"max |closed mean - moment| = {mean:.3e}", time.perf_counter() - end))
 
 
 @_timed_check("fcfs_closed_vs_quadrature")
@@ -192,16 +197,6 @@ def check_stage_cdf_vs_cycle_terms():
     return max(worst_ref, worst_quad) <= ORACLE_TOL, (
         f"max |reference - decimal| = {worst_ref:.2e}, "
         f"max |quadrature - decimal| = {worst_quad:.2e} (tol {ORACLE_TOL:.0e})")
-
-
-@_timed_check("stage_mean_moment_consistency")
-def check_moment_consistency():
-    worst = _moment_gaps()[1]
-    spot_f = abs(an.avg_paoi_stage(an.StageLaw(2, 1)) - 17.0 / 6.0)
-    spot_l = abs(an.avg_paoi_stage(
-        an.StageLaw(2, 1, an.Discipline.LCFS_MM12_STAR)) - 43.0 / 18.0)
-    ok = worst <= MOMENT_TOL and spot_f < 1e-12 and spot_l < 1e-12
-    return ok, f"max |closed mean - moment| = {worst:.3e}"
 
 
 @_timed_check("simulator_vs_analytic_ks")
@@ -367,12 +362,12 @@ def write_rows_csv(fh, columns, rows):
 def run_validation(seed: int = MASTER_SEED, out_dir=None) -> ValidationReport:
     report = ValidationReport()
     start = time.perf_counter()
-    _moment_gaps.cache_clear()   # so this run's two moment checks read this run's pass
-    report.checks.append(check_normalization())
+    normalization, moments = check_moments()
+    report.checks.append(normalization)
     report.checks.append(check_fcfs_closed_vs_quadrature())
     report.checks.append(check_lcfs_discrepancy(report))
     report.checks.append(check_stage_cdf_vs_cycle_terms())
-    report.checks.append(check_moment_consistency())
+    report.checks.append(moments)
     report.checks.append(check_stage_ks(seed))
     report.checks.append(check_e2e_average(seed))
     report.checks.append(check_severity(seed, report))
@@ -380,14 +375,7 @@ def run_validation(seed: int = MASTER_SEED, out_dir=None) -> ValidationReport:
     report.checks.append(check_sweep_determinism(seed))
     report.total_duration_s = time.perf_counter() - start
     if out_dir is not None:
-        persist_artifacts(report, out_dir)
+        os.makedirs(out_dir, exist_ok=True)
+        for name, rows in report.artifacts.items():
+            write_csv(os.path.join(out_dir, f"{name}.csv"), list(rows[0].keys()), rows)
     return report
-
-
-def persist_artifacts(report: ValidationReport, out_dir):
-    from pathlib import Path
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, rows in report.artifacts.items():
-        write_csv(out / f"{name}.csv", list(rows[0].keys()), rows)

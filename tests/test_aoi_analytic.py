@@ -454,6 +454,8 @@ class TestSystemCdf:
         sys_law = an.SystemLaw((stage,))
         direct = an.cdf_paoi(stage, 1.0).value
         assert an.system_cdf(sys_law, 1.0).value == pytest.approx(direct, rel=1e-12)
+        with pytest.raises(ValueError, match="need at least one stage"):
+            an.SystemLaw(())
 
     def test_homogeneous_power_squares(self):
         # identical stages: the product over stages is the power of one stage
@@ -494,6 +496,7 @@ class TestSeverity:
         got = self.severity(80.0, 1.0, an.PsiMode.SURVIVAL)
         assert got.validity is an.Validity.NOT_COMPUTABLE
         assert math.isnan(got.value)
+        assert an._flag_probability(math.nan) is an.Validity.NOT_COMPUTABLE
 
     def test_grid_flags_deterministic(self):
         zs = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -543,6 +546,9 @@ class TestAverages:
         got = an.avg_paoi_compute(an.ComputeQueueLaw(75.0, 100.0, an.AvgMode.AS_WRITTEN))
         assert got.value == pytest.approx(1515000.0233333333, rel=1e-12)
         assert got.validity is an.Validity.INVALID
+        # at rho = 1 its 1/(1 - rho) pole gives inf, still flagged
+        at_one = an.avg_paoi_compute(an.ComputeQueueLaw(100.0, 100.0, an.AvgMode.AS_WRITTEN))
+        assert at_one == an.FlaggedValue(math.inf, an.Validity.INVALID)
 
     def test_compute_corrected_unstable_raises(self):
         with pytest.raises(an.InstabilityError):

@@ -113,6 +113,18 @@ class TestAnalyticCommand:
         assert [r["validity_flag"] for r in rows if r["quantity"] == "severity"] \
             == ["invalid"] * 4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_finite_ages_integrate_to_one(self, tmp_path):
+        # from about 1.4e306 an age over the quadrature's first panel width overflows a float
+        cfg = write_config(tmp_path, {"analytic": {
+            "laws": [{"discipline": d, "update_rate": 2, "service_rate": 1}
+                     for d in ("fcfs", "lcfs")],
+            "ages": [1.5e306, 1.7976931348623157e308]}})
+        assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = read_csv(tmp_path / "out" / "analytic.csv")
+        assert [(r["value"], r["validity_flag"]) for r in rows if r["mode"] == "quadrature"] \
+            == [("1.0", "valid")] * 4
+
 
 class TestSweepCommand:
     def config(self, tmp_path, values=(2, 3), reps=1, ruin=1.0, z=3.0, name="config.json"):
@@ -206,6 +218,7 @@ class TestSweepCommand:
             exported = read_csv(out / "samples" / "excursions_{}_rep{}_{}.csv".format(*cell))
             assert len(exported) == int(row["sim_excursions"])
             assert [float(e["exceedance"]) for e in exported] == exceed[cell].tolist()
+            assert all(float(e["ruin_level"]) == 1.0 for e in exported)   # the sweep's level
 
     def test_manifest_lists_the_exported_samples(self, tmp_path):
         out = tmp_path / "out"

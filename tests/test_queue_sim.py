@@ -739,6 +739,9 @@ class TestEstimators:
     def test_empirical_cdf_empty_rejected(self):
         with pytest.raises(qs.EmptyDataError):
             qs.EmpiricalCdf([])
+        for lengths in ([3, 0, 2], []):   # a segment without a sample, and no segment
+            with pytest.raises(qs.EmptyDataError, match="every KS segment needs a sample"):
+                qs.ks_segments(np.arange(5.0), lengths, lambda idx: idx / 5.0)
 
     def test_ks_zero_function_gives_one(self):
         f = qs.EmpiricalCdf(np.arange(1.0, 11.0))
@@ -847,12 +850,3 @@ class TestExports:
         assert lines[0] == "replication,user,stage,delivery_time,paoi_seconds"
         assert any(",stage1," in ln for ln in lines[1:])
         assert any(",e2e," in ln for ln in lines[1:])
-
-    def test_excursions_csv_schema(self, tmp_path):
-        out = single_user_run(FCFS, 2.0, 1.0, 5000.0)
-        stats = qs.excursion_severity(out.stage1[0], 1.0)
-        path = tmp_path / "exc.csv"
-        qs.write_excursions_csv(path, 0, stats)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "replication,ruin_level,exceedance"
-        assert len(lines) == 1 + len(stats.exceedances)

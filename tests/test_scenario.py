@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,6 +43,8 @@ class TestRoom:
 class TestPlacement:
     def test_zero_users_empty(self):
         assert sc.place_users(scenario(num_users=0)).shape == (0, 2)
+        with pytest.raises(ValueError, match="num_users must be non-negative"):
+            scenario(num_users=-1)
 
     def test_deterministic(self):
         a = sc.place_users(scenario())
@@ -53,9 +56,14 @@ class TestPlacement:
         big = sc.place_users(scenario(num_users=9))
         assert np.array_equal(big[:4], small)
 
-    def test_strictly_inside(self):
+    def test_strictly_inside(self, monkeypatch):
         pts = sc.place_users(scenario(num_users=200))
         assert np.all(pts > 0.0) and np.all(pts < 50.0)
+        # a point drawn on a wall is drawn again from the user's own generator
+        draws = iter([(0.0, 10.0), (10.0, 50.0), (3.0, 4.0)])
+        stub = SimpleNamespace(uniform=lambda low, high, size: np.array(next(draws)))
+        monkeypatch.setattr(sc.qs, "_rng", lambda *key: stub)
+        assert sc.place_users(scenario(num_users=1)).tolist() == [[3.0, 4.0]]
 
     def test_mean_converges_to_room_center(self):
         n = 20_000
@@ -156,6 +164,9 @@ class TestSweep:
     def test_values_must_increase(self):
         with pytest.raises(ValueError):
             sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 5.0), 1, scenario(), 1.0, 3.0, 40.0, 0)
+        # and a sweep of increasing values needs a replication
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            sc.Sweep(sc.SweepVariable.NUM_USERS, (5.0, 6.0), 0, scenario(), 1.0, 3.0, 40.0, 0)
 
     def test_row_count_and_columns(self):
         sweep = self.small_sweep(values=(2.0, 3.0), reps=2)
