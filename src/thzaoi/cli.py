@@ -73,9 +73,13 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
-def _load(args) -> dict:
+def _load(args, *sections: str) -> dict:
+    """The config file's top-level object, which must hold each of ``sections``."""
     cfg = sc.load_json(args.config)
     sc.check_keys(cfg, set(), _TOP_KEYS_OPT, "config")
+    for key in sections:
+        if key not in cfg:
+            raise sc.ConfigError(f"config: {key} section required")
     return cfg
 
 
@@ -110,31 +114,27 @@ def _write_manifest(args, out: Path, seed: int | None, outputs: list[str]):
 
 def _parse_analytic_law(d: dict, path: str) -> an.StageLaw:
     sc.check_keys(d, {"discipline", "update_rate", "service_rate"}, set(), path)
-    with sc.config_errors(path):
-        return an.StageLaw(sc.positive(d["update_rate"], f"{path}.update_rate"),
-                           sc.positive(d["service_rate"], f"{path}.service_rate"),
-                           an.Discipline(d["discipline"]))
+    return an.StageLaw(sc.positive(d["update_rate"], f"{path}.update_rate"),
+                       sc.positive(d["service_rate"], f"{path}.service_rate"),
+                       sc.choice(d["discipline"], an.Discipline, f"{path}.discipline"))
+
+
+def _nonnegative(value, field: str) -> float:
+    return sc.number(value, field, least=0)
 
 
 def cmd_analytic(args) -> int:
-    cfg = _load(args)
-    if "analytic" not in cfg:
-        raise sc.ConfigError("config: analytic section required")
-    section = cfg["analytic"]
+    section = _load(args, "analytic")["analytic"]
     sc.check_keys(section, {"laws"}, {"ages", "severity"}, "analytic")
-    laws = [_parse_analytic_law(d, f"analytic.laws[{i}]")
-            for i, d in enumerate(sc.entries(section.get("laws", []), "analytic.laws"))]
-    ages = [sc.number(a, f"analytic.ages[{i}]", least=0)
-            for i, a in enumerate(sc.entries(section.get("ages", []), "analytic.ages"))]
+    laws = sc.entries(section["laws"], "analytic.laws", _parse_analytic_law)
+    ages = sc.entries(section.get("ages", []), "analytic.ages", _nonnegative)
 
     severity = section.get("severity")
     ruin, z_grid = None, []
     if severity is not None:
         sc.check_keys(severity, {"ruin_level_s"}, {"z_grid"}, "analytic.severity")
-        ruin = sc.number(severity["ruin_level_s"], "analytic.severity.ruin_level_s", least=0)
-        z_grid = [sc.number(z, f"analytic.severity.z_grid[{i}]", least=0)
-                  for i, z in enumerate(sc.entries(severity.get("z_grid", []),
-                                                   "analytic.severity.z_grid"))]
+        ruin = _nonnegative(severity["ruin_level_s"], "analytic.severity.ruin_level_s")
+        z_grid = sc.entries(severity.get("z_grid", []), "analytic.severity.z_grid", _nonnegative)
 
     rows = []
     for law in laws:
@@ -170,10 +170,7 @@ def cmd_analytic(args) -> int:
 # sweep command
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    for key in ("scenario", "sweep"):
-        if key not in cfg:
-            raise sc.ConfigError(f"config: {key} section required")
+    cfg = _load(args, "scenario", "sweep")
     if args.seed is not None:
         seed = sc.count(args.seed, "--seed", least=0)
     else:

@@ -247,7 +247,7 @@ def _draw_cycles(rates: Sequence[float], mu: float, horizon: float,
     arrival, then max(S, E) on per cycle, one sequential sum per row.  The end of
     service t is its departure, which carries start + E of cycle t - 1 (FCFS), as
     the sum gives start + max(S, E) where nothing waits, ties included.
-    ``counted``, each user's lost arrivals follow as one Poisson count, the next
+    With ``counted``, each user's lost arrivals follow as one Poisson count, the next
     draw of its substream."""
     rates = np.array(rates, dtype=float)
     blocks = np.array([_block_size(r, mu, horizon) for r in rates.tolist()])

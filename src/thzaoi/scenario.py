@@ -350,17 +350,6 @@ def check_keys(d: dict, required: set[str], optional: set[str], path: str):
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-@contextlib.contextmanager
-def config_errors(path: str):
-    """Report a TypeError or ValueError raised inside as a ConfigError at ``path``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def number(value, field: str, least: float | None = None) -> float:
     """A finite JSON number, at least ``least`` if given; booleans and strings are not numbers."""
     x = math.nan
@@ -385,12 +374,21 @@ def count(value, field: str, least: int | None = None, most: int | None = None) 
     return int(value)
 
 
-def entries(value, field: str, least: int = 0) -> list:
-    """A JSON list of at least ``least`` entries; a string or an object is not a list."""
+def entries(value, field: str, read, least: int = 0) -> list:
+    """A JSON list of at least ``least`` entries, each read by ``read`` at its indexed path."""
     if not (isinstance(value, list) and len(value) >= least):
         kind = "a non-empty list" if least else "a list"
         raise ConfigError(f"{field}: expected {kind}, got {value!r}")
-    return value
+    return [read(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def choice(value, kind: type[enum.Enum], field: str):
+    """The member of the enum ``kind`` with value ``value``; any other JSON value is an error."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{field}: expected one of {[m.value for m in kind]}, "
+                          f"got {value!r}") from None
 
 
 def positive(value, field: str) -> float:
@@ -413,15 +411,14 @@ def horizon(value, field: str, service_rate: float) -> float:
 def parse_link(d: dict, path: str = "link") -> link.LinkParams:
     check_keys(d, {"bandwidth_hz", "carrier_hz", "tx_power_w", "absorption_per_m",
                    "temperature_k", "meta_surfaces", "image_size_bits"}, set(), path)
-    with config_errors(path):
-        return link.LinkParams(
-            bandwidth_hz=positive(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
-            carrier_hz=positive(d["carrier_hz"], f"{path}.carrier_hz"),
-            tx_power_w=positive(d["tx_power_w"], f"{path}.tx_power_w"),
-            absorption_per_m=positive(d["absorption_per_m"], f"{path}.absorption_per_m"),
-            temperature_k=positive(d["temperature_k"], f"{path}.temperature_k"),
-            meta_surfaces=count(d["meta_surfaces"], f"{path}.meta_surfaces", least=1),
-            image_size_bits=positive(d["image_size_bits"], f"{path}.image_size_bits"))
+    return link.LinkParams(
+        bandwidth_hz=positive(d["bandwidth_hz"], f"{path}.bandwidth_hz"),
+        carrier_hz=positive(d["carrier_hz"], f"{path}.carrier_hz"),
+        tx_power_w=positive(d["tx_power_w"], f"{path}.tx_power_w"),
+        absorption_per_m=positive(d["absorption_per_m"], f"{path}.absorption_per_m"),
+        temperature_k=positive(d["temperature_k"], f"{path}.temperature_k"),
+        meta_surfaces=count(d["meta_surfaces"], f"{path}.meta_surfaces", least=1),
+        image_size_bits=positive(d["image_size_bits"], f"{path}.image_size_bits"))
 
 
 def parse_room(d: dict, path: str = "room") -> Room:
@@ -433,42 +430,39 @@ def parse_queue(d: dict, path: str = "queue") -> qs.QueueConfig:
     """The two service rates; the discipline is a placeholder, as each sweep
     cell runs both."""
     check_keys(d, {"stage_service_rate", "compute_service_rate"}, set(), path)
-    with config_errors(path):
-        return qs.QueueConfig(
-            an.Discipline.FCFS_MM12,
-            positive(d["stage_service_rate"], f"{path}.stage_service_rate"),
-            positive(d["compute_service_rate"], f"{path}.compute_service_rate"))
+    return qs.QueueConfig(an.Discipline.FCFS_MM12,
+                          positive(d["stage_service_rate"], f"{path}.stage_service_rate"),
+                          positive(d["compute_service_rate"], f"{path}.compute_service_rate"))
 
 
 def parse_scenario(d: dict, path: str = "scenario") -> Scenario:
     check_keys(d, {"link", "room", "queue", "num_users", "placement_seed"}, set(), path)
-    with config_errors(path):
-        return Scenario(
-            room=parse_room(d["room"], f"{path}.room"),
-            num_users=count(d["num_users"], f"{path}.num_users", least=1, most=MOST),
-            link_params=parse_link(d["link"], f"{path}.link"),
-            queue=parse_queue(d["queue"], f"{path}.queue"),
-            placement_seed=count(d["placement_seed"], f"{path}.placement_seed", least=0))
+    return Scenario(
+        room=parse_room(d["room"], f"{path}.room"),
+        num_users=count(d["num_users"], f"{path}.num_users", least=1, most=MOST),
+        link_params=parse_link(d["link"], f"{path}.link"),
+        queue=parse_queue(d["queue"], f"{path}.queue"),
+        placement_seed=count(d["placement_seed"], f"{path}.placement_seed", least=0))
 
 
 def parse_sweep(d: dict, base: Scenario, master_seed: int = 0, path: str = "sweep") -> Sweep:
     check_keys(d, {"variable", "values", "replications", "ruin_level_s",
                    "threshold_z_s", "horizon_s"},
                {"arrival_mode"}, path)
-    with config_errors(path):
-        variable = SweepVariable(d["variable"])
-        read = (lambda v, field: count(v, field, least=1, most=MOST)) \
-            if variable is SweepVariable.NUM_USERS else positive
-        values = tuple(float(read(v, f"{path}.values[{i}]"))
-                       for i, v in enumerate(entries(d["values"], f"{path}.values", least=1)))
-        replications = count(d["replications"], f"{path}.replications", least=1, most=MOST)
-        ruin_level = positive(d["ruin_level_s"], f"{path}.ruin_level_s")
-        threshold_z = positive(d["threshold_z_s"], f"{path}.threshold_z_s")
-        horizon_s = horizon(d["horizon_s"], f"{path}.horizon_s", base.queue.stage_service_rate)
-        arrival_mode = ArrivalRateMode(d.get("arrival_mode", "burke"))
-        with config_errors(f"{path}.values"):   # the one check left to Sweep is on the values
-            return Sweep(variable, values, replications, base, ruin_level, threshold_z,
-                         horizon_s, master_seed, arrival_mode)
+    variable = choice(d["variable"], SweepVariable, f"{path}.variable")
+    read = (lambda v, field: float(count(v, field, least=1, most=MOST))) \
+        if variable is SweepVariable.NUM_USERS else positive
+    values = tuple(entries(d["values"], f"{path}.values", read, least=1))
+    replications = count(d["replications"], f"{path}.replications", least=1, most=MOST)
+    ruin_level = positive(d["ruin_level_s"], f"{path}.ruin_level_s")
+    threshold_z = positive(d["threshold_z_s"], f"{path}.threshold_z_s")
+    horizon_s = horizon(d["horizon_s"], f"{path}.horizon_s", base.queue.stage_service_rate)
+    arrival_mode = choice(d.get("arrival_mode", "burke"), ArrivalRateMode, f"{path}.arrival_mode")
+    try:
+        return Sweep(variable, values, replications, base, ruin_level, threshold_z,
+                     horizon_s, master_seed, arrival_mode)
+    except ValueError as exc:   # the one check left to Sweep is the values' order
+        raise ConfigError(f"{path}.values: {exc}") from exc
 
 
 def load_json(path) -> dict:

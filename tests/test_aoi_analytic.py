@@ -378,6 +378,12 @@ class TestKernelOverflow:
         bound = an.support_bound(stage)
         assert 1.0 - an.cdf_paoi(stage, bound).value < an.TAIL_MASS
 
+    def test_support_bound_raises_when_the_tail_never_falls(self, monkeypatch):
+        # a closed form stuck at 0 leaves the whole mass in the tail through all 200 steps
+        monkeypatch.setattr(an, "_cdf_fcfs_closed", lambda r, mu, a: 0.0)
+        with pytest.raises(RuntimeError, match="tail mass did not fall below target"):
+            an.support_bound(law(0.03, 1.0))
+
 
 class TestCycleTermsOracle:
     # validate's oracle grid, r/mu 0.5, 2 and 10 at its rates and ages, and the

@@ -372,6 +372,16 @@ class TestReadme:
                     in (c.args for c in spy.call_args_list) if path == "analytic.severity"]
         assert accepted == [documented] == [{"ruin_level_s", "z_grid"}]
 
+    def test_choice_keys_list_the_enum_values(self):
+        from thzaoi import aoi_analytic as an
+        from thzaoi import scenario as sc
+        documented = {key: re.findall(r"`(\w+)`", values) for key, values
+                      in re.findall(r"^- `([\w.\[\]]+)`(?: \(.*?\))?: (.*)$", self.TEXT, re.M)}
+        assert documented == {
+            "sweep.variable": [m.value for m in sc.SweepVariable],
+            "sweep.arrival_mode": [m.value for m in sc.ArrivalRateMode],
+            "analytic.laws[i].discipline": [m.value for m in an.Discipline]}
+
 
 class TestExitCodes:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
@@ -458,6 +468,9 @@ class TestExitCodes:
         pytest.param(("scenario", "room", "ris_positions"), [], id="no-ris-positions"),
         pytest.param(("sweep", "values"), [], id="no-sweep-values"),
         pytest.param(("sweep", "values"), [3, 2], id="decreasing-sweep-values"),
+        # the choice keys are read by field path too, not by their section's
+        pytest.param(("sweep", "variable"), "nope", id="unknown-sweep-variable"),
+        pytest.param(("sweep", "arrival_mode"), "nope", id="unknown-arrival-mode"),
     ])
     def test_bad_number_is_usage_error_with_path(self, tmp_path, capsys, where, value):
         payload = {"scenario": scenario_section(), "sweep": {
@@ -605,6 +618,9 @@ class TestExitCodes:
                      id="string-ages"),
         pytest.param(lambda s: s.update(laws=s["laws"][0]), "analytic.laws: expected a list",
                      id="object-laws"),
+        pytest.param(lambda s: s["laws"][0].update(discipline="fifo"),
+                     "analytic.laws[0].discipline: expected one of ['fcfs', 'lcfs'], got 'fifo'",
+                     id="unknown-discipline"),
     ])
     def test_bad_analytic_number_is_usage_error(self, tmp_path, capsys, edit, field):
         section = {"laws": [{"discipline": "fcfs", "update_rate": 2.0, "service_rate": 1.0}],

@@ -1,5 +1,5 @@
 """Property tests: stage kernels and simulator bookkeeping over wide rate ranges,
-the config boundary over malformed numbers, and NaN at every positivity check
+the config boundary over malformed numbers and choices, and NaN at every positivity check
 (and infinities where a rate or horizon must be finite).
 
 r/mu is drawn log-uniformly over [1e-3, 1e5], from lightly loaded stages to
@@ -469,13 +469,13 @@ CONFIGS = {"analytic": json.loads((CONFIG_DIR / "analytic_grid.json").read_text(
            "sweep": tiny_user_sweep()}
 
 
-def numeric_leaves(node, keys=()):
-    """Key paths of every JSON number (list elements included) under ``node``."""
+def config_leaves(node, keys=()):
+    """Key paths of every JSON number and string (list elements included) under ``node``."""
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
         for key, child in items:
-            yield from numeric_leaves(child, keys + (key,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield from config_leaves(child, keys + (key,))
+    elif isinstance(node, (int, float, str)) and not isinstance(node, bool):
         yield keys
 
 
@@ -483,11 +483,14 @@ def field_path(keys):
     return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
 
 
-LEAVES = [(command, keys) for command, cfg in CONFIGS.items() for keys in numeric_leaves(cfg)]
-MALFORMED = [math.nan, math.inf, -math.inf, True, "1", -1, 0, 2.5, 10 ** 400]
+# the string leaves are the choice keys: sweep.variable, sweep.arrival_mode and
+# each analytic law's discipline
+LEAVES = [(command, keys) for command, cfg in CONFIGS.items() for keys in config_leaves(cfg)]
+MALFORMED = [math.nan, math.inf, -math.inf, True, "1", -1, 0, 2.5, 10 ** 400,
+             "nope", None, [], {}]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@settings(derandomize=True, database=None, deadline=None, max_examples=800)
 @given(st.sampled_from(LEAVES), st.sampled_from(MALFORMED))
 def test_malformed_config_number_is_rejected_by_field_path(leaf, value):
     command, keys = leaf
@@ -495,6 +498,7 @@ def test_malformed_config_number_is_rejected_by_field_path(leaf, value):
     node = cfg
     for key in keys[:-1]:
         node = node[key]
+    choice_key = isinstance(node[keys[-1]], str)   # no malformed value is one of its choices
     node[keys[-1]] = value
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -502,6 +506,6 @@ def test_malformed_config_number_is_rejected_by_field_path(leaf, value):
         path.write_text(json.dumps(cfg))
         with redirect_stderr(err), redirect_stdout(io.StringIO()):
             rc = cli.main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert rc in (0, 3)
+    assert rc == 3 if choice_key else rc in (0, 3)
     if rc == 3:
         assert field_path(keys) in err.getvalue()
